@@ -22,12 +22,9 @@ from .errors import (
 )
 from .core import (
     TieRule,
-    apply_index,
     make_rng,
     random_permutation,
     ranks,
-    sort_ascending,
-    spawn_rngs,
 )
 from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint, adjust
 from .variations import (
@@ -56,11 +53,9 @@ from .metrics import (
 )
 from .config import DEFAULT_SEED, DeconvConfig
 from .engine import (
-    EngineState,
     IterationRecord,
     IterationTrace,
     init_estimate,
-    iterate_once,
     naive_random_difference,
     naive_sorted_difference,
     run,
@@ -88,7 +83,6 @@ __all__ = [
     "DeconvError",
     "DegenerateReferenceError",
     "DistSpec",
-    "EngineState",
     "EqualizeStrategy",
     "InfeasibleAdjustmentError",
     "InvalidInputError",
@@ -105,7 +99,6 @@ __all__ = [
     "TieRule",
     "UNBOUNDED",
     "adjust",
-    "apply_index",
     "bootstrap_sample",
     "cut_values",
     "distance_index",
@@ -115,7 +108,6 @@ __all__ = [
     "full_census",
     "generate",
     "init_estimate",
-    "iterate_once",
     "l1_distance",
     "make_experiment",
     "make_rng",
@@ -132,8 +124,6 @@ __all__ = [
     "reference_normal_line",
     "run",
     "sample_moments",
-    "sort_ascending",
-    "spawn_rngs",
     "stationary_distribution",
     "transition_matrix",
     "__version__",

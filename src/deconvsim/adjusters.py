@@ -60,20 +60,17 @@ class AdjustPolicy(Enum):
     ABSOLUTE = "abs"
 
 
-def _fold(value: float, lower: float, upper: float) -> float:
-    # Reflect about whichever bound is violated; with two finite bounds this
-    # is a triangle-wave fold with period 2*(upper - lower).
-    if lower <= value <= upper:
-        return value
+def _fold(v: np.ndarray, lower: float, upper: float) -> np.ndarray:
+    # Reflect out-of-support values about whichever bound they violate; with
+    # two finite bounds this is a triangle-wave fold with period
+    # 2*(upper - lower).
     if math.isinf(upper):
-        return lower + abs(value - lower)
+        return lower + np.abs(v - lower)
     if math.isinf(lower):
-        return upper - abs(value - upper)
+        return upper - np.abs(v - upper)
     period = 2.0 * (upper - lower)
-    t = math.fmod(value - lower, period)
-    if t < 0.0:
-        t += period
-    return lower + min(t, period - t)
+    t = np.mod(v - lower, period)
+    return lower + np.minimum(t, period - t)
 
 
 def adjust(
@@ -99,7 +96,7 @@ def adjust(
 
     if policy is AdjustPolicy.ABSOLUTE:
         lo, hi = support.lower, support.upper
-        v[bad] = [_fold(val, lo, hi) for val in v[bad]]
+        v[bad] = _fold(v[bad], lo, hi)
         return v, count
 
     good = v[~bad]
@@ -119,13 +116,8 @@ def adjust(
         low_idx = np.flatnonzero(v < support.lower)
         high_idx = np.flatnonzero(v > support.upper)
         # More violators than in-support values: cycle through the copies.
-        if low_idx.size:
-            take = [good_sorted[i % good_sorted.size] for i in range(low_idx.size)]
-            v[low_idx] = take
-        if high_idx.size:
-            rev = good_sorted[::-1]
-            take = [rev[i % rev.size] for i in range(high_idx.size)]
-            v[high_idx] = take
+        v[low_idx] = good_sorted[np.arange(low_idx.size) % good_sorted.size]
+        v[high_idx] = good_sorted[::-1][np.arange(high_idx.size) % good_sorted.size]
         return v, count
 
     raise InvalidInputError(f"unknown adjust policy {policy!r}")  # pragma: no cover

@@ -120,7 +120,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 def _config_from(ns: argparse.Namespace) -> DeconvConfig:
     return DeconvConfig(
         iters=ns.iters,
-        burn_in=ns.burn_in,
         adjust=AdjustPolicy(ns.adjust),
         support=parse_support(ns.support),
         equalize=parse_equalize(ns.equalize),
@@ -154,13 +153,14 @@ def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
             raise ConfigError("--pooled-out requires --pool other than none")
         write_sample(ns.pooled_out, trace.pooled, header)
 
-    mean_d = trace.mean_distance(config.burn_in)
-    final = trace.steps[-1].y if trace.steps else trace.initial.y
+    mean_d = trace.mean_distance()
+    final = trace.ys[-1]
     mean, var = sample_moments(final) if final.size >= 2 else (float(final[0]), 0.0)
-    total_viol = sum(r.violations for r in trace.steps)
+    total_viol = trace.violations[1:].sum()
+    burn_in = config.pool.burn_in
     print(f"n: {trace.sortx.size}")
     print(f"iterations: {config.iters}")
-    print(f"mean d (iter > {config.burn_in}): " + ("NA" if mean_d is None else f"{mean_d:.6g}"))
+    print(f"mean d (iter > {burn_in}): " + ("NA" if mean_d is None else f"{mean_d:.6g}"))
     print(f"final estimate mean: {mean:.6g} sd: {np.sqrt(var):.6g}")
     print(f"pre-adjustment violations, total: {total_viol}")
     print(f"trace: {ns.out}")

@@ -22,13 +22,12 @@ DEFAULT_SEED = 1729
 class DeconvConfig:
     """Everything a deconvolution run depends on besides the data.
 
-    ``burn_in`` is a reporting concept: the engine records every iteration
-    and summaries (pooled estimates, mean distance) skip the first
-    ``burn_in`` of them.
+    The burn-in is ``pool.burn_in``, a reporting concept: the engine records
+    every iteration and summaries (pooled estimates, mean distance) skip
+    the first ``pool.burn_in`` of them.
     """
 
     iters: int = 100
-    burn_in: int = 4
     adjust: AdjustPolicy = AdjustPolicy.NONE
     support: SupportConstraint = UNBOUNDED
     equalize: EqualizeStrategy = field(default_factory=EqualizeStrategy.tile)
@@ -40,8 +39,6 @@ class DeconvConfig:
     def __post_init__(self):
         if self.iters < 0:
             raise ConfigError("iteration count must be >= 0")
-        if self.burn_in < 0:
-            raise ConfigError("burn-in must be >= 0")
         if self.pool.kind is not PoolingKind.NONE and self.pool.burn_in >= self.iters:
             raise ConfigError(
                 f"pooling burn-in {self.pool.burn_in} leaves no iterations "

@@ -1,10 +1,10 @@
-"""Vector primitives: sorting, ranking, indexing, random permutations.
+"""Vector primitives: sample validation, ranking, random permutations.
 
-Everything downstream is built on these four operations plus a single
+Everything downstream is built on these operations plus a single
 seedable RNG family (numpy's PCG64 via ``numpy.random.default_rng``).
 Ranks and permutations are 0-based: ``ranks(v)[i]`` is the number of
 elements that sort strictly before ``v[i]`` (ties broken by position),
-so ``sort_ascending(v)[ranks(v)] == v`` exactly.
+so ``np.sort(v)[ranks(v)] == v`` exactly.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Independent streams for concurrent tasks, derived from one seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
 def as_sample(values) -> FloatArray:
     """Validate and copy input into a float64 sample vector.
 
@@ -55,11 +50,6 @@ def as_sample(values) -> FloatArray:
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("sample contains non-finite values")
     return v.copy()
-
-
-def sort_ascending(v) -> FloatArray:
-    """Return the multiset of v in ascending order; v is not modified."""
-    return np.sort(as_sample(v), kind="stable")
 
 
 def ranks(
@@ -85,17 +75,6 @@ def ranks(
     r = np.empty(n, dtype=np.intp)
     r[order] = np.arange(n, dtype=np.intp)
     return r
-
-
-def apply_index(v, idx) -> np.ndarray:
-    """``result[i] = v[idx[i]]`` with 0-based indices; repeats are allowed."""
-    v = np.asarray(v)
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= v.shape[0]):
-        raise InvalidInputError(
-            f"index out of range: expected 0..{v.shape[0] - 1}"
-        )
-    return v[idx]
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> IntArray:

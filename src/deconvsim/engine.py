@@ -15,7 +15,7 @@ too much).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,25 +35,6 @@ from .variations import PoolingKind, equalize_lengths
 
 
 @dataclass(frozen=True)
-class EngineState:
-    """Chain state: the two sorted inputs and the current sorted estimate."""
-
-    sortx: np.ndarray
-    sortz: np.ndarray
-    y: np.ndarray
-    iteration: int = 0
-
-    def __post_init__(self):
-        n = self.sortx.size
-        if self.sortz.size != n or self.y.size != n:
-            raise InvalidInputError("sortx, sortz and y must have equal length")
-        for name in ("sortx", "sortz", "y"):
-            v = getattr(self, name)
-            if np.any(np.diff(v) < 0):
-                raise InvalidInputError(f"{name} must be ascending")
-
-
-@dataclass(frozen=True)
 class IterationRecord:
     """One row of a run: the sorted estimate plus its diagnostics."""
 
@@ -65,39 +46,42 @@ class IterationRecord:
 
 @dataclass
 class IterationTrace:
-    """Everything a run produced, initial estimate included."""
+    """Everything a run produced.
+
+    Row 0 of ``ys`` (shape ``(T+1, n)``), ``d`` and ``violations`` (shape
+    ``(T+1,)``) is the initial estimate and row t is iteration t.  ``d`` is
+    None when the normal reference is degenerate.
+    """
 
     config: DeconvConfig
     sortx: np.ndarray
     sortz: np.ndarray
-    initial: IterationRecord
-    steps: list[IterationRecord] = field(default_factory=list)
+    ys: np.ndarray
+    d: np.ndarray | None
+    violations: np.ndarray
     reference: NormalReferenceLine | None = None
     pooled: np.ndarray | None = None
 
     @property
     def all_records(self) -> list[IterationRecord]:
-        return [self.initial, *self.steps]
+        """Every row as a record; each ``record.y`` is a view of ``ys``."""
+        return [
+            IterationRecord(t, y, None if self.d is None else float(self.d[t]), int(v))
+            for t, (y, v) in enumerate(zip(self.ys, self.violations))
+        ]
 
-    def step_ys(self) -> list[np.ndarray]:
-        return [r.y for r in self.steps]
+    @property
+    def steps(self) -> list[IterationRecord]:
+        """The records of iterations 1..T."""
+        return self.all_records[1:]
 
-    def pool_average(self, burn_in: int) -> np.ndarray:
-        return variations.pool_average(self.step_ys(), burn_in)
-
-    def pool_concat(self, burn_in: int) -> np.ndarray:
-        return variations.pool_concat(self.step_ys(), burn_in)
-
-    def mean_distance(self, burn_in: int) -> float | None:
-        """Mean of d over iterations beyond burn_in; None if d was never defined."""
-        ds = [r.d for r in self.steps if r.iteration > burn_in and r.d is not None]
-        if not ds:
+    def mean_distance(self) -> float | None:
+        """Mean of d over iterations beyond the pooling burn-in; None if
+        d is undefined or no iteration is left."""
+        if self.d is None:
             return None
-        return float(np.mean(ds))
-
-    def mean_violations(self, burn_in: int = 0) -> float:
-        counts = [r.violations for r in self.steps if r.iteration > burn_in]
-        return float(np.mean(counts)) if counts else 0.0
+        kept = self.d[self.config.pool.burn_in + 1 :]
+        return float(np.mean(kept)) if kept.size else None
 
 
 def init_estimate(sortz, sortx) -> np.ndarray:
@@ -109,43 +93,32 @@ def init_estimate(sortz, sortx) -> np.ndarray:
     return np.sort(sortz - sortx)
 
 
-def _step(
-    x_eff: np.ndarray,
-    z_eff: np.ndarray,
-    oldy: np.ndarray,
+def step(
+    sortx: np.ndarray,
+    sortz: np.ndarray,
+    y: np.ndarray,
     rperm: np.ndarray,
-    w_noise: np.ndarray | None,
-    policy: AdjustPolicy,
-    support: SupportConstraint,
-    rng: np.random.Generator,
-    tie_rule: TieRule,
-) -> tuple[np.ndarray, int]:
-    # One transition on effective (possibly smoothed) ascending inputs.
-    w = x_eff + oldy[rperm]
-    if w_noise is not None:
-        w = w + w_noise
-    r = ranks(w, tie_rule, rng)
-    ydiff = z_eff[r] - x_eff
-    adjusted, violations = adjust(ydiff, policy, support, rng)
-    return np.sort(adjusted), violations
-
-
-def iterate_once(
-    state: EngineState,
     rng: np.random.Generator,
     policy: AdjustPolicy = AdjustPolicy.NONE,
     support: SupportConstraint = UNBOUNDED,
     tie_rule: TieRule = TieRule.FIRST_OCCURRENCE,
-    rperm: np.ndarray | None = None,
+    w_noise: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """One chain step; returns the new sorted estimate and the
-    pre-adjustment violation count.  rperm is drawn uniformly unless a
-    fixed permutation is passed in (useful for deterministic checks)."""
-    if rperm is None:
-        rperm = random_permutation(state.y.size, rng)
-    return _step(
-        state.sortx, state.sortz, state.y, rperm, None, policy, support, rng, tie_rule
-    )
+    pre-adjustment violation count.
+
+    sortx, sortz and y must be ascending float64 vectors of one length n
+    and rperm a permutation of 0..n-1; nothing here checks that (``run``
+    validates its inputs).  w_noise, if given, is added to the working
+    vector.  rng is used only by the random tie rule and the RESAMPLE
+    policy.
+    """
+    w = sortx + y[rperm]
+    if w_noise is not None:
+        w = w + w_noise
+    r = ranks(w, tie_rule, rng)
+    adjusted, violations = adjust(sortz[r] - sortx, policy, support, rng)
+    return np.sort(adjusted), violations
 
 
 def naive_sorted_difference(x, z) -> np.ndarray:
@@ -177,7 +150,8 @@ def run(x, z, config: DeconvConfig, rng: np.random.Generator | None = None) -> I
     when pooling is configured.  Deterministic given the seed.
 
     RNG consumption order is fixed: equalization, one-shot smoothing, then
-    per iteration pool draw / rperm / fresh xi / eta / zeta / adjuster.
+    per iteration pool draw / rperm / fresh xi / eta / zeta / tie draws /
+    adjuster.
     """
     if rng is None:
         rng = make_rng(config.seed)
@@ -209,25 +183,19 @@ def run(x, z, config: DeconvConfig, rng: np.random.Generator | None = None) -> I
     sortx = np.sort(x_eq)
     sortz = np.sort(z_eq)
 
-    y = init_estimate(sortz, sortx)
-    initial = IterationRecord(
-        iteration=0,
-        y=y,
-        d=distance_index(y, reference) if reference is not None else None,
-        violations=int(config.support.violations(y).sum()),
-    )
+    ys = np.empty((config.iters + 1, n))
+    violations = np.empty(config.iters + 1, dtype=np.int64)
+    ys[0] = init_estimate(sortz, sortx)
+    violations[0] = config.support.violations(ys[0]).sum()
 
     fresh = sm.active and sm.fresh_each_step
     pool_mode = config.pool.kind
-    pool_values: list[np.ndarray] = [y] if pool_mode is PoolingKind.CONCAT_AND_DRAW else []
-
-    steps: list[IterationRecord] = []
     for t in range(1, config.iters + 1):
         if pool_mode is PoolingKind.CONCAT_AND_DRAW:
-            pooled_so_far = np.concatenate(pool_values)
-            oldy = np.sort(pooled_so_far[rng.integers(0, pooled_so_far.size, n)])
+            pool = ys[:t].reshape(-1)
+            oldy = np.sort(pool[rng.integers(0, pool.size, n)])
         else:
-            oldy = y
+            oldy = ys[t - 1]
 
         rperm = random_permutation(n, rng)
 
@@ -240,38 +208,32 @@ def run(x, z, config: DeconvConfig, rng: np.random.Generator | None = None) -> I
             if sm.zeta_sd > 0:
                 z_eff = np.sort(sortz + rng.normal(0.0, sm.zeta_sd, n))
 
-        y, violations = _step(
+        ys[t], violations[t] = step(
             x_eff,
             z_eff,
             oldy,
             rperm,
-            w_noise,
+            rng,
             config.adjust,
             config.support,
-            rng,
             config.tie_rule,
+            w_noise,
         )
-        steps.append(
-            IterationRecord(
-                iteration=t,
-                y=y,
-                d=distance_index(y, reference) if reference is not None else None,
-                violations=violations,
-            )
-        )
-        if pool_mode is PoolingKind.CONCAT_AND_DRAW:
-            pool_values.append(y)
 
+    d = None
+    if reference is not None:
+        d = np.array([distance_index(y, reference) for y in ys])
     trace = IterationTrace(
         config=config,
         sortx=sortx,
         sortz=sortz,
-        initial=initial,
-        steps=steps,
+        ys=ys,
+        d=d,
+        violations=violations,
         reference=reference,
     )
     if pool_mode is PoolingKind.AVERAGE:
-        trace.pooled = trace.pool_average(config.pool.burn_in)
+        trace.pooled = variations.pool_average(ys[1:], config.pool.burn_in)
     elif pool_mode in (PoolingKind.CONCAT, PoolingKind.CONCAT_AND_DRAW):
-        trace.pooled = trace.pool_concat(config.pool.burn_in)
+        trace.pooled = variations.pool_concat(ys[1:], config.pool.burn_in)
     return trace

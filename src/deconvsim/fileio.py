@@ -75,10 +75,10 @@ def write_trace_csv(path, trace, header: str | None = None) -> None:
         if header:
             fh.write(f"# {header}\n")
         fh.write(",".join(cols) + "\n")
-        for rec in trace.all_records:
-            d_text = "NA" if rec.d is None else fmt_float(rec.d)
-            row = [str(rec.iteration), d_text, str(rec.violations)]
-            row.extend(fmt_float(v) for v in rec.y)
+        ds = [None] * len(trace.ys) if trace.d is None else trace.d.tolist()
+        for t, (y, d, v) in enumerate(zip(trace.ys, ds, trace.violations.tolist())):
+            row = [str(t), "NA" if d is None else fmt_float(d), str(v)]
+            row.extend(map(fmt_float, y.tolist()))
             fh.write(",".join(row) + "\n")
 
 

@@ -173,7 +173,6 @@ def transition_matrix(inst: CanonicalInstance) -> Matrix:
     s's y vector, those whose rank vector is t's permutation.
     """
     sx = inst.sortx
-    sz = inst.sortz
     rows = []
     for pi in PERMS:
         y = inst.state_vector(pi)

@@ -172,24 +172,23 @@ def bootstrap_sample(v, n: int, rng: np.random.Generator) -> np.ndarray:
     return v[rng.integers(0, v.size, n)]
 
 
-def pool_average(ys: list[np.ndarray], burn_in: int) -> np.ndarray:
+def pool_average(ys, burn_in: int) -> np.ndarray:
     """Elementwise mean of the sorted iterates after burn_in.
 
-    ``ys[t]`` is the sorted estimate of iteration t+1, so iterations
+    Row ``ys[t]`` is the sorted estimate of iteration t+1, so iterations
     strictly beyond burn_in are ``ys[burn_in:]``.  The mean of ascending
     vectors is ascending.
     """
-    kept = _post_burn_in(ys, burn_in)
-    return np.mean(kept, axis=0)
+    return _post_burn_in(ys, burn_in).mean(axis=0)
 
 
-def pool_concat(ys: list[np.ndarray], burn_in: int) -> np.ndarray:
-    """Concatenation of the iterates after burn_in."""
-    kept = _post_burn_in(ys, burn_in)
-    return np.concatenate(kept)
+def pool_concat(ys, burn_in: int) -> np.ndarray:
+    """The iterates after burn_in, flattened into one vector."""
+    return _post_burn_in(ys, burn_in).flatten()
 
 
-def _post_burn_in(ys: list[np.ndarray], burn_in: int) -> list[np.ndarray]:
+def _post_burn_in(ys, burn_in: int) -> np.ndarray:
+    ys = np.asarray(ys, dtype=np.float64)
     if burn_in < 0:
         raise InvalidInputError("burn-in must be >= 0")
     if burn_in >= len(ys):

@@ -1,19 +1,12 @@
-"""Vector primitives: sorting, ranking, indexing, permutations."""
+"""Vector primitives: sample validation, ranking, random permutations."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deconvsim import (
-    TieRule,
-    apply_index,
-    make_rng,
-    random_permutation,
-    ranks,
-    sort_ascending,
-    spawn_rngs,
-)
+from deconvsim import TieRule, make_rng, random_permutation, ranks
+from deconvsim.core import as_sample
 from deconvsim.errors import InvalidInputError
 
 finite_vectors = st.lists(
@@ -26,20 +19,10 @@ finite_vectors = st.lists(
 tied_vectors = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=30)
 
 
-def test_sort_ascending_keeps_duplicates():
-    assert np.array_equal(sort_ascending([1, 1, 0]), [0, 1, 1])
-
-
-def test_sort_ascending_does_not_modify_input():
-    v = np.array([3.0, 1.0, 2.0])
-    sort_ascending(v)
-    assert np.array_equal(v, [3.0, 1.0, 2.0])
-
-
 @pytest.mark.parametrize("bad", [[], [np.nan], [1.0, np.inf]])
-def test_sort_ascending_rejects_bad_input(bad):
+def test_as_sample_rejects_bad_input(bad):
     with pytest.raises(InvalidInputError):
-        sort_ascending(bad)
+        as_sample(bad)
 
 
 def test_ranks_basic_example():
@@ -84,38 +67,13 @@ def test_ranks_random_tie_rule_respects_strict_order():
 @given(finite_vectors)
 def test_sort_rank_identity_without_forced_ties(v):
     v = np.asarray(v)
-    assert np.array_equal(sort_ascending(v)[ranks(v)], v)
+    assert np.array_equal(np.sort(v)[ranks(v)], v)
 
 
 @given(tied_vectors)
 def test_sort_rank_identity_with_ties(v):
     v = np.asarray(v, dtype=np.float64)
-    assert np.array_equal(sort_ascending(v)[ranks(v)], v)
-
-
-@given(tied_vectors)
-def test_apply_index_inverts_ranks(v):
-    v = np.asarray(v, dtype=np.float64)
-    assert np.array_equal(apply_index(sort_ascending(v), ranks(v)), v)
-
-
-def test_apply_index_example():
-    assert np.array_equal(apply_index([2, 3, 4, 6], [0, 3, 1, 2]), [2, 6, 3, 4])
-
-
-def test_apply_index_allows_repeats():
-    assert np.array_equal(apply_index([9], [0, 0, 0]), [9, 9, 9])
-
-
-def test_apply_index_identity():
-    v = np.array([1.5, -2.0, 7.0])
-    assert np.array_equal(apply_index(v, [0, 1, 2]), v)
-
-
-@pytest.mark.parametrize("idx", [[3], [-1]])
-def test_apply_index_rejects_out_of_range(idx):
-    with pytest.raises(InvalidInputError):
-        apply_index([1, 2, 3], idx)
+    assert np.array_equal(np.sort(v)[ranks(v)], v)
 
 
 def test_random_permutation_n1():
@@ -132,10 +90,3 @@ def test_random_permutation_is_reproducible():
 def test_random_permutation_rejects_zero_length():
     with pytest.raises(InvalidInputError):
         random_permutation(0, make_rng(0))
-
-
-def test_spawn_rngs_gives_independent_reproducible_streams():
-    first = [g.random() for g in spawn_rngs(3, 4)]
-    second = [g.random() for g in spawn_rngs(3, 4)]
-    assert first == second
-    assert len(set(first)) == 4

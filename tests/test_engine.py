@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 from deconvsim import (
     AdjustPolicy,
     DeconvConfig,
-    EngineState,
     PoolingKind,
     PoolingMode,
     SmoothingSpec,
     SupportConstraint,
     init_estimate,
-    iterate_once,
     make_experiment,
     make_rng,
     naive_random_difference,
     naive_sorted_difference,
+    random_permutation,
     run,
 )
+from deconvsim.engine import step
 from deconvsim.errors import ConfigError, InvalidInputError
 
 sample_lists = st.lists(
@@ -39,31 +39,19 @@ def test_init_estimate_examples():
         init_estimate([1.0], [1.0, 2.0])
 
 
-def test_engine_state_validates_shapes_and_order():
-    with pytest.raises(InvalidInputError):
-        EngineState(np.array([0.0]), np.array([0.0, 1.0]), np.array([0.0]))
-    with pytest.raises(InvalidInputError):
-        EngineState(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+SORTX = np.array([0.0, 1.0])
+SORTZ = np.array([0.0, 3.0])
+Y0 = np.array([0.0, 2.0])
 
 
 def test_iterate_once_two_point_swap():
-    state = EngineState(
-        sortx=np.array([0.0, 1.0]),
-        sortz=np.array([0.0, 3.0]),
-        y=np.array([0.0, 2.0]),
-    )
-    y, violations = iterate_once(state, make_rng(0), rperm=np.array([1, 0]))
+    y, violations = step(SORTX, SORTZ, Y0, np.array([1, 0]), make_rng(0))
     assert np.array_equal(y, [-1.0, 3.0])
     assert violations == 0
 
 
 def test_iterate_once_identity_rperm_fixes_initial_estimate():
-    state = EngineState(
-        sortx=np.array([0.0, 1.0]),
-        sortz=np.array([0.0, 3.0]),
-        y=np.array([0.0, 2.0]),
-    )
-    y, _ = iterate_once(state, make_rng(0), rperm=np.array([0, 1]))
+    y, _ = step(SORTX, SORTZ, Y0, np.array([0, 1]), make_rng(0))
     assert np.array_equal(y, [0.0, 2.0])
 
 
@@ -73,34 +61,28 @@ def test_identity_rperm_fixed_point_in_general(x, z):
     sortx = np.sort(np.asarray(x[:n]))
     sortz = np.sort(np.asarray(z[:n]))
     y = init_estimate(sortz, sortx)
-    state = EngineState(sortx=sortx, sortz=sortz, y=y)
-    out, _ = iterate_once(state, make_rng(0), rperm=np.arange(n))
+    out, _ = step(sortx, sortz, y, np.arange(n), make_rng(0))
     assert np.array_equal(out, y)
 
 
 def test_single_element_chain_absorbs_immediately():
-    state = EngineState(
-        sortx=np.array([2.0]), sortz=np.array([7.0]), y=np.array([5.0])
-    )
+    sortx, sortz, y = np.array([2.0]), np.array([7.0]), np.array([5.0])
     rng = make_rng(9)
     for _ in range(5):
-        y, _ = iterate_once(state, rng)
+        y, _ = step(sortx, sortz, y, random_permutation(1, rng), rng)
         assert np.array_equal(y, [5.0])
 
 
 def test_iterate_once_counts_violations_before_adjustment():
-    state = EngineState(
-        sortx=np.array([0.0, 1.0]),
-        sortz=np.array([0.0, 3.0]),
-        y=np.array([0.0, 2.0]),
-    )
     support = SupportConstraint(0.0, np.inf)
-    y, violations = iterate_once(
-        state,
+    y, violations = step(
+        SORTX,
+        SORTZ,
+        Y0,
+        np.array([1, 0]),
         make_rng(0),
         policy=AdjustPolicy.ABSOLUTE,
         support=support,
-        rperm=np.array([1, 0]),
     )
     assert violations == 1  # the raw step gives (-1, 3)
     assert np.array_equal(y, [1.0, 3.0])
@@ -131,9 +113,10 @@ def test_naive_baselines_reject_length_mismatch():
 def test_run_records_every_iteration_plus_the_initial_row():
     x1, z0, _ = make_experiment("normal", 0)
     trace = run(x1, z0, DeconvConfig(iters=17, seed=0))
-    assert trace.initial.iteration == 0
-    assert [r.iteration for r in trace.steps] == list(range(1, 18))
-    assert all(r.violations == 0 for r in trace.steps)  # unbounded support
+    assert trace.ys.shape == (18, 100)
+    assert [r.iteration for r in trace.all_records] == list(range(18))
+    assert np.shares_memory(trace.steps[-1].y, trace.ys)  # records are row views
+    assert not trace.violations.any()  # unbounded support
     assert trace.pooled is None
 
 
@@ -141,7 +124,7 @@ def test_run_zero_iterations_keeps_only_the_initial_estimate():
     x1, z0, _ = make_experiment("normal", 1)
     trace = run(x1, z0, DeconvConfig(iters=0, seed=1))
     assert trace.steps == []
-    assert np.array_equal(trace.initial.y, init_estimate(np.sort(z0), np.sort(x1)))
+    assert np.array_equal(trace.ys, [init_estimate(np.sort(z0), np.sort(x1))])
 
 
 def test_run_is_deterministic_given_the_seed():
@@ -185,8 +168,9 @@ def test_run_reports_d_only_when_the_reference_exists():
     v = np.sort(make_rng(4).normal(size=50))
     degenerate = run(v, v, DeconvConfig(iters=5, seed=4))
     assert degenerate.reference is None
+    assert degenerate.d is None
     assert all(r.d is None for r in degenerate.all_records)
-    assert degenerate.mean_distance(0) is None
+    assert degenerate.mean_distance() is None
 
 
 def test_run_pool_average_matches_manual_mean():
@@ -271,16 +255,14 @@ def test_run_applies_boundary_policy_every_step():
 
 def test_trace_mean_distance_uses_burn_in():
     x1, z0, _ = make_experiment("normal", 10)
-    trace = run(x1, z0, DeconvConfig(iters=10, seed=10))
-    manual = np.mean([r.d for r in trace.steps if r.iteration > 4])
-    assert trace.mean_distance(4) == pytest.approx(manual)
+    trace = run(x1, z0, DeconvConfig(iters=10, seed=10, pool=PoolingMode(burn_in=7)))
+    manual = np.mean([r.d for r in trace.steps if r.iteration > 7])
+    assert trace.mean_distance() == pytest.approx(manual)
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
         DeconvConfig(iters=-1)
-    with pytest.raises(ConfigError):
-        DeconvConfig(burn_in=-1)
     with pytest.raises(ConfigError):
         DeconvConfig(iters=5, pool=PoolingMode(PoolingKind.AVERAGE, burn_in=5))
     with pytest.warns(UserWarning, match="bounded"):

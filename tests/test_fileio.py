@@ -85,7 +85,7 @@ def test_trace_csv_layout(tmp_path):
     assert len(lines) == 2 + 1 + 3  # header, columns, initial row, 3 steps
     first = lines[2].split(",")
     assert first[0] == "0"
-    assert float(first[3]) == trace.initial.y[0]
+    assert float(first[3]) == trace.ys[0][0]
 
 
 def test_trace_csv_writes_na_for_missing_d(tmp_path):

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deconvsim import EngineState, iterate_once, make_rng
+from deconvsim import make_rng
+from deconvsim.engine import step
 from deconvsim.errors import CutLineError, InvalidInputError
 from deconvsim.smallcase import (
     CANONICAL_X,
@@ -389,10 +390,9 @@ def test_float_engine_reproduces_every_exact_matrix(census):
         index = {tuple(y): s for s, y in enumerate(states)}
         assert len(index) == 6
         for s, y in enumerate(states):
-            state = EngineState(sortx=sortx, sortz=sortz, y=y)
             counts = [0] * 6
             for rperm in rperms:
-                new_y, _ = iterate_once(state, rng, rperm=rperm)
+                new_y, _ = step(sortx, sortz, y, rperm, rng)
                 counts[index[tuple(new_y)]] += 1
             assert tuple(F(c, 6) for c in counts) == entry.matrix[s]
 
