@@ -8,6 +8,10 @@ three-observation chain.
 
 All vectors are numpy float arrays and all indexing is 0-based throughout
 the package, including every file format it emits.
+
+The package namespace holds the user API; the building blocks (ranks,
+adjusters, quantile functions, the census pieces ...) are imported from
+their modules, e.g. ``deconvsim.core.ranks``.
 """
 
 __version__ = "0.1.0"
@@ -20,65 +24,19 @@ from .errors import (
     InfeasibleAdjustmentError,
     InvalidInputError,
 )
-from .core import (
-    TieRule,
-    make_rng,
-    random_permutation,
-    ranks,
-)
-from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint, adjust
-from .variations import (
-    EqualizeStrategy,
-    PoolingKind,
-    PoolingMode,
-    SmoothingSpec,
-    bootstrap_sample,
-    equalize_lengths,
-    perturb,
-    pool_average,
-    pool_concat,
-)
-from .metrics import (
-    NormalReferenceLine,
-    QQData,
-    TheoreticalDist,
-    distance_index,
-    exponential_quantile,
-    l1_distance,
-    normal_quantile,
-    plotting_positions,
-    qq_data,
-    reference_normal_line,
-    sample_moments,
-)
-from .config import DEFAULT_SEED, DeconvConfig
-from .engine import (
-    IterationRecord,
-    IterationTrace,
-    init_estimate,
-    naive_random_difference,
-    naive_sorted_difference,
-    run,
-)
+from .core import TieRule, make_rng
+from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint
+from .variations import EqualizeStrategy, PoolingKind, PoolingMode, SmoothingSpec
+from .metrics import TheoreticalDist, qq_data
+from .config import DeconvConfig
+from .engine import IterationTrace, run
 from .datagen import DistSpec, generate, make_experiment
-from .smallcase import (
-    CANONICAL_X,
-    CanonicalInstance,
-    RegionCensus,
-    cut_values,
-    enumerate_regions,
-    full_census,
-    stationary_distribution,
-    transition_matrix,
-)
+from .smallcase import full_census
 
 __all__ = [
     "AdjustPolicy",
-    "CANONICAL_X",
-    "CanonicalInstance",
     "ConfigError",
     "CutLineError",
-    "DEFAULT_SEED",
     "DeconvConfig",
     "DeconvError",
     "DegenerateReferenceError",
@@ -86,45 +44,19 @@ __all__ = [
     "EqualizeStrategy",
     "InfeasibleAdjustmentError",
     "InvalidInputError",
-    "IterationRecord",
     "IterationTrace",
-    "NormalReferenceLine",
     "PoolingKind",
     "PoolingMode",
-    "QQData",
-    "RegionCensus",
     "SmoothingSpec",
     "SupportConstraint",
     "TheoreticalDist",
     "TieRule",
     "UNBOUNDED",
-    "adjust",
-    "bootstrap_sample",
-    "cut_values",
-    "distance_index",
-    "enumerate_regions",
-    "equalize_lengths",
-    "exponential_quantile",
     "full_census",
     "generate",
-    "init_estimate",
-    "l1_distance",
     "make_experiment",
     "make_rng",
-    "naive_random_difference",
-    "naive_sorted_difference",
-    "normal_quantile",
-    "perturb",
-    "plotting_positions",
-    "pool_average",
-    "pool_concat",
     "qq_data",
-    "random_permutation",
-    "ranks",
-    "reference_normal_line",
     "run",
-    "sample_moments",
-    "stationary_distribution",
-    "transition_matrix",
     "__version__",
 ]

@@ -24,10 +24,9 @@ class SupportConstraint:
     upper: float = math.inf
 
     def __post_init__(self):
+        # Also false when either bound is NaN.
         if not self.lower < self.upper:
             raise InvalidInputError("support requires lower < upper")
-        if math.isnan(self.lower) or math.isnan(self.upper):
-            raise InvalidInputError("support bounds must not be NaN")
 
     @property
     def bounded(self) -> bool:

@@ -137,6 +137,8 @@ def _config_from(ns: argparse.Namespace) -> DeconvConfig:
 
 def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
     config = _config_from(ns)
+    if ns.pooled_out and config.pool.kind is PoolingKind.NONE:
+        raise ConfigError("--pooled-out requires --pool other than none")
     x = read_sample(ns.x)
     z = read_sample(ns.z)
     trace = run(x, z, config)
@@ -149,8 +151,6 @@ def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
             file=sys.stderr,
         )
     if ns.pooled_out:
-        if trace.pooled is None:
-            raise ConfigError("--pooled-out requires --pool other than none")
         write_sample(ns.pooled_out, trace.pooled, header)
 
     mean_d = trace.mean_distance()

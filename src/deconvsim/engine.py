@@ -84,15 +84,6 @@ class IterationTrace:
         return float(np.mean(kept)) if kept.size else None
 
 
-def init_estimate(sortz, sortx) -> np.ndarray:
-    """First estimate: the sorted elementwise difference of the sorted inputs."""
-    sortz = as_sample(sortz)
-    sortx = as_sample(sortx)
-    if sortz.size != sortx.size:
-        raise InvalidInputError("sortz and sortx must have equal length")
-    return np.sort(sortz - sortx)
-
-
 def step(
     sortx: np.ndarray,
     sortz: np.ndarray,
@@ -171,24 +162,20 @@ def run(x, z, config: DeconvConfig, rng: np.random.Generator | None = None) -> I
             reference = None
 
     sm = config.smoothing
+    fresh = sm.active and sm.fresh_each_step
     eta_once = None
-    if sm.active and not sm.fresh_each_step:
-        if sm.xi_sd > 0:
-            x_eq = variations.perturb(x_eq, sm.xi_sd, rng)
-        if sm.eta_sd > 0:
-            eta_once = rng.normal(0.0, sm.eta_sd, n)
-        if sm.zeta_sd > 0:
-            z_eq = variations.perturb(z_eq, sm.zeta_sd, rng)
+    if sm.active and not fresh:
+        # One-shot noise is added at the unsorted equalized positions.
+        x_eq, eta_once, z_eq = variations.smooth(x_eq, z_eq, sm, rng)
 
     sortx = np.sort(x_eq)
     sortz = np.sort(z_eq)
 
     ys = np.empty((config.iters + 1, n))
     violations = np.empty(config.iters + 1, dtype=np.int64)
-    ys[0] = init_estimate(sortz, sortx)
+    ys[0] = np.sort(sortz - sortx)
     violations[0] = config.support.violations(ys[0]).sum()
 
-    fresh = sm.active and sm.fresh_each_step
     pool_mode = config.pool.kind
     for t in range(1, config.iters + 1):
         if pool_mode is PoolingKind.CONCAT_AND_DRAW:
@@ -199,14 +186,10 @@ def run(x, z, config: DeconvConfig, rng: np.random.Generator | None = None) -> I
 
         rperm = random_permutation(n, rng)
 
-        x_eff, z_eff, w_noise = sortx, sortz, eta_once
         if fresh:
-            if sm.xi_sd > 0:
-                x_eff = np.sort(sortx + rng.normal(0.0, sm.xi_sd, n))
-            if sm.eta_sd > 0:
-                w_noise = rng.normal(0.0, sm.eta_sd, n)
-            if sm.zeta_sd > 0:
-                z_eff = np.sort(sortz + rng.normal(0.0, sm.zeta_sd, n))
+            x_eff, w_noise, z_eff = variations.smooth(sortx, sortz, sm, rng)
+        else:
+            x_eff, w_noise, z_eff = sortx, eta_once, sortz
 
         ys[t], violations[t] = step(
             x_eff,

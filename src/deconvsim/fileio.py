@@ -26,10 +26,6 @@ def make_header(seed, argv) -> str:
     return f"deconvsim {__version__} seed={seed} args: {args}"
 
 
-def fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
 def fmt_rational(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
@@ -62,8 +58,8 @@ def write_sample(path, values, header: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
-        for v in values:
-            fh.write(fmt_float(v) + "\n")
+        for v in values.tolist():
+            fh.write(repr(v) + "\n")
 
 
 def write_trace_csv(path, trace, header: str | None = None) -> None:
@@ -77,8 +73,8 @@ def write_trace_csv(path, trace, header: str | None = None) -> None:
         fh.write(",".join(cols) + "\n")
         ds = [None] * len(trace.ys) if trace.d is None else trace.d.tolist()
         for t, (y, d, v) in enumerate(zip(trace.ys, ds, trace.violations.tolist())):
-            row = [str(t), "NA" if d is None else fmt_float(d), str(v)]
-            row.extend(map(fmt_float, y.tolist()))
+            row = [str(t), "NA" if d is None else repr(d), str(v)]
+            row.extend(map(repr, y.tolist()))
             fh.write(",".join(row) + "\n")
 
 
@@ -87,8 +83,8 @@ def write_qq_csv(path, qq: QQData, header: str | None = None) -> None:
         if header:
             fh.write(f"# {header}\n")
         fh.write("theoretical,sample\n")
-        for t, s in zip(qq.theoretical, qq.sample):
-            fh.write(f"{fmt_float(t)},{fmt_float(s)}\n")
+        for t, s in zip(qq.theoretical.tolist(), qq.sample.tolist()):
+            fh.write(f"{t!r},{s!r}\n")
 
 
 def write_census_csv(path, census: RegionCensus, header: str | None = None) -> None:

@@ -67,12 +67,7 @@ def normal_quantile(p: float) -> float:
         raise InvalidInputError("quantile probability must lie in [0, 1]")
 
     p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
+    if p_low <= p <= 1.0 - p_low:
         q = p - 0.5
         r = q * q
         x = (
@@ -81,10 +76,15 @@ def normal_quantile(p: float) -> float:
             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
         )
     else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(
+        # The tails are mirror images: the upper one is the negated lower
+        # tail at 1 - p.
+        upper = p > 0.5
+        q = math.sqrt(-2.0 * math.log(1.0 - p if upper else p))
+        x = (
             ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
         ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
+        if upper:
+            x = -x
 
     # Halley refinement: e = Phi(x) - p, u = e / phi(x).
     e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p

@@ -7,6 +7,7 @@ resampling, and combining iterates into a single pooled estimate.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -73,8 +74,11 @@ class SmoothingSpec:
     fresh_each_step: bool = True
 
     def __post_init__(self):
-        if min(self.xi_sd, self.eta_sd, self.zeta_sd) < 0:
-            raise InvalidInputError("smoothing standard deviations must be >= 0")
+        sds = (self.xi_sd, self.eta_sd, self.zeta_sd)
+        if not all(math.isfinite(sd) and sd >= 0 for sd in sds):
+            raise InvalidInputError(
+                "smoothing standard deviations must be finite and >= 0"
+            )
         if self.active:
             want = self.xi_sd**2 + self.eta_sd**2
             got = self.zeta_sd**2
@@ -162,6 +166,22 @@ def perturb(v, sd: float, rng: np.random.Generator) -> np.ndarray:
     if sd == 0:
         return v.copy()
     return v + rng.normal(0.0, sd, v.size)
+
+
+def smooth(
+    x: np.ndarray, z: np.ndarray, spec: SmoothingSpec, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """One draw of the smoothing noise: ``(sort(x + xi), eta, sort(z + zeta))``.
+
+    Draws xi, eta, zeta in that order and skips any whose sd is 0; x or z
+    is then returned as given and eta is None.
+    """
+    if spec.xi_sd > 0:
+        x = np.sort(perturb(x, spec.xi_sd, rng))
+    eta = rng.normal(0.0, spec.eta_sd, x.size) if spec.eta_sd > 0 else None
+    if spec.zeta_sd > 0:
+        z = np.sort(perturb(z, spec.zeta_sd, rng))
+    return x, eta, z
 
 
 def bootstrap_sample(v, n: int, rng: np.random.Generator) -> np.ndarray:

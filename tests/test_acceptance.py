@@ -12,7 +12,6 @@ import warnings
 from collections import Counter
 
 import numpy as np
-import pytest
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,22 +23,20 @@ from deconvsim import (
     PoolingKind,
     PoolingMode,
     SupportConstraint,
-    adjust,
-    exponential_quantile,
-    init_estimate,
-    l1_distance,
     make_experiment,
     make_rng,
-    naive_random_difference,
-    naive_sorted_difference,
-    normal_quantile,
-    plotting_positions,
-    random_permutation,
-    ranks,
     run,
 )
+from deconvsim.adjusters import adjust
 from deconvsim.cli import main
-from deconvsim.engine import step
+from deconvsim.core import random_permutation, ranks
+from deconvsim.engine import naive_random_difference, naive_sorted_difference, step
+from deconvsim.metrics import (
+    exponential_quantile,
+    l1_distance,
+    normal_quantile,
+    plotting_positions,
+)
 from deconvsim.smallcase import CANONICAL_X, PERMS, is_point_mass
 
 HALF_LINE = SupportConstraint(0.0, np.inf)
@@ -309,7 +306,7 @@ def _check_fixed_point():
         n = int(rng.integers(1, 30))
         sortx = np.sort(rng.normal(size=n))
         sortz = np.sort(3.0 * rng.normal(size=n))
-        y = init_estimate(sortz, sortx)
+        y = naive_sorted_difference(sortx, sortz)
         out, _ = step(sortx, sortz, y, np.arange(n), rng)
         if not np.array_equal(out, y):
             return False

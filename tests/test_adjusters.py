@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deconvsim import AdjustPolicy, SupportConstraint, adjust, make_rng
+from deconvsim import AdjustPolicy, SupportConstraint, make_rng
+from deconvsim.adjusters import adjust
 from deconvsim.errors import InfeasibleAdjustmentError, InvalidInputError
 
 HALF_LINE = SupportConstraint(0.0, math.inf)
@@ -24,6 +25,8 @@ def test_support_requires_lower_below_upper():
 def test_support_rejects_nan_bounds():
     with pytest.raises(InvalidInputError):
         SupportConstraint(math.nan, 1.0)
+    with pytest.raises(InvalidInputError):
+        SupportConstraint(0.0, math.nan)
 
 
 def test_support_bounded_flag():

@@ -160,6 +160,7 @@ def test_run_pooled_out_without_pooling_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error" in captured.err
+    assert not (tmp_path / "t.csv").exists()  # rejected before any work
 
 
 def test_run_with_boundary_policy(tmp_path, capsys):

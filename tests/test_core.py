@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deconvsim import TieRule, make_rng, random_permutation, ranks
-from deconvsim.core import as_sample
+from deconvsim import TieRule, make_rng
+from deconvsim.core import as_sample, random_permutation, ranks
 from deconvsim.errors import InvalidInputError
 
 finite_vectors = st.lists(

@@ -15,28 +15,17 @@ from deconvsim import (
     PoolingMode,
     SmoothingSpec,
     SupportConstraint,
-    init_estimate,
     make_experiment,
     make_rng,
-    naive_random_difference,
-    naive_sorted_difference,
-    random_permutation,
     run,
 )
-from deconvsim.engine import step
+from deconvsim.core import random_permutation
+from deconvsim.engine import naive_random_difference, naive_sorted_difference, step
 from deconvsim.errors import ConfigError, InvalidInputError
 
 sample_lists = st.lists(
     st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=25
 )
-
-
-def test_init_estimate_examples():
-    assert np.array_equal(init_estimate([0.0, 3.0], [0.0, 1.0]), [0.0, 2.0])
-    assert np.array_equal(init_estimate([0.0, 1.0], [-5.0, 4.0]), [-3.0, 5.0])
-    assert np.array_equal(init_estimate([2.0, 7.0], [2.0, 7.0]), [0.0, 0.0])
-    with pytest.raises(InvalidInputError):
-        init_estimate([1.0], [1.0, 2.0])
 
 
 SORTX = np.array([0.0, 1.0])
@@ -60,7 +49,7 @@ def test_identity_rperm_fixed_point_in_general(x, z):
     n = min(len(x), len(z))
     sortx = np.sort(np.asarray(x[:n]))
     sortz = np.sort(np.asarray(z[:n]))
-    y = init_estimate(sortz, sortx)
+    y = naive_sorted_difference(sortx, sortz)
     out, _ = step(sortx, sortz, y, np.arange(n), make_rng(0))
     assert np.array_equal(out, y)
 
@@ -92,6 +81,9 @@ def test_naive_sorted_difference_examples():
     assert np.array_equal(naive_sorted_difference([1.0, 2.0], [10.0, 20.0]), [9.0, 18.0])
     v = np.array([4.0, -1.0, 2.0])
     assert np.array_equal(naive_sorted_difference(v, v), [0.0, 0.0, 0.0])
+    assert np.array_equal(naive_sorted_difference([0.0, 1.0], [0.0, 3.0]), [0.0, 2.0])
+    assert np.array_equal(naive_sorted_difference([-5.0, 4.0], [0.0, 1.0]), [-3.0, 5.0])
+    assert np.array_equal(naive_sorted_difference([2.0, 7.0], [2.0, 7.0]), [0.0, 0.0])
 
 
 def test_naive_random_difference_conserves_the_sum():
@@ -124,7 +116,7 @@ def test_run_zero_iterations_keeps_only_the_initial_estimate():
     x1, z0, _ = make_experiment("normal", 1)
     trace = run(x1, z0, DeconvConfig(iters=0, seed=1))
     assert trace.steps == []
-    assert np.array_equal(trace.ys, [init_estimate(np.sort(z0), np.sort(x1))])
+    assert np.array_equal(trace.ys, [naive_sorted_difference(x1, z0)])
 
 
 def test_run_is_deterministic_given_the_seed():

@@ -5,21 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from deconvsim import (
-    TheoreticalDist,
+from deconvsim import TheoreticalDist, make_rng, qq_data
+from conftest import INVERSE_NORMAL_TABLE
+from deconvsim.errors import DegenerateReferenceError, InvalidInputError
+from deconvsim.metrics import (
+    NormalReferenceLine,
     distance_index,
     exponential_quantile,
     l1_distance,
-    make_rng,
     normal_quantile,
     plotting_positions,
-    qq_data,
     reference_normal_line,
     sample_moments,
 )
-from conftest import INVERSE_NORMAL_TABLE
-from deconvsim.errors import DegenerateReferenceError, InvalidInputError
-from deconvsim.metrics import NormalReferenceLine
 
 
 def test_normal_quantile_against_frozen_high_precision_values():

@@ -17,7 +17,6 @@ from deconvsim.smallcase import (
     CanonicalInstance,
     cut_values,
     enumerate_regions,
-    full_census,
     is_point_mass,
     stationary_distribution,
     transition_matrix,

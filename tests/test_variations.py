@@ -1,22 +1,20 @@
 """Length equalization, smoothing, bootstrap, and pooling."""
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from deconvsim import (
-    EqualizeStrategy,
-    PoolingMode,
-    SmoothingSpec,
+from deconvsim import EqualizeStrategy, PoolingMode, SmoothingSpec, make_rng
+from deconvsim.errors import InvalidInputError
+from deconvsim.variations import (
     bootstrap_sample,
     equalize_lengths,
-    make_rng,
     perturb,
     pool_average,
     pool_concat,
 )
-from deconvsim.errors import InvalidInputError
 
 
 def test_bootstrap_strategy_needs_a_target():
@@ -110,9 +108,10 @@ def test_bootstrap_sample_distinct_coverage_fraction():
     assert np.mean(fractions) == pytest.approx(0.634, abs=0.02)
 
 
-def test_smoothing_rejects_negative_sd():
+@pytest.mark.parametrize("sd", [-1.0, math.nan, math.inf])
+def test_smoothing_rejects_negative_sd(sd):
     with pytest.raises(InvalidInputError):
-        SmoothingSpec(xi_sd=-1.0)
+        SmoothingSpec(xi_sd=sd)
 
 
 def test_smoothing_warns_when_variances_do_not_add_up():
