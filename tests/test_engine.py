@@ -86,6 +86,19 @@ def test_naive_sorted_difference_examples():
     assert np.array_equal(naive_sorted_difference([2.0, 7.0], [2.0, 7.0]), [0.0, 0.0])
 
 
+def test_init_estimate_examples():
+    # run's row 0 is the starting estimate sort(sort(z) - sort(x)).
+    cases = [
+        ([0.0, 1.0], [0.0, 3.0], [0.0, 2.0]),
+        ([-5.0, 4.0], [0.0, 1.0], [-3.0, 5.0]),
+        ([2.0, 7.0], [2.0, 7.0], [0.0, 0.0]),
+        ([1.0, 0.0], [3.0, 0.0], [0.0, 2.0]),
+    ]
+    for x, z, expected in cases:
+        trace = run(np.array(x), np.array(z), DeconvConfig(iters=0, seed=0))
+        assert np.array_equal(trace.ys, [expected])
+
+
 def test_naive_random_difference_conserves_the_sum():
     rng = make_rng(5)
     x = rng.normal(size=40)

@@ -31,6 +31,16 @@ def test_sample_round_trip(tmp_path):
     assert text.startswith("# demo seed=1\n")
 
 
+def test_fmt_float_round_trips_exactly(tmp_path):
+    # Writers print each value as repr of a Python float: shortest exact text.
+    values = [0.1, -0.0, 1e-300, 2.0 / 3.0, 12345.678901234567]
+    path = tmp_path / "floats.txt"
+    write_sample(path, np.array(values))
+    lines = path.read_text().splitlines()
+    assert lines == [repr(v) for v in values]
+    assert np.array([float(s) for s in lines]).tobytes() == np.array(values).tobytes()
+
+
 def test_read_sample_skips_comments_and_blank_lines(tmp_path):
     path = tmp_path / "messy.txt"
     path.write_text("# header\n\n1.5\n# middle comment\n\n2.5\n")
