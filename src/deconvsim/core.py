@@ -18,6 +18,10 @@ from .errors import InvalidInputError
 FloatArray = np.ndarray
 IntArray = np.ndarray
 
+# From this length on, FIRST_OCCURRENCE ranking tries NumPy's default (SIMD)
+# argsort first; below it the tie check costs more than the faster sort saves.
+_FAST_ARGSORT_MIN = 1024
+
 
 class TieRule(Enum):
     """How equal values are ordered when ranking.
@@ -61,11 +65,18 @@ def ranks(
 
     ``result[i]`` is the position v[i] would occupy after an ascending sort.
     The result is always a permutation of 0..n-1, even with tied values.
+
+    FIRST_OCCURRENCE ranks are those of a stable sort.  From n = 1024 on,
+    the default argsort is tried first: without ties its order is the only
+    ascending one; if the sorted values hold an equal adjacent pair, the
+    stable sort is run instead.
     """
     v = as_sample(v)
     n = v.size
     if tie_rule is TieRule.FIRST_OCCURRENCE:
-        order = np.argsort(v, kind="stable")
+        order = np.argsort(v) if n >= _FAST_ARGSORT_MIN else None
+        if order is None or _has_adjacent_equal(v[order]):
+            order = np.argsort(v, kind="stable")
     elif tie_rule is TieRule.RANDOM:
         if rng is None:
             raise InvalidInputError("random tie rule requires an rng")
@@ -75,6 +86,10 @@ def ranks(
     r = np.empty(n, dtype=np.intp)
     r[order] = np.arange(n, dtype=np.intp)
     return r
+
+
+def _has_adjacent_equal(sorted_v: FloatArray) -> bool:
+    return bool(np.any(sorted_v[1:] == sorted_v[:-1]))
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> IntArray:

@@ -5,11 +5,18 @@ The reference line is the normal distribution with mean
 ``mean(z) - mean(x)`` and variance ``var(z) - var(x)`` evaluated at the
 plotting positions ``p_i = (i - 0.5)/n``; the distance index of a sorted
 estimate is the sum of absolute vertical deviations from that line.
+
+The quantile functions take a probability or an array of them, so the
+reference line and QQ coordinates are computed in one call over all
+plotting positions.  Their log, erfc, exp and log1p come from ``math``
+(libm), not NumPy's vector kernels, so every value is bit-identical to
+the scalar formula.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,52 +58,86 @@ _D = (
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# The largest argument math.exp takes without overflowing.
+_EXP_ARG_MAX = math.log(sys.float_info.max)
+_LIBM_CHUNK = 4096
 
 
-def normal_quantile(p: float) -> float:
+def _libm(fn, a: np.ndarray) -> np.ndarray:
+    """The ``math`` function fn applied to each element of the 1-D array a.
+
+    NumPy's own log/exp kernels are not bit-equal to libm, so the values go
+    through ``math`` as Python floats, a fixed chunk at a time: converting a
+    whole large array to a list at once would raise peak memory.
+    """
+    out = np.empty_like(a)
+    for i in range(0, a.size, _LIBM_CHUNK):
+        out[i : i + _LIBM_CHUNK] = list(map(fn, a[i : i + _LIBM_CHUNK].tolist()))
+    return out
+
+
+def normal_quantile(p: float | np.ndarray) -> float | np.ndarray:
     """Inverse standard normal CDF, accurate to well below 1e-8.
 
+    p is a probability or an array of them; a scalar gives a float and an
+    array gives an array of its shape.  0 maps to -inf and 1 to +inf; a NaN
+    or any value outside [0, 1] raises InvalidInputError.
+
     Acklam's rational approximation gives ~1e-9 relative error; one Halley
-    step against math.erfc pushes that to near machine precision.
+    step against math.erfc pushes that to near machine precision.  Where
+    the step's factor exp(x*x/2) would overflow (p below about 1e-308) the
+    rational estimate is returned unrefined.
     """
-    if not 0.0 < p < 1.0:
-        if p == 0.0:
-            return -math.inf
-        if p == 1.0:
-            return math.inf
+    a = np.asarray(p, dtype=np.float64)
+    flat = a.reshape(-1)
+    if not np.all((flat >= 0.0) & (flat <= 1.0)):
         raise InvalidInputError("quantile probability must lie in [0, 1]")
+    out = np.where(flat == 0.0, -np.inf, np.inf)
+    inner = (flat > 0.0) & (flat < 1.0)
+    p = flat[inner]
 
     p_low = 0.02425
-    if p_low <= p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
-            * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-        )
-    else:
-        # The tails are mirror images: the upper one is the negated lower
-        # tail at 1 - p.
-        upper = p > 0.5
-        q = math.sqrt(-2.0 * math.log(1.0 - p if upper else p))
-        x = (
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-        if upper:
-            x = -x
+    central = (p_low <= p) & (p <= 1.0 - p_low)
+    x = np.empty_like(p)
+    q = p[central] - 0.5
+    r = q * q
+    x[central] = (
+        (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
+        * q
+        / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
+    )
+    # The tails are mirror images: the upper one is the negated lower tail
+    # at 1 - p.
+    pt = p[~central]
+    upper = pt > 0.5
+    q = np.sqrt(-2.0 * _libm(math.log, np.where(upper, 1.0 - pt, pt)))
+    xt = (
+        ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
+    ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
+    x[~central] = np.where(upper, -xt, xt)
 
     # Halley refinement: e = Phi(x) - p, u = e / phi(x).
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    e = 0.5 * _libm(math.erfc, -x / math.sqrt(2.0)) - p
+    half_x2 = 0.5 * x * x
+    refine = half_x2 <= _EXP_ARG_MAX
+    u = e * _SQRT_2PI * _libm(math.exp, np.where(refine, half_x2, 0.0))
+    out[inner] = np.where(refine, x - u / (1.0 + 0.5 * x * u), x)
+    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
 
 
-def exponential_quantile(p: float) -> float:
-    """Inverse standard exponential CDF: -ln(1 - p)."""
-    if not 0.0 <= p < 1.0:
+def exponential_quantile(p: float | np.ndarray) -> float | np.ndarray:
+    """Inverse standard exponential CDF: -ln(1 - p).
+
+    p is a probability or an array of them; a scalar gives a float and an
+    array gives an array of its shape.  A NaN or any value outside [0, 1)
+    raises InvalidInputError.
+    """
+    a = np.asarray(p, dtype=np.float64)
+    flat = a.reshape(-1)
+    if not np.all((flat >= 0.0) & (flat < 1.0)):
         raise InvalidInputError("quantile probability must lie in [0, 1)")
-    return -math.log1p(-p)
+    out = -_libm(math.log1p, -flat)
+    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
 
 
 def plotting_positions(n: int) -> np.ndarray:
@@ -156,7 +197,7 @@ def reference_normal_line(x, z, n: int) -> NormalReferenceLine:
         )
     mu = mean_z - mean_x
     sigma = math.sqrt(var_z - var_x)
-    quantiles = np.array([normal_quantile(p) for p in plotting_positions(n)])
+    quantiles = normal_quantile(plotting_positions(n))
     return NormalReferenceLine(mu=mu, sigma=sigma, line_values=mu + sigma * quantiles)
 
 
@@ -179,6 +220,5 @@ def qq_data(sorted_y, dist: TheoreticalDist) -> QQData:
     y = np.asarray(sorted_y, dtype=np.float64)
     if y.size < 1:
         raise InvalidInputError("QQ data needs a nonempty sample")
-    qfn = _QUANTILE_FN[dist]
-    theo = np.array([qfn(p) for p in plotting_positions(y.size)])
+    theo = _QUANTILE_FN[dist](plotting_positions(y.size))
     return QQData(theoretical=theo, sample=y.copy())

@@ -76,6 +76,24 @@ def test_sort_rank_identity_with_ties(v):
     assert np.array_equal(np.sort(v)[ranks(v)], v)
 
 
+@pytest.mark.parametrize("n", [1023, 1024, 10_000])
+def test_ranks_of_tied_values_match_a_stable_sort(n):
+    # Integer values with many ties, on both sides of the length at which
+    # ranks switches to the default argsort and falls back on ties.
+    v = make_rng(n).integers(0, 50, size=n).astype(np.float64)
+    expected = np.empty(n, dtype=np.intp)
+    expected[np.argsort(v, kind="stable")] = np.arange(n)
+    assert np.array_equal(ranks(v), expected)
+    # The default argsort alone would order these ties differently.
+    assert not np.array_equal(np.argsort(v), np.argsort(v, kind="stable"))
+
+
+def test_sort_rank_identity_on_large_tie_free_input():
+    v = make_rng(3).normal(size=10_000)
+    assert np.unique(v).size == v.size
+    assert np.array_equal(np.sort(v)[ranks(v)], v)
+
+
 def test_random_permutation_n1():
     assert np.array_equal(random_permutation(1, make_rng(0)), [0])
 
