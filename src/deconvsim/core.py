@@ -69,14 +69,18 @@ def ranks(
     FIRST_OCCURRENCE ranks are those of a stable sort.  From n = 1024 on,
     the default argsort is tried first: without ties its order is the only
     ascending one; if the sorted values hold an equal adjacent pair, the
-    stable sort is run instead.
+    stable sort is run instead.  Tied input thus pays for both sorts.
     """
     v = as_sample(v)
     n = v.size
     if tie_rule is TieRule.FIRST_OCCURRENCE:
-        order = np.argsort(v) if n >= _FAST_ARGSORT_MIN else None
-        if order is None or _has_adjacent_equal(v[order]):
+        if n < _FAST_ARGSORT_MIN:
             order = np.argsort(v, kind="stable")
+        else:
+            order = np.argsort(v)
+            s = v[order]
+            if np.any(s[1:] == s[:-1]):
+                order = np.argsort(v, kind="stable")
     elif tie_rule is TieRule.RANDOM:
         if rng is None:
             raise InvalidInputError("random tie rule requires an rng")
@@ -86,10 +90,6 @@ def ranks(
     r = np.empty(n, dtype=np.intp)
     r[order] = np.arange(n, dtype=np.intp)
     return r
-
-
-def _has_adjacent_equal(sorted_v: FloatArray) -> bool:
-    return bool(np.any(sorted_v[1:] == sorted_v[:-1]))
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> IntArray:
