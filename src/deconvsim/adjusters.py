@@ -83,20 +83,35 @@ def adjust(
     The violation count refers to the input vector.  Policies other than
     NONE guarantee the output lies entirely inside the closed support.
     """
+    if not isinstance(policy, AdjustPolicy):
+        raise InvalidInputError(f"unknown adjust policy {policy!r}")
     v = np.asarray(ydiff, dtype=np.float64).copy()
+    return v, _repair(v, policy, support, rng)
+
+
+def _repair(
+    v: np.ndarray,
+    policy: AdjustPolicy,
+    support: SupportConstraint,
+    rng: np.random.Generator | None,
+) -> int:
+    """``adjust`` in place on the float64 vector v, which the caller owns;
+    returns the violation count.  Unchecked: policy must be an AdjustPolicy.
+    """
+    if not support.bounded:
+        return 0
     bad = support.violations(v)
-    count = int(bad.sum())
+    count = int(np.count_nonzero(bad))
     if policy is AdjustPolicy.NONE or count == 0:
-        return v, count
+        return count
 
     if policy is AdjustPolicy.CLAMP:
         np.clip(v, support.lower, support.upper, out=v)
-        return v, count
+        return count
 
     if policy is AdjustPolicy.ABSOLUTE:
-        lo, hi = support.lower, support.upper
-        v[bad] = _fold(v[bad], lo, hi)
-        return v, count
+        v[bad] = _fold(v[bad], support.lower, support.upper)
+        return count
 
     good = v[~bad]
     if good.size == 0:
@@ -108,15 +123,13 @@ def adjust(
         if rng is None:
             raise InvalidInputError("resample policy requires an rng")
         v[bad] = good[rng.integers(0, good.size, count)]
-        return v, count
+        return count
 
-    if policy is AdjustPolicy.COPY_SMALLEST:
-        good_sorted = np.sort(good)
-        low_idx = np.flatnonzero(v < support.lower)
-        high_idx = np.flatnonzero(v > support.upper)
-        # More violators than in-support values: cycle through the copies.
-        v[low_idx] = good_sorted[np.arange(low_idx.size) % good_sorted.size]
-        v[high_idx] = good_sorted[::-1][np.arange(high_idx.size) % good_sorted.size]
-        return v, count
-
-    raise InvalidInputError(f"unknown adjust policy {policy!r}")  # pragma: no cover
+    # COPY_SMALLEST
+    good_sorted = np.sort(good)
+    low_idx = np.flatnonzero(v < support.lower)
+    high_idx = np.flatnonzero(v > support.upper)
+    # More violators than in-support values: cycle through the copies.
+    v[low_idx] = good_sorted[np.arange(low_idx.size) % good_sorted.size]
+    v[high_idx] = good_sorted[::-1][np.arange(high_idx.size) % good_sorted.size]
+    return count

@@ -56,6 +56,30 @@ def as_sample(values) -> FloatArray:
     return v.copy()
 
 
+def _sort_order(
+    v: FloatArray, tie_rule: TieRule, rng: np.random.Generator | None
+) -> IntArray:
+    """Indices that sort v ascending, ties ordered by tie_rule; unchecked.
+
+    v must be a finite float64 vector, tie_rule a TieRule and rng a
+    generator when tie_rule is RANDOM (``ranks`` checks all three).
+
+    FIRST_OCCURRENCE gives the order of a stable sort.  From n = 1024 on,
+    the default argsort is tried first: without ties its order is the only
+    ascending one; if the sorted values hold an equal adjacent pair, the
+    stable sort is run instead.  Tied input thus pays for both sorts.
+    """
+    if tie_rule is TieRule.RANDOM:
+        return np.lexsort((rng.random(v.size), v))
+    if v.size < _FAST_ARGSORT_MIN:
+        return np.argsort(v, kind="stable")
+    order = np.argsort(v)
+    s = v[order]
+    if np.any(s[1:] == s[:-1]):
+        order = np.argsort(v, kind="stable")
+    return order
+
+
 def ranks(
     v,
     tie_rule: TieRule = TieRule.FIRST_OCCURRENCE,
@@ -63,32 +87,18 @@ def ranks(
 ) -> IntArray:
     """0-based ranks of the elements of v.
 
-    ``result[i]`` is the position v[i] would occupy after an ascending sort.
-    The result is always a permutation of 0..n-1, even with tied values.
-
-    FIRST_OCCURRENCE ranks are those of a stable sort.  From n = 1024 on,
-    the default argsort is tried first: without ties its order is the only
-    ascending one; if the sorted values hold an equal adjacent pair, the
-    stable sort is run instead.  Tied input thus pays for both sorts.
+    ``result[i]`` is the position v[i] would occupy after an ascending sort
+    (see ``_sort_order``).  The result is always a permutation of 0..n-1,
+    even with tied values.
     """
     v = as_sample(v)
-    n = v.size
-    if tie_rule is TieRule.FIRST_OCCURRENCE:
-        if n < _FAST_ARGSORT_MIN:
-            order = np.argsort(v, kind="stable")
-        else:
-            order = np.argsort(v)
-            s = v[order]
-            if np.any(s[1:] == s[:-1]):
-                order = np.argsort(v, kind="stable")
-    elif tie_rule is TieRule.RANDOM:
-        if rng is None:
-            raise InvalidInputError("random tie rule requires an rng")
-        order = np.lexsort((rng.random(n), v))
-    else:  # pragma: no cover - enum is closed
+    if not isinstance(tie_rule, TieRule):
         raise InvalidInputError(f"unknown tie rule {tie_rule!r}")
+    if tie_rule is TieRule.RANDOM and rng is None:
+        raise InvalidInputError("random tie rule requires an rng")
+    n = v.size
     r = np.empty(n, dtype=np.intp)
-    r[order] = np.arange(n, dtype=np.intp)
+    r[_sort_order(v, tie_rule, rng)] = np.arange(n, dtype=np.intp)
     return r
 
 

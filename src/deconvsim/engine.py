@@ -8,6 +8,17 @@ ydiff and the result is stored sorted ascending.  Each iterate is one of
 the n! vectors ``sortz[perm] - sortx``, so the run is a random walk over
 those candidates.
 
+``step`` computes this without the ranks.  With ``order = argsort(w)``
+under the same tie rule, ``ranks(w)[order[j]] == j``, so the multiset
+``{sortz[r_i] - sortx_i}`` equals ``{sortz_j - sortx[order_j]}``.  Every
+policy but RESAMPLE depends only on that multiset and its violation
+count, and the result is sorted, so ``sort(repair(sortz - sortx[order]))``
+is byte-identical to the rank form, with one exception: an iterate that
+holds both -0.0 and 0.0 may list the two zeros in another order, since
+they compare equal and the sort is not stable.  RESAMPLE draws its donors by
+position among the in-support values, so it keeps the rank form and its
+stream.
+
 Two deliberately bad estimators are included for comparison: the sorted
 difference (far too little spread) and the fully random difference (far
 too much).
@@ -20,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import variations
-from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint, adjust
+from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint, _repair, adjust
 from .config import DeconvConfig
 from .core import (
     TieRule,
+    _sort_order,
     as_sample,
     make_rng,
     random_permutation,
@@ -32,6 +44,10 @@ from .core import (
 from .errors import DegenerateReferenceError, InvalidInputError
 from .metrics import NormalReferenceLine, distance_index, reference_normal_line
 from .variations import PoolingKind, equalize_lengths
+
+# Elements per distance_index call when run computes d: bounds the one
+# temporary it allocates (512 KB) while keeping the calls per run few.
+_D_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,18 +114,25 @@ def step(
     """One chain step; returns the new sorted estimate and the
     pre-adjustment violation count.
 
-    sortx, sortz and y must be ascending float64 vectors of one length n
-    and rperm a permutation of 0..n-1; nothing here checks that (``run``
-    validates its inputs).  w_noise, if given, is added to the working
-    vector.  rng is used only by the random tie rule and the RESAMPLE
-    policy.
+    Unchecked: sortx, sortz and y must be ascending finite float64 vectors
+    of one length n, rperm a permutation of 0..n-1 and rng a generator
+    (``run`` validates its inputs).  The arguments are not modified.
+    w_noise, if given, is added to the working vector.  rng is used only
+    by the random tie rule and the RESAMPLE policy.  All policies but
+    RESAMPLE take the one-argsort form (module docstring).
     """
     w = sortx + y[rperm]
     if w_noise is not None:
-        w = w + w_noise
-    r = ranks(w, tie_rule, rng)
-    adjusted, violations = adjust(sortz[r] - sortx, policy, support, rng)
-    return np.sort(adjusted), violations
+        w += w_noise
+    if policy is AdjustPolicy.RESAMPLE:
+        adjusted, violations = adjust(
+            sortz[ranks(w, tie_rule, rng)] - sortx, policy, support, rng
+        )
+    else:
+        adjusted = sortz - sortx[_sort_order(w, tie_rule, rng)]
+        violations = _repair(adjusted, policy, support, rng)
+    adjusted.sort()
+    return adjusted, violations
 
 
 def naive_sorted_difference(x, z) -> np.ndarray:
@@ -171,7 +194,13 @@ def run(x, z, config: DeconvConfig, rng: np.random.Generator | None = None) -> I
     sortx = np.sort(x_eq)
     sortz = np.sort(z_eq)
 
-    ys = np.empty((config.iters + 1, n))
+    try:
+        ys = np.empty((config.iters + 1, n))
+    except (MemoryError, ValueError):  # ValueError: beyond the largest array size
+        raise InvalidInputError(
+            f"a trace of T + 1 = {config.iters + 1} iterates of n = {n} values "
+            "does not fit in memory"
+        ) from None
     violations = np.empty(config.iters + 1, dtype=np.int64)
     ys[0] = np.sort(sortz - sortx)
     violations[0] = config.support.violations(ys[0]).sum()
@@ -205,7 +234,10 @@ def run(x, z, config: DeconvConfig, rng: np.random.Generator | None = None) -> I
 
     d = None
     if reference is not None:
-        d = np.array([distance_index(y, reference) for y in ys])
+        d = np.empty(config.iters + 1)
+        rows = max(1, _D_CHUNK // n)
+        for i in range(0, d.size, rows):
+            d[i : i + rows] = distance_index(ys[i : i + rows], reference)
     trace = IterationTrace(
         config=config,
         sortx=sortx,

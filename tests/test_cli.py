@@ -201,6 +201,19 @@ def test_run_bad_flags_exit_2(tmp_path, capsys, mutation):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("iters", [10**15, 10**17])
+def test_run_trace_beyond_the_address_space_exits_2(tmp_path, capsys, iters):
+    x_path, z_path, _ = _simulate(tmp_path)
+    out = tmp_path / "t.csv"
+    code = main(
+        ["run", "--x", x_path, "--z", z_path, "--out", str(out), "--iters", str(iters)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "n = 100 " in err and str(iters + 1) in err
+    assert not out.exists()
+
+
 def test_run_rejects_unknown_adjust_choice(tmp_path, capsys):
     x_path, z_path, _ = _simulate(tmp_path)
     code = main(

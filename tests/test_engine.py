@@ -14,14 +14,18 @@ from deconvsim import (
     PoolingKind,
     PoolingMode,
     SmoothingSpec,
+    UNBOUNDED,
     SupportConstraint,
+    TieRule,
     make_experiment,
     make_rng,
     run,
 )
-from deconvsim.core import random_permutation
+from deconvsim.adjusters import adjust
+from deconvsim.core import random_permutation, ranks
 from deconvsim.engine import naive_random_difference, naive_sorted_difference, step
-from deconvsim.errors import ConfigError, InvalidInputError
+from deconvsim.errors import ConfigError, InfeasibleAdjustmentError, InvalidInputError
+from deconvsim.metrics import l1_distance
 
 sample_lists = st.lists(
     st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=25
@@ -75,6 +79,124 @@ def test_iterate_once_counts_violations_before_adjustment():
     )
     assert violations == 1  # the raw step gives (-1, 3)
     assert np.array_equal(y, [1.0, 3.0])
+
+
+# The step in its rank form, copied verbatim from before the one-argsort
+# form (renamed): `step` must reproduce it byte for byte, violation count
+# and rng state included.
+def _rank_form_step(
+    sortx: np.ndarray,
+    sortz: np.ndarray,
+    y: np.ndarray,
+    rperm: np.ndarray,
+    rng: np.random.Generator,
+    policy: AdjustPolicy = AdjustPolicy.NONE,
+    support: SupportConstraint = UNBOUNDED,
+    tie_rule: TieRule = TieRule.FIRST_OCCURRENCE,
+    w_noise: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    w = sortx + y[rperm]
+    if w_noise is not None:
+        w = w + w_noise
+    r = ranks(w, tie_rule, rng)
+    adjusted, violations = adjust(sortz[r] - sortx, policy, support, rng)
+    return np.sort(adjusted), violations
+
+
+ORACLE_SUPPORTS = [
+    UNBOUNDED,
+    SupportConstraint(0.0, np.inf),
+    SupportConstraint(0.0, 1.5),
+    SupportConstraint(-np.inf, 1.0),
+]
+
+
+def _oracle_case(n, tied, seed):
+    """Sorted x and z, a sorted current estimate, an rperm and a w noise
+    vector; tied cases are integer-valued, so w, y and ydiff hold ties."""
+    g = np.random.default_rng(seed)
+    if tied:
+        x = g.integers(0, 4, n).astype(np.float64)
+        z = g.integers(0, 6, n).astype(np.float64)
+    else:
+        x = g.normal(0.0, 0.5, n)
+        z = g.normal(0.0, 0.5, n) + g.exponential(0.7, n)
+    sortx, sortz = np.sort(x), np.sort(z)
+    y = np.sort(sortz - sortx[g.permutation(n)])
+    return sortx, sortz, y, g.permutation(n), g.normal(0.0, 0.1, n)
+
+
+@pytest.mark.parametrize("support", ORACLE_SUPPORTS, ids=lambda s: f"{s.lower}:{s.upper}")
+@pytest.mark.parametrize("policy", list(AdjustPolicy), ids=lambda p: p.value)
+def test_step_matches_the_rank_form_byte_for_byte(policy, support):
+    cases = itertools.product(
+        TieRule, (False, True), (1, 3, 100, 1023, 1024, 5000), (False, True)
+    )
+    for seed, (tie_rule, tied, n, noisy) in enumerate(cases):
+        sortx, sortz, y, rperm, noise = _oracle_case(n, tied, seed)
+        w_noise = noise if noisy else None
+        inputs = [a.copy() for a in (sortx, sortz, y, rperm, noise)]
+        args = (sortx, sortz, y, rperm)
+        kwargs = dict(policy=policy, support=support, tie_rule=tie_rule, w_noise=w_noise)
+        ref_rng, rng = make_rng(seed), make_rng(seed)
+        try:
+            expected = _rank_form_step(*args, ref_rng, **kwargs)
+        except InfeasibleAdjustmentError:
+            with pytest.raises(InfeasibleAdjustmentError):
+                step(*args, rng, **kwargs)
+            continue
+        got = step(*args, rng, **kwargs)
+        label = (tie_rule, tied, n, noisy)
+        assert got[0].dtype == np.float64, label
+        assert got[0].tobytes() == expected[0].tobytes(), label
+        assert got[1] == expected[1] and type(got[1]) is type(expected[1]), label
+        assert rng.random() == ref_rng.random(), label
+        # step writes to none of its inputs (y is a row of the caller's trace)
+        for before, after in zip(inputs, (sortx, sortz, y, rperm, noise)):
+            assert np.array_equal(before, after), label
+
+
+def test_step_signed_zeros_compare_equal_to_the_rank_form():
+    # The one place the two forms may differ in bytes: with -0.0 in sortz
+    # and 0.0 in sortx an iterate holds both zeros, and the unstable sort
+    # may place them differently.  Every value still compares equal.
+    g = np.random.default_rng(0)
+    n = 500
+    sortx = np.sort(g.integers(-2, 3, n).astype(np.float64))
+    z = g.integers(-2, 3, n).astype(np.float64)
+    z[z == 0] = -0.0
+    sortz = np.sort(z)
+    y = np.sort(sortz - sortx[g.permutation(n)])
+    rperm = g.permutation(n)
+    got, count = step(sortx, sortz, y, rperm, make_rng(1))
+    expected, ref_count = _rank_form_step(sortx, sortz, y, rperm, make_rng(1))
+    assert np.array_equal(got, expected) and count == ref_count
+    assert np.signbit(got).sum() == np.signbit(expected).sum() > 0
+
+
+@pytest.mark.parametrize(
+    "iters, n",
+    # (2000, 100) spans four chunks of d, the last one short.
+    [(96, 100), (26, 200_000), (1000, 37), (5, 3), (2000, 100)],
+)
+def test_run_d_is_the_per_row_distance_bit_for_bit(iters, n):
+    g = np.random.default_rng(n)
+    x = g.normal(0.0, 1.0, n)
+    z = 1.0 + 2.0 * g.permutation(x)  # var(z) = 4 var(x): d is defined
+    trace = run(x, z, DeconvConfig(iters=iters, seed=n))
+    line = trace.reference.line_values
+    per_row = np.array([l1_distance(y, line) for y in trace.ys])
+    assert np.array_equal(trace.d.view(np.int64), per_row.view(np.int64))
+
+
+@pytest.mark.parametrize("iters", [10**15, 10**17])
+def test_run_rejects_a_trace_beyond_the_address_space(iters):
+    # Both byte counts exceed any address space, so the allocation is
+    # refused without touching memory: MemoryError at 8e17 bytes, NumPy's
+    # "array is too big" at 8e19.
+    x1, z0, _ = make_experiment("normal", 0)
+    with pytest.raises(InvalidInputError, match=rf"T \+ 1 = {iters + 1} .* n = 100 "):
+        run(x1, z0, DeconvConfig(iters=iters, seed=0))
 
 
 def test_naive_sorted_difference_examples():
