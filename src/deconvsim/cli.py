@@ -19,7 +19,7 @@ from .config import DEFAULT_SEED, DeconvConfig
 from .core import TieRule, make_rng
 from .datagen import make_experiment, generate, parse_dist_spec
 from .engine import run
-from .errors import ConfigError, DeconvError
+from .errors import ConfigError, DeconvError, InvalidInputError
 from .fileio import (
     make_header,
     read_sample,
@@ -155,13 +155,17 @@ def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
 
     mean_d = trace.mean_distance()
     final = trace.ys[-1]
-    mean, var = sample_moments(final) if final.size >= 2 else (float(final[0]), 0.0)
+    try:
+        mean, var = sample_moments(final) if final.size >= 2 else (float(final[0]), 0.0)
+        moments = f"mean: {mean:.6g} sd: {np.sqrt(var):.6g}"
+    except InvalidInputError:  # the moments overflow float64
+        moments = "mean: NA sd: NA"
     total_viol = trace.violations[1:].sum()
     burn_in = config.pool.burn_in
     print(f"n: {trace.sortx.size}")
     print(f"iterations: {config.iters}")
     print(f"mean d (iter > {burn_in}): " + ("NA" if mean_d is None else f"{mean_d:.6g}"))
-    print(f"final estimate mean: {mean:.6g} sd: {np.sqrt(var):.6g}")
+    print(f"final estimate {moments}")
     print(f"pre-adjustment violations, total: {total_viol}")
     print(f"trace: {ns.out}")
     if ns.pooled_out:

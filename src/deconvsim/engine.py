@@ -26,6 +26,7 @@ too much).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +156,35 @@ def naive_random_difference(x, z, rng: np.random.Generator) -> np.ndarray:
     return np.sort(zp - xp)
 
 
+def _check_reach(
+    sortx: np.ndarray,
+    sortz: np.ndarray,
+    eta: np.ndarray | None,
+    support: SupportConstraint,
+) -> None:
+    """Raise InvalidInputError if the working vector
+    ``w = sortx + y[rperm] (+ eta)`` of a run could overflow float64.
+
+    An iterate value is a ``sortz[j] - sortx[k]`` or its repair, which
+    stays within ``|v| + 2 max|bound|``, so ``|w|`` stays within
+    ``2 max|x| + max|z| + 2 max|bound| (+ max|eta|)``.  The fold's period
+    ``2 (upper - lower)`` is within ``4 max|bound|``.  Fresh smoothing
+    noise, drawn per step, is not covered.
+    """
+    xmax = float(max(-sortx[0], sortx[-1]))
+    zmax = float(max(-sortz[0], sortz[-1]))
+    finite = [abs(b) for b in (support.lower, support.upper) if math.isfinite(b)]
+    bmax = max(finite, default=0.0)
+    reach = max(xmax + (xmax + zmax + 2.0 * bmax), 4.0 * bmax)
+    if eta is not None:
+        reach += float(np.abs(eta).max())
+    if not math.isfinite(reach):
+        raise InvalidInputError(
+            "values too large: the working vector x + y can overflow float64 "
+            f"(max |x| = {xmax:g}, max |z| = {zmax:g}, max |bound| = {bmax:g})"
+        )
+
+
 def run(x, z, config: DeconvConfig, rng: np.random.Generator | None = None) -> IterationTrace:
     """Drive a full deconvolution run.
 
@@ -181,7 +211,9 @@ def run(x, z, config: DeconvConfig, rng: np.random.Generator | None = None) -> I
     if n >= 2:
         try:
             reference = reference_normal_line(x_eq, z_eq, n)
-        except DegenerateReferenceError:
+        except (DegenerateReferenceError, InvalidInputError):
+            # var(z) <= var(x), or a mean or variance overflows float64
+            # (the only InvalidInputError on validated samples of n >= 2).
             reference = None
 
     sm = config.smoothing
@@ -193,6 +225,7 @@ def run(x, z, config: DeconvConfig, rng: np.random.Generator | None = None) -> I
 
     sortx = np.sort(x_eq)
     sortz = np.sort(z_eq)
+    _check_reach(sortx, sortz, eta_once, config.support)
 
     try:
         ys = np.empty((config.iters + 1, n))

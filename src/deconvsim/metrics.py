@@ -176,18 +176,28 @@ class QQData:
 
 
 def sample_moments(v) -> tuple[float, float]:
-    """Arithmetic mean and unbiased variance (divisor n - 1)."""
+    """Arithmetic mean and unbiased variance (divisor n - 1).
+
+    Raises InvalidInputError when either overflows float64.
+    """
     v = as_sample(v)
     if v.size < 2:
         raise InvalidInputError("variance needs at least two values")
-    return float(np.mean(v)), float(np.var(v, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, var = float(np.mean(v)), float(np.var(v, ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise InvalidInputError(
+            f"sample mean or variance overflows float64 (mean {mean:g}, variance {var:g})"
+        )
+    return mean, var
 
 
 def reference_normal_line(x, z, n: int) -> NormalReferenceLine:
     """Fit the reference line from samples x and z at n plotting positions.
 
     Raises DegenerateReferenceError when var(z) <= var(x), in which case
-    the distance index is undefined.
+    the distance index is undefined, and InvalidInputError when a mean or
+    variance overflows float64.
     """
     mean_x, var_x = sample_moments(x)
     mean_z, var_z = sample_moments(z)

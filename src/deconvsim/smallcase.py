@@ -7,20 +7,26 @@ y[i] = sortz[pi[i]] - sortx[i], and its transition matrix is piecewise
 constant in (a, b): it only changes when a, b, or a + b crosses one of
 nine cut values determined by x.  This module enumerates the resulting
 regions of the positive quadrant, builds each region's 6x6 transition
-matrix, and solves for the limiting occupation distribution, all in
-exact Fraction arithmetic (no floats anywhere).
+matrix, and solves for the limiting occupation distribution, all exact
+(no floats anywhere).  Ranks are compared on Python integers: x, a and
+b are scaled by their common denominator, which keeps every order and
+every tie.  Linear systems are solved by fraction-free elimination on
+integers, and results are Fractions.
 
 The census sweeps six canonical x values, one from each interval
 between consecutive configuration-change points, and tabulates how
-often each distinct limiting distribution occurs.
+often each distinct limiting distribution occurs.  Many regions share
+one matrix, so the census solves each distinct matrix once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CutLineError, InvalidInputError
 
@@ -32,6 +38,9 @@ PERMS: tuple[tuple[int, ...], ...] = tuple(itertools.permutations(range(3)))
 _PERM_INDEX = {p: i for i, p in enumerate(PERMS)}
 
 N_STATES = len(PERMS)
+
+# Every transition probability is a count out of the 6 rperms.
+_SIXTHS = tuple(Fraction(c, 6) for c in range(7))
 
 # x values where the cut-value configuration changes; region
 # enumeration is only defined strictly between consecutive ones.
@@ -146,24 +155,47 @@ def enumerate_regions(x) -> list[tuple[Fraction, Fraction]]:
     return reps
 
 
-def _exact_ranks(values: tuple[Fraction, ...]) -> tuple[int, ...]:
-    # 0-based ranks with exact comparison; any tie means the instance
-    # sits on a cut line and has no well-defined matrix.
-    n = len(values)
-    order = sorted(range(n), key=values.__getitem__)
-    for k in range(n - 1):
-        if values[order[k]] == values[order[k + 1]]:
-            raise CutLineError(
-                "tie in rank computation: the point lies on a cut line"
-            )
-    r = [0] * n
-    for k, idx in enumerate(order):
-        r[idx] = k
-    return tuple(r)
+def _exact_ranks(w: tuple[int, int, int]) -> tuple[int, int, int]:
+    # 0-based ranks of three values; any tie means the instance sits on
+    # a cut line and has no well-defined matrix.
+    w0, w1, w2 = w
+    if w0 == w1 or w0 == w2 or w1 == w2:
+        raise CutLineError("tie in rank computation: the point lies on a cut line")
+    return ((w0 > w1) + (w0 > w2), (w1 > w0) + (w1 > w2), (w2 > w0) + (w2 > w1))
 
 
+Counts = tuple[tuple[int, ...], ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 Distribution = tuple[Fraction, ...]
+
+
+def _transition_counts(inst: CanonicalInstance) -> Counts:
+    """6 * transition_matrix(inst), as integers.
+
+    Ranks are invariant under positive scaling, so sortx and sortz are
+    scaled by the common denominator of x, a and b and compared as ints.
+    """
+    x, a, b = inst.x, inst.a, inst.b
+    scale = math.lcm(x.denominator, a.denominator, b.denominator)
+    sx = (0, x.numerator * (scale // x.denominator), scale)
+    sz = (
+        -a.numerator * (scale // a.denominator),
+        0,
+        b.numerator * (scale // b.denominator),
+    )
+    rows = []
+    for pi in PERMS:
+        y = [sz[pi[i]] - sx[i] for i in range(3)]
+        counts = [0] * N_STATES
+        for rperm in PERMS:
+            w = (sx[0] + y[rperm[0]], sx[1] + y[rperm[1]], sx[2] + y[rperm[2]])
+            counts[_PERM_INDEX[_exact_ranks(w)]] += 1
+        rows.append(tuple(counts))
+    return tuple(rows)
+
+
+def _matrix(counts: Counts) -> Matrix:
+    return tuple(tuple(_SIXTHS[c] for c in row) for row in counts)
 
 
 def transition_matrix(inst: CanonicalInstance) -> Matrix:
@@ -172,35 +204,33 @@ def transition_matrix(inst: CanonicalInstance) -> Matrix:
     P[s][t] counts, out of the 6 equally likely reorderings of state
     s's y vector, those whose rank vector is t's permutation.
     """
-    sx = inst.sortx
-    rows = []
-    for pi in PERMS:
-        y = inst.state_vector(pi)
-        counts = [0] * N_STATES
-        for rperm in PERMS:
-            w = tuple(sx[i] + y[rperm[i]] for i in range(3))
-            r = _exact_ranks(w)
-            counts[_PERM_INDEX[r]] += 1
-        rows.append(tuple(Fraction(c, 6) for c in counts))
-    return tuple(rows)
+    return _matrix(_transition_counts(inst))
 
 
 def _solve_linear(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    # Exact Gaussian elimination; any nonzero pivot works with Fractions.
+    # Fraction-free Gauss-Jordan elimination (Bareiss 1968): each row is
+    # scaled to integers, every division by the previous pivot is exact,
+    # and every diagonal entry ends as the same determinant.
     n = len(a)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(a)]
+    m = []
+    for row, r in zip(a, rhs):
+        row = [*row, r]
+        scale = math.lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in row])
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
             raise InvalidInputError("singular linear system")
         m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
+        pivot_row = m[col]
+        d = pivot_row[col]
         for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * p for v, p in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+            if r != col:
+                f = m[r][col]
+                m[r] = [(d * v - f * p) // prev for v, p in zip(m[r], pivot_row)]
+        prev = d
+    return [Fraction(m[r][n], m[r][r]) for r in range(n)]
 
 
 def _communicating_classes(p: Matrix) -> list[list[int]]:
@@ -292,11 +322,15 @@ class CensusEntry:
     stationary: Distribution
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegionCensus:
-    """All regions across the canonical x sweep plus distinctness tables."""
+    """All regions across the canonical x sweep plus distinctness tables.
 
-    entries: list[CensusEntry] = field(default_factory=list)
+    The entries are fixed at construction, so the multiplicity tables
+    are counted once, on first use.  They are shared: do not mutate them.
+    """
+
+    entries: tuple[CensusEntry, ...] = ()
 
     @property
     def total_regions(self) -> int:
@@ -306,7 +340,7 @@ class RegionCensus:
         x = _as_fraction(x)
         return sum(1 for e in self.entries if e.x == x)
 
-    @property
+    @cached_property
     def multiplicity(self) -> Counter:
         """Occurrences of each distinct distribution, labels fixed."""
         return Counter(e.stationary for e in self.entries)
@@ -315,10 +349,13 @@ class RegionCensus:
     def distinct_count(self) -> int:
         return len(self.multiplicity)
 
-    @property
+    @cached_property
     def unlabeled_multiplicity(self) -> Counter:
         """Same, but comparing distributions as sorted value multisets."""
-        return Counter(tuple(sorted(e.stationary)) for e in self.entries)
+        unlabeled = Counter()
+        for dist, count in self.multiplicity.items():
+            unlabeled[tuple(sorted(dist))] += count
+        return unlabeled
 
     @property
     def distinct_unlabeled_count(self) -> int:
@@ -342,14 +379,20 @@ def is_point_mass(dist: Distribution) -> bool:
 
 def full_census(x_values=CANONICAL_X) -> RegionCensus:
     """Sweep the given x values (default: the six canonical ones),
-    solving every region exactly.  Deterministic, no randomness."""
-    census = RegionCensus()
+    solving every region exactly.  Deterministic, no randomness.
+
+    Regions with equal matrices share one matrix and one distribution
+    object; each distinct matrix is solved once.
+    """
+    solved: dict[Counts, tuple[Matrix, Distribution]] = {}
+    entries = []
     for x in x_values:
         x = _as_fraction(x)
         for a, b in enumerate_regions(x):
-            inst = CanonicalInstance(x, a, b)
-            p = transition_matrix(inst)
-            census.entries.append(
-                CensusEntry(x=x, a=a, b=b, matrix=p, stationary=stationary_distribution(p))
-            )
-    return census
+            counts = _transition_counts(CanonicalInstance(x, a, b))
+            if counts not in solved:
+                p = _matrix(counts)
+                solved[counts] = (p, stationary_distribution(p))
+            p, pi = solved[counts]
+            entries.append(CensusEntry(x=x, a=a, b=b, matrix=p, stationary=pi))
+    return RegionCensus(tuple(entries))

@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,44 @@ def test_run_trace_beyond_the_address_space_exits_2(tmp_path, capsys, iters):
     assert code == 2
     assert err.startswith("error: ") and "n = 100 " in err and str(iters + 1) in err
     assert not out.exists()
+
+
+def _write_values(path, values):
+    path.write_text("".join(f"{v!r}\n" for v in values))
+    return str(path)
+
+
+@pytest.mark.parametrize("adjust", ["none", "resample"])
+def test_run_overflowing_working_vector_exits_2(tmp_path, capsys, adjust):
+    x_path = _write_values(tmp_path / "x.txt", [1e308, 1.2e308, 1.5e308])
+    z_path = _write_values(tmp_path / "z.txt", [1.7e308, 1.75e308, 1.79e308])
+    out = tmp_path / "t.csv"
+    support = "-inf:inf" if adjust == "none" else "0:inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(
+            ["run", "--x", x_path, "--z", z_path, "--out", str(out),
+             "--adjust", adjust, f"--support={support}", "--iters", "5"]
+        )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "overflow" in err
+    assert not out.exists()
+
+
+def test_run_overflowing_moments_print_na(tmp_path, capsys):
+    x_path = _write_values(tmp_path / "x.txt", [0.0, 1e155, 2e155])
+    z_path = _write_values(tmp_path / "z.txt", [0.0, 2e155, 4e155])
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--x", x_path, "--z", z_path, "--out", str(out), "--iters", "3"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "degenerate" in captured.err
+    assert "final estimate mean: NA sd: NA" in captured.out
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == 4 and all(row.split(",")[1] == "NA" for row in rows)
 
 
 def test_run_rejects_unknown_adjust_choice(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -197,6 +198,48 @@ def test_run_rejects_a_trace_beyond_the_address_space(iters):
     x1, z0, _ = make_experiment("normal", 0)
     with pytest.raises(InvalidInputError, match=rf"T \+ 1 = {iters + 1} .* n = 100 "):
         run(x1, z0, DeconvConfig(iters=iters, seed=0))
+
+
+# Inputs near 1e308 whose working vector w = sortx + y[rperm] overflows.
+HUGE_X = [1e308, 1.2e308, 1.5e308]
+HUGE_Z = [1.7e308, 1.75e308, 1.79e308]
+
+
+@pytest.mark.parametrize("policy", list(AdjustPolicy))
+def test_run_rejects_inputs_whose_working_vector_overflows(policy):
+    # One check before the chain: every policy fails the same way, with
+    # no NumPy warning on the way.
+    support = UNBOUNDED if policy is AdjustPolicy.NONE else SupportConstraint(0.0, np.inf)
+    config = DeconvConfig(iters=5, adjust=policy, support=support)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="overflow"):
+            run(HUGE_X, HUGE_Z, config)
+
+
+def test_run_rejects_a_support_bound_that_overflows_the_working_vector():
+    # Every difference is below the bound, so clamp moves each iterate
+    # value onto 1.7e308, and 1e307 + 1.7e308 overflows.
+    support = SupportConstraint(1.7e308, np.inf)
+    config = DeconvConfig(iters=5, adjust=AdjustPolicy.CLAMP, support=support)
+    with pytest.raises(InvalidInputError, match="overflow"):
+        run([0.0, 1e307], [0.0, 1.0], config)
+    lower = DeconvConfig(
+        iters=5, adjust=AdjustPolicy.CLAMP, support=SupportConstraint(1e300, np.inf)
+    )
+    assert np.all(run([0.0, 1e307], [0.0, 1.0], lower).ys[1:] == 1e300)
+
+
+def test_run_treats_overflowing_moments_as_a_degenerate_reference():
+    # Squared deviations near 1e310 overflow the variance, while w stays
+    # finite; d is then undefined, without a NumPy warning.
+    x = [0.0, 1e155, 2e155]
+    z = [0.0, 2e155, 4e155]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run(x, z, DeconvConfig(iters=5))
+    assert trace.reference is None and trace.d is None
+    assert np.all(np.isfinite(trace.ys))
 
 
 def test_naive_sorted_difference_examples():
@@ -406,3 +449,83 @@ def test_bounded_support_with_none_policy_counts_but_keeps_values():
     trace = run(x1, z0, config)
     assert any(r.violations > 0 for r in trace.steps)
     assert any((r.y < 0).any() for r in trace.steps)
+
+
+# Edge inputs: one point, all-equal samples, the random tie rule on
+# lattice data, and mean conservation at large magnitude.
+
+tie_rules = st.sampled_from(list(TieRule))
+moderate = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@given(moderate, moderate, tie_rules)
+def test_run_on_one_point_repairs_z_minus_x_every_step(x, z, tie_rule):
+    support = SupportConstraint(0.0, np.inf)
+    diff = z - x
+    for policy, value in (
+        (AdjustPolicy.CLAMP, max(diff, 0.0)),
+        (AdjustPolicy.ABSOLUTE, abs(diff)),
+    ):
+        config = DeconvConfig(iters=4, adjust=policy, support=support, tie_rule=tie_rule)
+        trace = run([x], [z], config)
+        assert trace.ys[0, 0] == diff and trace.d is None
+        assert np.all(trace.ys[1:] == value)
+        assert np.all(trace.violations == int(diff < 0))
+    trace = run([x], [z], DeconvConfig(iters=4, tie_rule=tie_rule))
+    assert np.all(trace.ys == diff) and np.all(trace.violations == 0)
+
+
+@given(moderate, moderate, st.integers(1, 40), tie_rules)
+def test_run_on_all_equal_inputs_never_moves(c, k, n, tie_rule):
+    trace = run([c] * n, [k] * n, DeconvConfig(iters=6, tie_rule=tie_rule))
+    assert np.all(trace.ys == k - c)
+    # The float variance of a constant sample can come out a few ulps
+    # above 0 (k = 699051.1884435809, n = 3), which gives a reference line
+    # of sigma ~1e-10; d is then defined, and constant.
+    assert trace.d is None or np.all(trace.d == trace.d[0])
+
+
+lattice_pairs = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+        st.lists(st.integers(0, 6), min_size=n, max_size=n),
+    )
+)
+
+
+@given(lattice_pairs, st.integers(0, 2**32 - 1))
+def test_random_tie_rule_on_lattice_data_walks_on_permuted_differences(pair, seed):
+    # Small integers tie in w at almost every step.
+    x, z = (np.array(v, dtype=float) for v in pair)
+    candidates = {
+        tuple(np.sort(np.sort(z)[list(perm)] - np.sort(x)))
+        for perm in itertools.permutations(range(x.size))
+    }
+    config = DeconvConfig(iters=25, seed=seed, tie_rule=TieRule.RANDOM)
+    trace = run(x, z, config)
+    assert all(tuple(y) in candidates for y in trace.ys)
+    assert np.array_equal(run(x, z, config).ys, trace.ys)
+
+
+near_1e12 = st.sampled_from([1e12, -1e12, 3e12]).flatmap(
+    lambda base: st.lists(
+        st.floats(min_value=-1e6, max_value=1e6).map(lambda v: base + v),
+        min_size=1,
+        max_size=30,
+    )
+)
+
+
+@given(near_1e12, near_1e12, st.integers(0, 2**32 - 1))
+def test_run_conserves_the_mean_near_1e12_within_half_an_ulp(x, z, seed):
+    # Each iterate value is a rounded sortz[j] - sortx[k], off by at most
+    # half an ulp of itself, so the exact mean of an iterate is within
+    # half an ulp of its largest |value| of mean(z) - mean(x).  An
+    # absolute bound would not scale: one ulp at 1e12 is 1.2e-4.
+    n = min(len(x), len(z))
+    x, z = x[:n], z[:n]
+    target = (sum(map(Fraction, z)) - sum(map(Fraction, x))) / n
+    trace = run(x, z, DeconvConfig(iters=20, seed=seed))
+    for y in trace.ys:
+        drift = abs(sum(map(Fraction, y.tolist())) / n - target)
+        assert drift <= Fraction(np.spacing(np.abs(y).max())) / 2

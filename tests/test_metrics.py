@@ -1,6 +1,7 @@
 """Distance diagnostics: quantiles, the fitted normal line, d, QQ data."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,3 +289,17 @@ def test_sample_moments():
     assert sample_moments([5.0, 5.0, 5.0])[1] == 0.0
     with pytest.raises(InvalidInputError):
         sample_moments([1.0])
+
+
+@pytest.mark.parametrize(
+    "v",
+    [[1e308, 1.5e308], [-1.7e308, 1.7e308], [0.0, 1e155, 2e155]],
+    ids=["mean", "variance-both-signs", "variance"],
+)
+def test_sample_moments_reports_overflow_without_a_warning(v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="overflow"):
+            sample_moments(v)
+        with pytest.raises(InvalidInputError, match="overflow"):
+            reference_normal_line(v, v, len(v))

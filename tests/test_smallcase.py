@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,11 @@ from deconvsim.engine import step
 from deconvsim.errors import CutLineError, InvalidInputError
 from deconvsim.smallcase import (
     CANONICAL_X,
+    N_STATES,
     PERMS,
     X_CONFIG_BOUNDARIES,
     CanonicalInstance,
+    _solve_linear,
     cut_values,
     enumerate_regions,
     is_point_mass,
@@ -416,3 +419,256 @@ def test_every_census_chain_has_one_recurrent_class_and_exact_balance(census):
         assert set.intersection(*(_reachable(p, s) for s in range(6)))
         assert sum(pi) == 1 and min(pi) >= 0
         assert all(sum(pi[i] * p[i][j] for i in range(6)) == pi[j] for j in range(6))
+
+
+# The Fraction implementation that the integer-rank matrix and the
+# per-matrix stationary memo replaced, kept verbatim (names prefixed
+# with "fraction") as the oracle the census must keep matching.
+
+_PERM_INDEX = {p: i for i, p in enumerate(PERMS)}
+Matrix = tuple[tuple[Fraction, ...], ...]
+Distribution = tuple[Fraction, ...]
+
+
+def fraction_exact_ranks(values: tuple[Fraction, ...]) -> tuple[int, ...]:
+    # 0-based ranks with exact comparison; any tie means the instance
+    # sits on a cut line and has no well-defined matrix.
+    n = len(values)
+    order = sorted(range(n), key=values.__getitem__)
+    for k in range(n - 1):
+        if values[order[k]] == values[order[k + 1]]:
+            raise CutLineError(
+                "tie in rank computation: the point lies on a cut line"
+            )
+    r = [0] * n
+    for k, idx in enumerate(order):
+        r[idx] = k
+    return tuple(r)
+
+
+def fraction_transition_matrix(inst: CanonicalInstance) -> Matrix:
+    """6x6 exact transition matrix of the permutation walk at inst.
+
+    P[s][t] counts, out of the 6 equally likely reorderings of state
+    s's y vector, those whose rank vector is t's permutation.
+    """
+    sx = inst.sortx
+    rows = []
+    for pi in PERMS:
+        y = inst.state_vector(pi)
+        counts = [0] * N_STATES
+        for rperm in PERMS:
+            w = tuple(sx[i] + y[rperm[i]] for i in range(3))
+            r = fraction_exact_ranks(w)
+            counts[_PERM_INDEX[r]] += 1
+        rows.append(tuple(Fraction(c, 6) for c in counts))
+    return tuple(rows)
+
+
+def fraction_solve_linear(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    # Exact Gaussian elimination; any nonzero pivot works with Fractions.
+    n = len(a)
+    m = [row[:] + [rhs[i]] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise InvalidInputError("singular linear system")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [v - factor * p for v, p in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
+
+
+def fraction_communicating_classes(p: Matrix) -> list[list[int]]:
+    n = len(p)
+    reach = [[p[i][j] > 0 or i == j for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    if reach[k][j]:
+                        reach[i][j] = True
+    seen: list[int] = []
+    classes: list[list[int]] = []
+    for i in range(n):
+        if i in seen:
+            continue
+        cls = [j for j in range(n) if reach[i][j] and reach[j][i]]
+        classes.append(cls)
+        seen.extend(cls)
+    return classes
+
+
+def fraction_class_stationary(p: Matrix, cls: list[int]) -> dict[int, Fraction]:
+    # Unique stationary vector of the chain restricted to one recurrent
+    # class: solve pi P = pi with the last balance equation replaced by
+    # normalization.
+    k = len(cls)
+    a = [[p[cls[i]][cls[j]] - (1 if i == j else 0) for i in range(k)] for j in range(k)]
+    rhs = [Fraction(0)] * k
+    a[k - 1] = [Fraction(1)] * k
+    rhs[k - 1] = Fraction(1)
+    sol = fraction_solve_linear(a, rhs)
+    return dict(zip(cls, sol))
+
+
+def fraction_stationary_distribution(p: Matrix) -> Distribution:
+    """Limiting occupation distribution from the uniform start.
+
+    Decomposes the chain into recurrent classes and transient states,
+    weights each class's unique stationary vector by the exact
+    probability of absorption into it from the uniform start, and sums.
+    Equals the classical stationary distribution when the chain is
+    irreducible; Cesaro averaging makes periodicity harmless.
+    """
+    n = len(p)
+    classes = fraction_communicating_classes(p)
+    recurrent = [
+        cls
+        for cls in classes
+        if all(p[i][j] == 0 for i in cls for j in range(n) if j not in cls)
+    ]
+    transient = [i for i in range(n) if not any(i in cls for cls in recurrent)]
+
+    uniform = Fraction(1, n)
+    total = [Fraction(0)] * n
+    weight_sum = Fraction(0)
+    for cls in recurrent:
+        # Absorption probability into cls from each transient state.
+        if transient:
+            a = [
+                [
+                    (p[s][t] if s != t else p[s][t] - 1)
+                    for t in transient
+                ]
+                for s in transient
+            ]
+            rhs = [-sum(p[s][j] for j in cls) for s in transient]
+            absorbed = dict(zip(transient, fraction_solve_linear(a, rhs)))
+        else:
+            absorbed = {}
+        weight = uniform * len(cls) + uniform * sum(
+            absorbed[s] for s in transient
+        )
+        weight_sum += weight
+        pi_cls = fraction_class_stationary(p, cls)
+        for state, mass in pi_cls.items():
+            total[state] += weight * mass
+    assert weight_sum == 1
+    assert sum(total) == 1
+    return tuple(total)
+
+
+def _matrix_of(rows):
+    return tuple(tuple(r) for r in rows)
+
+
+UNIFORM = _matrix_of([[SIXTH] * 6 for _ in range(6)])
+IDENTITY = _matrix_of([[F(int(i == j)) for j in range(6)] for i in range(6)])
+TO_ZERO = _matrix_of([[F(int(j == 0)) for j in range(6)] for _ in range(6)])
+# States 0 and 1 absorb; the other four split evenly between them.
+TWO_ABSORBING = _matrix_of(
+    [[F(int(j == i)) for j in range(6)] for i in range(2)]
+    + [[F(1, 2), F(1, 2), F(0), F(0), F(0), F(0)] for _ in range(4)]
+)
+# Three disjoint 2-cycles: (0 1), (2 3), (4 5).
+PERIODIC = _matrix_of(
+    [[F(int(j == i ^ 1)) for j in range(6)] for i in range(6)]
+)
+HAND_BUILT_CHAINS = {
+    "uniform": UNIFORM,
+    "identity": IDENTITY,
+    "to-zero": TO_ZERO,
+    "two-absorbing": TWO_ABSORBING,
+    "periodic": PERIODIC,
+}
+
+
+def test_every_census_cell_matches_the_fraction_implementation(census):
+    # Per cell, so a memo keyed on too little would hand some cell
+    # another cell's matrix and fail here.
+    solved = {}
+    for entry in census.entries:
+        inst = CanonicalInstance(entry.x, entry.a, entry.b)
+        assert entry.matrix == fraction_transition_matrix(inst)
+        assert transition_matrix(inst) == entry.matrix
+        if entry.matrix not in solved:
+            solved[entry.matrix] = fraction_stationary_distribution(entry.matrix)
+            assert stationary_distribution(entry.matrix) == solved[entry.matrix]
+        assert entry.stationary == solved[entry.matrix]
+    assert len(solved) == 290
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_CHAINS))
+def test_stationary_matches_the_fraction_implementation_on_hand_built_chains(name):
+    p = HAND_BUILT_CHAINS[name]
+    assert stationary_distribution(p) == fraction_stationary_distribution(p)
+
+
+def test_every_cut_line_raises_in_both_implementations():
+    # Every cut value is a tie line of each family (see
+    # test_tie_lines_of_every_family_are_exactly_the_cut_values), so a
+    # point on any of them has a tie for some (state, rperm).
+    off = F(7, 13)
+    for x in CANONICAL_X:
+        for c in sorted(cut_values(x)):
+            for a, b in ((c, off), (off, c), (c / 3, c - c / 3)):
+                inst = CanonicalInstance(x, a, b)
+                with pytest.raises(CutLineError):
+                    fraction_transition_matrix(inst)
+                with pytest.raises(CutLineError):
+                    transition_matrix(inst)
+
+
+def test_integer_ranks_give_sixths_out_of_six_rperms():
+    inst = CanonicalInstance(F(27, 120), F(5, 7), F(11, 9))
+    p = transition_matrix(inst)
+    assert p == fraction_transition_matrix(inst)
+    assert len(p) == N_STATES
+    assert all(sum(row) == 1 for row in p)
+
+
+def test_cached_multiplicities_equal_fresh_counters(census):
+    fresh = Counter(e.stationary for e in census.entries)
+    fresh_unlabeled = Counter(tuple(sorted(e.stationary)) for e in census.entries)
+    # Insertion order too: most_common breaks ties by it.
+    assert list(census.multiplicity.items()) == list(fresh.items())
+    assert list(census.unlabeled_multiplicity.items()) == list(fresh_unlabeled.items())
+    assert census.multiplicity is census.multiplicity
+
+
+def test_equal_matrices_share_one_matrix_and_one_distribution(census):
+    assert isinstance(census.entries, tuple)
+    first = {}
+    for entry in census.entries:
+        owner = first.setdefault(entry.matrix, entry)
+        assert entry.matrix is owner.matrix
+        assert entry.stationary is owner.stationary
+    assert len({id(e.stationary) for e in census.entries}) == len(first) == 290
+
+
+def test_fraction_free_solve_matches_the_fraction_elimination():
+    # Random sparse rational systems up to 6 x 6, singular ones included.
+    rand = random.Random(20261020)
+    solved = 0
+    for _ in range(1500):
+        n = rand.randint(1, 6)
+        a = [
+            [F(rand.randint(-6, 6) * (rand.random() < 0.6), rand.choice((1, 2, 3, 6, 7)))
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        rhs = [F(rand.randint(-6, 6), rand.choice((1, 2, 5))) for _ in range(n)]
+        try:
+            expected = fraction_solve_linear(a, rhs)
+        except InvalidInputError:
+            with pytest.raises(InvalidInputError):
+                _solve_linear(a, rhs)
+            continue
+        assert _solve_linear(a, rhs) == expected
+        solved += 1
+    assert solved > 700
