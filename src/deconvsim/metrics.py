@@ -178,11 +178,16 @@ class QQData:
 def sample_moments(v) -> tuple[float, float]:
     """Arithmetic mean and unbiased variance (divisor n - 1).
 
-    Raises InvalidInputError when either overflows float64.
+    A sample whose values are all equal gets exactly that value and 0.0
+    (the float mean of [699051.1884435809] * 3 is an ulp off, which would
+    give it a positive variance).  Raises InvalidInputError when either
+    overflows float64.
     """
     v = as_sample(v)
     if v.size < 2:
         raise InvalidInputError("variance needs at least two values")
+    if v.min() == v.max():
+        return float(v[0]) + 0.0, 0.0  # + 0.0 turns -0.0 into 0.0, as np.mean does
     with np.errstate(over="ignore", invalid="ignore"):
         mean, var = float(np.mean(v)), float(np.var(v, ddof=1))
     if not (math.isfinite(mean) and math.isfinite(var)):

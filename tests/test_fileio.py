@@ -1,13 +1,30 @@
 """Reading and writing: sample files, trace/QQ/census CSVs, headers."""
 
+import builtins
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from deconvsim import DeconvConfig, TheoreticalDist, make_experiment, make_rng, qq_data, run
+from deconvsim import (
+    AdjustPolicy,
+    DeconvConfig,
+    SupportConstraint,
+    TheoreticalDist,
+    make_experiment,
+    make_rng,
+    qq_data,
+    run,
+)
+from deconvsim import fileio
+from deconvsim.engine import IterationTrace
 from deconvsim.errors import InvalidInputError
 from deconvsim.fileio import (
+    _BLOCK,
+    _repr_join,
     fmt_rational,
     make_header,
     read_sample,
@@ -142,3 +159,183 @@ def test_census_csv_and_summary(tmp_path):
 def test_summary_path_for():
     assert summary_path_for("out/census.csv") == "out/census.summary.txt"
     assert summary_path_for("plain") == "plain.summary.txt"
+
+
+# The float kernel: _repr_join must give the bytes of repr, value by value.
+
+
+def _joined(values, seps=","):
+    """The reference text: repr of each value, joined by the cycled seps."""
+    return "".join(repr(v) + seps[i % len(seps)] for i, v in enumerate(values))[:-1]
+
+
+def _first_difference(got: str, want: str):
+    """None, or (line, field, got field, wanted field) of the first
+    difference: a short message where a diff of the whole text would be
+    megabytes."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i, (g, w) in enumerate(zip(got_lines, want_lines)):
+        if g != w:
+            pairs = zip(g.split(","), w.split(","))
+            j, (gf, wf) = next(((j, p) for j, p in enumerate(pairs) if p[0] != p[1]), (-1, ("", "")))
+            return i, j, gf, wf
+    if len(got_lines) != len(want_lines):
+        return len(got_lines), len(want_lines), "", ""
+    return None
+
+
+def _assert_matches_repr(values):
+    assert _first_difference(_repr_join(values), ",".join(map(repr, values.tolist()))) is None
+
+
+@given(
+    st.lists(st.floats() | st.floats(-1e3, 1e3), max_size=40),
+    st.sampled_from([",", "\n", ",\n"]),
+)
+def test_repr_join_equals_repr(values, seps):
+    # st.floats() draws nan, +-inf, -0.0 and subnormals too.
+    assert _repr_join(np.array(values, dtype=np.float64), seps) == _joined(values, seps)
+
+
+def test_repr_join_matches_repr_on_a_seeded_sweep():
+    rng = np.random.default_rng(20240)
+    size = 250_000
+    bits = rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+    scaled = rng.random(size) * 10.0 ** rng.uniform(-8, 18, size) * rng.choice([-1.0, 1.0], size)
+    # Few significant digits: the 15-digit candidate wins, trailing zeros go.
+    rounded = np.concatenate(
+        [np.round(rng.normal(size=2_000) * 10.0**e, d) for e in range(-4, 15) for d in (0, 2, 5, 9)]
+    )
+    # Short binary fractions: exact ties at the 16th digit (600000000000000.25).
+    dyadic = rng.integers(1, 2**53, 100_000) / 2.0 ** rng.integers(0, 64, 100_000)
+    integers = rng.integers(-(2**62), 2**62, 100_000).astype(np.float64)
+    for values in (bits, scaled, rounded, dyadic, integers):
+        _assert_matches_repr(values)
+
+
+def test_repr_join_matches_repr_at_the_edges():
+    tens = np.array([float(f"1e{k}") for k in range(-5, 18)])
+    values = np.concatenate(
+        [
+            np.nextafter(tens, 0.0),
+            tens,
+            np.nextafter(tens, np.inf),
+            2.0 ** np.arange(-1074, 1024),
+            [5e-324, np.finfo(np.float64).max, 0.1, 0.30000000000000004, 9999999999999998.0],
+            [600000000000000.25, 600000000000000.75, 0.0, np.inf, np.nan],
+        ]
+    )
+    _assert_matches_repr(np.concatenate([values, -values]))
+    # Both 16-digit neighbours read back: ties go to the even digit.
+    assert _repr_join(np.array([600000000000000.25, 600000000000000.75])) == (
+        "600000000000000.2,600000000000000.8"
+    )
+    assert _repr_join(np.array([])) == ""
+
+
+def _reference_trace_csv(trace, header):
+    """The trace CSV as written one repr per float."""
+    n = trace.ys.shape[1]
+    cols = ["iter", "d", "violations"] + [f"y_{i}" for i in range(1, n + 1)]
+    lines = [f"# {header}", ",".join(cols)]
+    ds = [None] * len(trace.ys) if trace.d is None else trace.d.tolist()
+    for t, (y, d, v) in enumerate(zip(trace.ys, ds, trace.violations.tolist())):
+        row = [str(t), "NA" if d is None else repr(d), str(v)] + list(map(repr, y.tolist()))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _mixed_trace(n, rows, with_d=True):
+    """A trace of arbitrary rows: normal values over many scales, plus
+    values the kernel leaves to repr (zeros, tiny and huge ones)."""
+    rng = np.random.default_rng(n + rows)
+    ys = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-6, 12, size=(rows, n))
+    flat = ys.reshape(-1)
+    flat[::17] = 0.0
+    flat[5::23] = 1e-300
+    flat[9::31] = -2.5e20
+    d = rng.random(rows) * 100 if with_d else None
+    return IterationTrace(
+        config=DeconvConfig(iters=rows - 1),
+        sortx=ys[0],
+        sortz=ys[0],
+        ys=ys,
+        d=d,
+        violations=rng.integers(0, 5, rows),
+    )
+
+
+@pytest.mark.parametrize(
+    "n, rows, with_d",
+    [
+        (1, _BLOCK + 2, True),
+        (7, 2 * (_BLOCK // 7) + 1, False),
+        (3001, 12, True),
+        (_BLOCK, 2, True),
+        (_BLOCK + 3, 3, False),
+    ],
+)
+def test_trace_csv_matches_one_repr_per_float(tmp_path, n, rows, with_d):
+    # Whole rows per kernel call up to the block size, a row in blocks above.
+    trace = _mixed_trace(n, rows, with_d)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace, header="hdr")
+    assert _first_difference(path.read_text(), _reference_trace_csv(trace, "hdr")) is None
+
+
+def test_sample_and_qq_writers_match_repr_across_blocks(tmp_path):
+    values = _mixed_trace(2 * _BLOCK + 1, 1).ys[0]
+    path = tmp_path / "sample.txt"
+    write_sample(path, values)
+    assert _first_difference(path.read_text(), "".join(repr(v) + "\n" for v in values.tolist())) is None
+
+    qq = qq_data(np.sort(values[: _BLOCK + 1]), TheoreticalDist.STANDARD_NORMAL)
+    path = tmp_path / "qq.csv"
+    write_qq_csv(path, qq)
+    pairs = zip(qq.theoretical.tolist(), qq.sample.tolist())
+    want = "theoretical,sample\n" + "".join(f"{t!r},{s!r}\n" for t, s in pairs)
+    assert _first_difference(path.read_text(), want) is None
+
+
+def test_cli_shaped_trace_rarely_falls_back_to_repr(tmp_path, monkeypatch):
+    # A kernel that stays correct but sends every value to repr loses the gain.
+    rng = np.random.default_rng(960)
+    x, z = rng.normal(0.0, 1.0, 10_000), rng.normal(2.0, 1.5, 10_000)
+    support = SupportConstraint(0.0, np.inf)
+    config = DeconvConfig(iters=10, adjust=AdjustPolicy.COPY_SMALLEST, support=support, seed=1)
+    trace = run(x, z, config)
+    calls = 0
+
+    def counting_repr(v):
+        nonlocal calls
+        calls += 1
+        return builtins.repr(v)
+
+    monkeypatch.setattr(fileio, "repr", counting_repr, raising=False)
+    write_trace_csv(tmp_path / "trace.csv", trace)
+    assert 0 < trace.ys.size and calls < 0.01 * trace.ys.size
+
+
+def test_write_trace_csv_memory_is_bounded_by_a_row(tmp_path):
+    # The trace is 101 rows (8 MB) and its text 19 MB; the writer holds one
+    # row's block and its text at a time.
+    n, iters = 10_000, 100
+    rng = np.random.default_rng(3)
+    ys = np.sort(rng.normal(size=(iters + 1, n)), axis=1)
+    trace = IterationTrace(
+        config=DeconvConfig(iters=iters),
+        sortx=ys[0],
+        sortz=ys[0],
+        ys=ys,
+        d=rng.random(iters + 1),
+        violations=np.zeros(iters + 1, dtype=np.int64),
+    )
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * ys[0].nbytes

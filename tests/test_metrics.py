@@ -287,6 +287,7 @@ def test_sample_moments():
     assert sample_moments([1.0, 2.0, 3.0]) == (2.0, 1.0)
     assert sample_moments([0.0, 4.0]) == (2.0, 8.0)
     assert sample_moments([5.0, 5.0, 5.0])[1] == 0.0
+    assert sample_moments([699051.1884435809] * 3) == (699051.1884435809, 0.0)
     with pytest.raises(InvalidInputError):
         sample_moments([1.0])
 
