@@ -97,20 +97,34 @@ def _repair(
 ) -> int:
     """``adjust`` in place on the float64 vector v, which the caller owns;
     returns the violation count.  Unchecked: policy must be an AdjustPolicy.
+
+    Only a finite bound is compared against, so a half-line support costs
+    one mask; ``v > inf`` and ``v < -inf`` are false for every v, so the
+    violations are those of ``support.violations``.
     """
-    if not support.bounded:
-        return 0
-    bad = support.violations(v)
+    lower, upper = support.lower, support.upper
+    low = v < lower if lower != -math.inf else None
+    high = v > upper if upper != math.inf else None
+    if low is None:
+        if high is None:
+            return 0
+        bad = high
+    else:
+        bad = low if high is None else low | high
     count = int(np.count_nonzero(bad))
     if policy is AdjustPolicy.NONE or count == 0:
         return count
 
     if policy is AdjustPolicy.CLAMP:
-        np.clip(v, support.lower, support.upper, out=v)
+        # As np.clip: only violators change, so -0.0 and 0.0 keep their sign.
+        if low is not None:
+            v[low] = lower
+        if high is not None:
+            v[high] = upper
         return count
 
     if policy is AdjustPolicy.ABSOLUTE:
-        v[bad] = _fold(v[bad], support.lower, support.upper)
+        v[bad] = _fold(v[bad], lower, upper)
         return count
 
     good = v[~bad]
@@ -125,11 +139,20 @@ def _repair(
         v[bad] = good[rng.integers(0, good.size, count)]
         return count
 
-    # COPY_SMALLEST
-    good_sorted = np.sort(good)
-    low_idx = np.flatnonzero(v < support.lower)
-    high_idx = np.flatnonzero(v > support.upper)
-    # More violators than in-support values: cycle through the copies.
-    v[low_idx] = good_sorted[np.arange(low_idx.size) % good_sorted.size]
-    v[high_idx] = good_sorted[::-1][np.arange(high_idx.size) % good_sorted.size]
+    # COPY_SMALLEST: the j-th violator, in position order, takes the j-th
+    # smallest (below the support) or largest (above it) in-support value.
+    good.sort()
+    if low is not None:
+        v[low] = _take(good, low)
+    if high is not None:
+        v[high] = _take(good[::-1], high)
     return count
+
+
+def _take(donors: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The first donors, one per True in mask, cycling through them when
+    the violators outnumber the donors."""
+    k = int(np.count_nonzero(mask))
+    if k <= donors.size:
+        return donors[:k]
+    return donors[np.arange(k) % donors.size]

@@ -17,7 +17,8 @@ is byte-identical to the rank form, with one exception: an iterate that
 holds both -0.0 and 0.0 may list the two zeros in another order, since
 they compare equal and the sort is not stable.  RESAMPLE draws its donors by
 position among the in-support values, so it keeps the rank form and its
-stream.
+stream, through the unchecked ``core._ranks`` (the ``_sort_order`` scatter of
+``arange(n)``), not the validating, copying ``ranks``.
 
 Two deliberately bad estimators are included for comparison: the sorted
 difference (far too little spread) and the fully random difference (far
@@ -32,16 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import variations
-from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint, _repair, adjust
+from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint, _repair
 from .config import DeconvConfig
-from .core import (
-    TieRule,
-    _sort_order,
-    as_sample,
-    make_rng,
-    random_permutation,
-    ranks,
-)
+from .core import TieRule, _ranks, _sort_order, as_sample, make_rng, random_permutation
 from .errors import DegenerateReferenceError, InvalidInputError
 from .metrics import NormalReferenceLine, distance_index, reference_normal_line
 from .variations import PoolingKind, equalize_lengths
@@ -126,12 +120,10 @@ def step(
     if w_noise is not None:
         w += w_noise
     if policy is AdjustPolicy.RESAMPLE:
-        adjusted, violations = adjust(
-            sortz[ranks(w, tie_rule, rng)] - sortx, policy, support, rng
-        )
+        adjusted = sortz[_ranks(w, tie_rule, rng)] - sortx
     else:
         adjusted = sortz - sortx[_sort_order(w, tie_rule, rng)]
-        violations = _repair(adjusted, policy, support, rng)
+    violations = _repair(adjusted, policy, support, rng)
     adjusted.sort()
     return adjusted, violations
 

@@ -15,6 +15,7 @@ the scalar formula.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -197,6 +198,19 @@ def sample_moments(v) -> tuple[float, float]:
     return mean, var
 
 
+@functools.lru_cache(maxsize=1)
+def _normal_scores(n: int) -> np.ndarray:
+    """Standard normal quantiles at the n plotting positions, read-only.
+
+    One entry: a run, and a sweep of runs at one n, fits its reference
+    line at a single n, and the quantiles cost more than the rest of the
+    fit at n = 100.
+    """
+    scores = normal_quantile(plotting_positions(n))
+    scores.flags.writeable = False
+    return scores
+
+
 def reference_normal_line(x, z, n: int) -> NormalReferenceLine:
     """Fit the reference line from samples x and z at n plotting positions.
 
@@ -212,8 +226,7 @@ def reference_normal_line(x, z, n: int) -> NormalReferenceLine:
         )
     mu = mean_z - mean_x
     sigma = math.sqrt(var_z - var_x)
-    quantiles = normal_quantile(plotting_positions(n))
-    return NormalReferenceLine(mu=mu, sigma=sigma, line_values=mu + sigma * quantiles)
+    return NormalReferenceLine(mu=mu, sigma=sigma, line_values=mu + sigma * _normal_scores(n))
 
 
 def l1_distance(u, v) -> float | np.ndarray:

@@ -10,6 +10,7 @@ over; the Testing section of README.md explains the measured values.
 import itertools
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import scipy.stats
@@ -385,10 +386,10 @@ def _check_cli_byte_determinism(tmp_path):
                 trace_out, census_out, qq_out]
     for argv in (run_cmd, analyze, qq):
         assert main(argv) == 0
-    first = [open(p, "rb").read() for p in produced]
+    first = [Path(p).read_bytes() for p in produced]
     for argv in (sim, run_cmd, analyze, qq):
         assert main(argv) == 0
-    second = [open(p, "rb").read() for p in produced]
+    second = [Path(p).read_bytes() for p in produced]
     return first == second
 
 

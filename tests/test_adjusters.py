@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from deconvsim import AdjustPolicy, SupportConstraint, make_rng
-from deconvsim.adjusters import adjust
+from deconvsim.adjusters import UNBOUNDED, _fold, _repair, adjust
 from deconvsim.errors import InfeasibleAdjustmentError, InvalidInputError
 
 HALF_LINE = SupportConstraint(0.0, math.inf)
@@ -150,3 +150,142 @@ def test_every_repair_policy_lands_inside_the_support(v, support, policy):
     assert count == int(support.violations(arr).sum())
     assert not support.violations(out).any()
     assert out.size == arr.size
+
+
+# `_repair` and `adjust` as they were before the one-sided masks, copied
+# verbatim (renamed): the current code must reproduce them byte for byte,
+# in position order, with the same violation count, rng state and error.
+def _parent_adjust(
+    ydiff,
+    policy: AdjustPolicy,
+    support: SupportConstraint = UNBOUNDED,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, int]:
+    """Apply a boundary policy; returns (adjusted vector, violation count).
+
+    The violation count refers to the input vector.  Policies other than
+    NONE guarantee the output lies entirely inside the closed support.
+    """
+    if not isinstance(policy, AdjustPolicy):
+        raise InvalidInputError(f"unknown adjust policy {policy!r}")
+    v = np.asarray(ydiff, dtype=np.float64).copy()
+    return v, _parent_repair(v, policy, support, rng)
+
+
+def _parent_repair(
+    v: np.ndarray,
+    policy: AdjustPolicy,
+    support: SupportConstraint,
+    rng: np.random.Generator | None,
+) -> int:
+    """``adjust`` in place on the float64 vector v, which the caller owns;
+    returns the violation count.  Unchecked: policy must be an AdjustPolicy.
+    """
+    if not support.bounded:
+        return 0
+    bad = support.violations(v)
+    count = int(np.count_nonzero(bad))
+    if policy is AdjustPolicy.NONE or count == 0:
+        return count
+
+    if policy is AdjustPolicy.CLAMP:
+        np.clip(v, support.lower, support.upper, out=v)
+        return count
+
+    if policy is AdjustPolicy.ABSOLUTE:
+        v[bad] = _fold(v[bad], support.lower, support.upper)
+        return count
+
+    good = v[~bad]
+    if good.size == 0:
+        raise InfeasibleAdjustmentError(
+            f"policy {policy.value!r} needs at least one in-support value"
+        )
+
+    if policy is AdjustPolicy.RESAMPLE:
+        if rng is None:
+            raise InvalidInputError("resample policy requires an rng")
+        v[bad] = good[rng.integers(0, good.size, count)]
+        return count
+
+    # COPY_SMALLEST
+    good_sorted = np.sort(good)
+    low_idx = np.flatnonzero(v < support.lower)
+    high_idx = np.flatnonzero(v > support.upper)
+    # More violators than in-support values: cycle through the copies.
+    v[low_idx] = good_sorted[np.arange(low_idx.size) % good_sorted.size]
+    v[high_idx] = good_sorted[::-1][np.arange(high_idx.size) % good_sorted.size]
+    return count
+
+
+REPAIR_SUPPORTS = [
+    UNBOUNDED,
+    SupportConstraint(0.0, math.inf),
+    SupportConstraint(-0.0, math.inf),
+    SupportConstraint(-math.inf, 1.0),
+    SupportConstraint(-math.inf, -0.0),
+    SupportConstraint(0.0, 1.5),
+]
+# Signed zeros, the bound values themselves and a few tied magnitudes.
+_SPECIAL = np.array([-0.0, 0.0, 1.0, 1.5, -1.0, 2.0, -2.0, 0.5, 1e-300, -1e-300])
+
+
+def _repair_cases(n, support, g):
+    """Named vectors of length n for one support: mixed values, tied
+    lattice values, every value violating, and more violators than
+    in-support values (each only where the support makes it possible)."""
+    mixed = np.where(g.random(n) < 0.3, g.choice(_SPECIAL, n), g.normal(0.5, 1.5, n))
+    tied = g.integers(-2, 3, n).astype(np.float64)
+    tied[(tied == 0) & (g.random(n) < 0.5)] = -0.0
+    cases = {"mixed": mixed, "tied": tied}
+    pool = np.concatenate([_SPECIAL, g.normal(0.5, 3.0, 64)])
+    bad = support.violations(pool)
+    if bad.any():
+        cases["all-violating"] = g.choice(pool[bad], n)
+        if n >= 3 and (~bad).any():
+            v = g.choice(pool[bad], n)
+            keep = g.choice(n, max(1, n // 10), replace=False)
+            v[keep] = g.choice(pool[~bad], keep.size)
+            cases["violators-outnumber"] = v
+    return cases
+
+
+def _outcome(fn, v, policy, support, rng):
+    """(bytes as int64, count, count type, next draw) or the error raised."""
+    try:
+        out, count = fn(v, policy, support, rng)
+    except (InfeasibleAdjustmentError, InvalidInputError) as exc:
+        return type(exc), str(exc), None if rng is None else rng.random()
+    return out.view(np.int64).tolist(), count, type(count), None if rng is None else rng.random()
+
+
+def _repair_in_place(repair):
+    """repair as an adjust-like call on a fresh float64 copy of v."""
+
+    def call(v, policy, support, rng):
+        v = np.array(v, dtype=np.float64)
+        return v, repair(v, policy, support, rng)
+
+    return call
+
+
+@pytest.mark.parametrize("support", REPAIR_SUPPORTS, ids=lambda s: f"{s.lower}:{s.upper}")
+@pytest.mark.parametrize("policy", list(AdjustPolicy), ids=lambda p: p.value)
+def test_repair_matches_the_two_sided_masks_byte_for_byte(policy, support):
+    # Through the public adjust as well as _repair, each compared in
+    # position order, not only as a multiset.
+    pairs = {
+        "adjust": (_parent_adjust, adjust),
+        "_repair": (_repair_in_place(_parent_repair), _repair_in_place(_repair)),
+    }
+    for n in (1, 3, 100, 5000):
+        g = np.random.default_rng(n)
+        for name, v in _repair_cases(n, support, g).items():
+            for seed, (entry, (expected_fn, fn)) in enumerate(pairs.items()):
+                for with_rng in (True, False):
+                    label = (n, name, entry, with_rng)
+                    expected = _outcome(
+                        expected_fn, v, policy, support, make_rng(seed) if with_rng else None
+                    )
+                    got = _outcome(fn, v, policy, support, make_rng(seed) if with_rng else None)
+                    assert got == expected, label

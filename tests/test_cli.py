@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,9 +64,9 @@ def test_simulate_experiment_writes_three_files(tmp_path, capsys):
 
 def test_simulate_is_byte_deterministic(tmp_path, capsys):
     files = _simulate(tmp_path, "exponential", 3)
-    first = [open(p, "rb").read() for p in files]
+    first = [Path(p).read_bytes() for p in files]
     _simulate(tmp_path, "exponential", 3)
-    second = [open(p, "rb").read() for p in files]
+    second = [Path(p).read_bytes() for p in files]
     capsys.readouterr()
     assert first == second
 

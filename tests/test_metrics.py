@@ -11,6 +11,7 @@ from conftest import INVERSE_NORMAL_TABLE
 from deconvsim.errors import DegenerateReferenceError, InvalidInputError
 from deconvsim.metrics import (
     NormalReferenceLine,
+    _normal_scores,
     distance_index,
     exponential_quantile,
     l1_distance,
@@ -227,6 +228,25 @@ def test_reference_line_scales_affinely():
     wide = reference_normal_line(x, [-4.0, 0.0, 4.0], 5)  # sigma = sqrt(15)
     ratio = wide.sigma / narrow.sigma
     assert np.allclose(wide.line_values, narrow.line_values * ratio)
+
+
+def test_reference_line_is_bit_identical_across_cached_sizes():
+    # The scores are cached for the last n only: 100, 37, 100 refits each.
+    g = np.random.default_rng(4)
+    for n in (100, 37, 100):
+        x, z = g.normal(0.0, 1.0, n), g.normal(1.0, 2.0, n)
+        ref = reference_normal_line(x, z, n)
+        expected = ref.mu + ref.sigma * normal_quantile(plotting_positions(n))
+        assert ref.line_values.tobytes() == expected.tobytes(), n
+        assert ref.line_values.flags.writeable, n
+
+
+def test_cached_normal_scores_are_read_only():
+    reference_normal_line([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], 3)
+    scores = _normal_scores(3)
+    assert scores.tobytes() == normal_quantile(plotting_positions(3)).tobytes()
+    with pytest.raises(ValueError):
+        scores[0] = 0.0
 
 
 def test_reference_line_degenerate_when_z_no_wider_than_x():
