@@ -98,11 +98,6 @@ def ranks(
         raise InvalidInputError(f"unknown tie rule {tie_rule!r}")
     if tie_rule is TieRule.RANDOM and rng is None:
         raise InvalidInputError("random tie rule requires an rng")
-    return _ranks(v, tie_rule, rng)
-
-
-def _ranks(v: FloatArray, tie_rule: TieRule, rng: np.random.Generator | None) -> IntArray:
-    """``ranks`` without the checks and the copy; v as for ``_sort_order``."""
     order = _sort_order(v, tie_rule, rng)
     r = np.empty(order.size, dtype=np.intp)
     r[order] = np.arange(order.size, dtype=np.intp)

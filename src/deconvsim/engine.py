@@ -2,23 +2,16 @@
 
 Given ascending samples sortx and sortz of equal length n and a current
 estimate oldy, one step draws a uniform random permutation rperm, forms
-``w = sortx + oldy[rperm]``, ranks w, and takes
-``ydiff = sortz[ranks(w)] - sortx``.  The boundary policy is applied to
-ydiff and the result is stored sorted ascending.  Each iterate is one of
-the n! vectors ``sortz[perm] - sortx``, so the run is a random walk over
-those candidates.
-
-``step`` computes this without the ranks.  With ``order = argsort(w)``
-under the same tie rule, ``ranks(w)[order[j]] == j``, so the multiset
-``{sortz[r_i] - sortx_i}`` equals ``{sortz_j - sortx[order_j]}``.  Every
-policy but RESAMPLE depends only on that multiset and its violation
-count, and the result is sorted, so ``sort(repair(sortz - sortx[order]))``
-is byte-identical to the rank form, with one exception: an iterate that
-holds both -0.0 and 0.0 may list the two zeros in another order, since
-they compare equal and the sort is not stable.  RESAMPLE draws its donors by
-position among the in-support values, so it keeps the rank form and its
-stream, through the unchecked ``core._ranks`` (the ``_sort_order`` scatter of
-``arange(n)``), not the validating, copying ``ranks``.
+``w = sortx + oldy[rperm]`` and, with ``order = argsort(w)`` under the tie
+rule, stores ``sort(repair(sortz - sortx[order]))``, where repair applies
+the boundary policy.  This pairs sortz[j] with the x at the j-th smallest
+w, the pairs of the rank form ``sortz[ranks(w)] - sortx``, so each iterate
+is one of the n! vectors ``sortz[perm] - sortx`` and the run is a random
+walk over those candidates.  An iterate holding both -0.0 and 0.0 may list
+the two zeros in either order (they compare equal; the sort is not
+stable).  RESAMPLE indexes its in-support donors in z order, where the
+rank form used x order: the same law and draws, but another stream than
+the rank form gave.
 
 Two deliberately bad estimators are included for comparison: the sorted
 difference (far too little spread) and the fully random difference (far
@@ -35,7 +28,7 @@ import numpy as np
 from . import variations
 from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint, _repair
 from .config import DeconvConfig
-from .core import TieRule, _ranks, _sort_order, as_sample, make_rng, random_permutation
+from .core import TieRule, _sort_order, as_sample, make_rng, random_permutation
 from .errors import DegenerateReferenceError, InvalidInputError
 from .metrics import NormalReferenceLine, distance_index, reference_normal_line
 from .variations import PoolingKind, equalize_lengths
@@ -113,16 +106,12 @@ def step(
     of one length n, rperm a permutation of 0..n-1 and rng a generator
     (``run`` validates its inputs).  The arguments are not modified.
     w_noise, if given, is added to the working vector.  rng is used only
-    by the random tie rule and the RESAMPLE policy.  All policies but
-    RESAMPLE take the one-argsort form (module docstring).
+    by the random tie rule and the RESAMPLE policy.
     """
     w = sortx + y[rperm]
     if w_noise is not None:
         w += w_noise
-    if policy is AdjustPolicy.RESAMPLE:
-        adjusted = sortz[_ranks(w, tie_rule, rng)] - sortx
-    else:
-        adjusted = sortz - sortx[_sort_order(w, tie_rule, rng)]
+    adjusted = sortz - sortx[_sort_order(w, tie_rule, rng)]
     violations = _repair(adjusted, policy, support, rng)
     adjusted.sort()
     return adjusted, violations
@@ -177,23 +166,21 @@ def _check_reach(
         )
 
 
-def run(x, z, config: DeconvConfig, rng: np.random.Generator | None = None) -> IterationTrace:
+def run(x, z, config: DeconvConfig) -> IterationTrace:
     """Drive a full deconvolution run.
 
     Equalizes lengths, applies any one-shot smoothing, iterates
     ``config.iters`` times recording each estimate with its distance index
     and pre-adjustment violation count, and attaches the pooled estimate
-    when pooling is configured.  Deterministic given the seed.
+    when pooling is configured.  Deterministic given ``config.seed``, the
+    one seed of the run's generator.
 
     RNG consumption order is fixed: equalization, one-shot smoothing, then
     per iteration pool draw / rperm / fresh xi / eta / zeta / tie draws /
     adjuster.
     """
-    if rng is None:
-        rng = make_rng(config.seed)
-    x = as_sample(x)
-    z = as_sample(z)
-
+    rng = make_rng(config.seed)
+    # equalize_lengths validates and copies x, then z.
     x_eq, z_eq = equalize_lengths(x, z, config.equalize, rng)
     n = x_eq.size
 

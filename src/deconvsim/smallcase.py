@@ -30,8 +30,6 @@ from functools import cached_property
 
 from .errors import CutLineError, InvalidInputError
 
-Rational = Fraction
-
 # All 6 permutations of (0, 1, 2) in lexicographic order; the state
 # labels of the chain.
 PERMS: tuple[tuple[int, ...], ...] = tuple(itertools.permutations(range(3)))

@@ -129,7 +129,7 @@ def equalize_lengths(
 
     if kind is EqualizeKind.BOOTSTRAP:
         n = strategy.target
-        return bootstrap_sample(x, n, rng), bootstrap_sample(z, n, rng)
+        return x[rng.integers(0, x.size, n)], z[rng.integers(0, z.size, n)]
 
     if x.size == z.size:
         return x, z
@@ -158,16 +158,6 @@ def _tile_to(v: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def perturb(v, sd: float, rng: np.random.Generator) -> np.ndarray:
-    """Add i.i.d. mean-zero Gaussian noise of standard deviation sd."""
-    if sd < 0:
-        raise InvalidInputError("perturbation sd must be >= 0")
-    v = np.asarray(v, dtype=np.float64)
-    if sd == 0:
-        return v.copy()
-    return v + rng.normal(0.0, sd, v.size)
-
-
 def smooth(
     x: np.ndarray, z: np.ndarray, spec: SmoothingSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
@@ -177,19 +167,11 @@ def smooth(
     is then returned as given and eta is None.
     """
     if spec.xi_sd > 0:
-        x = np.sort(perturb(x, spec.xi_sd, rng))
+        x = np.sort(x + rng.normal(0.0, spec.xi_sd, x.size))
     eta = rng.normal(0.0, spec.eta_sd, x.size) if spec.eta_sd > 0 else None
     if spec.zeta_sd > 0:
-        z = np.sort(perturb(z, spec.zeta_sd, rng))
+        z = np.sort(z + rng.normal(0.0, spec.zeta_sd, z.size))
     return x, eta, z
-
-
-def bootstrap_sample(v, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws with replacement from the elements of v."""
-    v = as_sample(v)
-    if n < 1:
-        raise InvalidInputError("bootstrap size must be >= 1")
-    return v[rng.integers(0, v.size, n)]
 
 
 def pool_average(ys, burn_in: int) -> np.ndarray:

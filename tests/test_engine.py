@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -127,15 +128,26 @@ def _oracle_case(n, tied, seed):
     return sortx, sortz, y, g.permutation(n), g.normal(0.0, 0.1, n)
 
 
-@pytest.mark.parametrize("support", ORACLE_SUPPORTS, ids=lambda s: f"{s.lower}:{s.upper}")
-@pytest.mark.parametrize("policy", list(AdjustPolicy), ids=lambda p: p.value)
-def test_step_matches_the_rank_form_byte_for_byte(policy, support):
-    cases = itertools.product(
-        TieRule, (False, True), (1, 3, 100, 1023, 1024, 5000), (False, True)
-    )
+def _oracle_cases(tie_rules=TieRule, sizes=(1, 3, 100, 1023, 1024, 5000)):
+    """(seed, label, args, w_noise) for every oracle case."""
+    cases = itertools.product(tie_rules, (False, True), sizes, (False, True))
     for seed, (tie_rule, tied, n, noisy) in enumerate(cases):
         sortx, sortz, y, rperm, noise = _oracle_case(n, tied, seed)
-        w_noise = noise if noisy else None
+        label = (tie_rule, tied, n, noisy)
+        yield seed, label, (sortx, sortz, y, rperm, noise), noise if noisy else None
+
+
+SUPPORT_IDS = dict(ids=lambda s: f"{s.lower}:{s.upper}")
+# The policies whose step depends only on the multiset of pairs and the
+# violation count, so the one-argsort form gives the rank form's bytes.
+MULTISET_POLICIES = [p for p in AdjustPolicy if p is not AdjustPolicy.RESAMPLE]
+
+
+@pytest.mark.parametrize("support", ORACLE_SUPPORTS, **SUPPORT_IDS)
+@pytest.mark.parametrize("policy", MULTISET_POLICIES, ids=lambda p: p.value)
+def test_step_matches_the_rank_form_byte_for_byte(policy, support):
+    for seed, label, (sortx, sortz, y, rperm, noise), w_noise in _oracle_cases():
+        tie_rule = label[0]
         inputs = [a.copy() for a in (sortx, sortz, y, rperm, noise)]
         args = (sortx, sortz, y, rperm)
         kwargs = dict(policy=policy, support=support, tie_rule=tie_rule, w_noise=w_noise)
@@ -147,7 +159,6 @@ def test_step_matches_the_rank_form_byte_for_byte(policy, support):
                 step(*args, rng, **kwargs)
             continue
         got = step(*args, rng, **kwargs)
-        label = (tie_rule, tied, n, noisy)
         assert got[0].dtype == np.float64, label
         assert got[0].tobytes() == expected[0].tobytes(), label
         assert got[1] == expected[1] and type(got[1]) is type(expected[1]), label
@@ -155,6 +166,77 @@ def test_step_matches_the_rank_form_byte_for_byte(policy, support):
         # step writes to none of its inputs (y is a row of the caller's trace)
         for before, after in zip(inputs, (sortx, sortz, y, rperm, noise)):
             assert np.array_equal(before, after), label
+
+
+# RESAMPLE lists its in-support donors in z order, the rank form in x
+# order, so one draw may pick another donor.  The two forms still draw the
+# same integers from the same multiset: the violation count and the
+# generator state after the step agree, and so does the law of the result.
+
+
+@pytest.mark.parametrize("support", ORACLE_SUPPORTS, **SUPPORT_IDS)
+def test_resample_step_keeps_the_rank_form_count_and_rng_state(support):
+    for seed, label, (sortx, sortz, y, rperm, _), w_noise in _oracle_cases():
+        args = (sortx, sortz, y, rperm)
+        kwargs = dict(
+            policy=AdjustPolicy.RESAMPLE, support=support, tie_rule=label[0], w_noise=w_noise
+        )
+        ref_rng, rng = make_rng(seed), make_rng(seed)
+        try:
+            _, expected = _rank_form_step(*args, ref_rng, **kwargs)
+        except InfeasibleAdjustmentError:
+            with pytest.raises(InfeasibleAdjustmentError):
+                step(*args, rng, **kwargs)
+            continue
+        got, count = step(*args, rng, **kwargs)
+        assert count == expected and type(count) is type(expected), label
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, label
+        assert np.all((got >= support.lower) & (got <= support.upper)), label
+
+
+class _EveryDraw:
+    """A generator stand-in for RESAMPLE's one draw: the i-th call of
+    ``integers(0, g, k)`` returns the i-th of the g**k index vectors."""
+
+    def __init__(self):
+        self.draws = None
+        self.total = 1  # a step without violators makes no draw
+
+    def integers(self, low, high, size):
+        if self.draws is None:
+            self.draws = itertools.product(range(low, high), repeat=size)
+            self.total = (high - low) ** size
+        return np.array(next(self.draws), dtype=np.int64)
+
+
+def _law_over_every_draw(form, args, kwargs):
+    """Counter of the sorted outputs of ``form`` over every donor draw."""
+    rng = _EveryDraw()
+    outputs = Counter()
+    while sum(outputs.values()) < rng.total:
+        y, _ = form(*args, rng, **kwargs)
+        outputs[tuple(y.tolist())] += 1
+    return outputs
+
+
+@pytest.mark.parametrize("support", ORACLE_SUPPORTS[1:], **SUPPORT_IDS)
+def test_resample_step_has_the_rank_form_law(support):
+    drawn = 0
+    for _, label, (sortx, sortz, y, rperm, _), w_noise in _oracle_cases(
+        [TieRule.FIRST_OCCURRENCE], (3, 4, 5)
+    ):
+        args = (sortx, sortz, y, rperm)
+        kwargs = dict(policy=AdjustPolicy.RESAMPLE, support=support, w_noise=w_noise)
+        try:
+            expected = _law_over_every_draw(_rank_form_step, args, kwargs)
+        except InfeasibleAdjustmentError:
+            with pytest.raises(InfeasibleAdjustmentError):
+                _law_over_every_draw(step, args, kwargs)
+            continue
+        got = _law_over_every_draw(step, args, kwargs)
+        assert got == expected, label
+        drawn += sum(got.values()) > 1
+    assert drawn > 0  # some case had violators to repair
 
 
 def test_step_signed_zeros_compare_equal_to_the_rank_form():

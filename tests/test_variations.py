@@ -8,13 +8,7 @@ import pytest
 
 from deconvsim import EqualizeStrategy, PoolingMode, SmoothingSpec, make_rng
 from deconvsim.errors import InvalidInputError
-from deconvsim.variations import (
-    bootstrap_sample,
-    equalize_lengths,
-    perturb,
-    pool_average,
-    pool_concat,
-)
+from deconvsim.variations import equalize_lengths, pool_average, pool_concat, smooth
 
 
 def test_bootstrap_strategy_needs_a_target():
@@ -70,33 +64,41 @@ def test_bootstrap_resamples_both_to_target():
 
 
 def test_perturb_sd_zero_is_identity():
-    v = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(perturb(v, 0.0, make_rng(0)), v)
-
-
-def test_perturb_rejects_negative_sd():
-    with pytest.raises(InvalidInputError):
-        perturb([1.0], -0.1, make_rng(0))
+    # smooth skips a zero sd: x and z come back as given, eta is None,
+    # and no draw is made.
+    x, z = np.array([3.0, 1.0, 2.0]), np.array([5.0, 4.0])
+    rng = make_rng(0)
+    state = rng.bit_generator.state
+    x2, eta, z2 = smooth(x, z, SmoothingSpec(), rng)
+    assert x2 is x and eta is None and z2 is z
+    assert rng.bit_generator.state == state
 
 
 def test_perturb_noise_moments():
-    v = np.zeros(10_000)
-    out = perturb(v, 0.1, make_rng(7))
-    noise = out - v
-    assert abs(noise.mean()) <= 3 * 0.1 / 100  # 3 sd of the mean
-    assert np.var(noise) == pytest.approx(0.01, rel=0.10)
+    # smooth on zeros returns the sorted xi and zeta draws.
+    sm = SmoothingSpec(xi_sd=0.1, zeta_sd=0.1)
+    xi, eta, zeta = smooth(np.zeros(10_000), np.zeros(10_000), sm, make_rng(7))
+    assert eta is None
+    for noise in (xi, zeta):
+        assert np.all(np.diff(noise) >= 0)
+        assert abs(noise.mean()) <= 3 * 0.1 / 100  # 3 sd of the mean
+        assert np.var(noise) == pytest.approx(0.01, rel=0.10)
+
+
+def _bootstrap(v, n, rng):
+    return equalize_lengths(v, v, EqualizeStrategy.bootstrap(n), rng)[0]
 
 
 def test_bootstrap_sample_single_source_value():
-    assert np.array_equal(bootstrap_sample([7.0], 4, make_rng(0)), [7.0] * 4)
+    assert np.array_equal(_bootstrap([7.0], 4, make_rng(0)), [7.0] * 4)
 
 
 def test_bootstrap_sample_closure_and_errors():
     v = np.array([1.0, 4.0, 9.0])
-    out = bootstrap_sample(v, 50, make_rng(1))
-    assert set(out) <= set(v)
+    out = _bootstrap(v, 50, make_rng(1))
+    assert out.size == 50 and set(out) <= set(v)
     with pytest.raises(InvalidInputError):
-        bootstrap_sample(v, 0, make_rng(1))
+        _bootstrap([1.0, math.inf], 5, make_rng(1))
 
 
 def test_bootstrap_sample_distinct_coverage_fraction():
@@ -104,7 +106,7 @@ def test_bootstrap_sample_distinct_coverage_fraction():
     # 1 - (1 - 1/n)^n = 0.634 for n = 100.
     rng = make_rng(12)
     v = np.arange(100.0)
-    fractions = [len(set(bootstrap_sample(v, 100, rng))) / 100 for _ in range(300)]
+    fractions = [len(set(_bootstrap(v, 100, rng))) / 100 for _ in range(300)]
     assert np.mean(fractions) == pytest.approx(0.634, abs=0.02)
 
 
