@@ -4,12 +4,15 @@ Subcommands: run (deconvolve two sample files), simulate (write
 synthetic samples), analyze3 (exact 3-point census), qq (quantile
 pairs for external plotting).  Exit codes: 0 on success, 2 on any
 usage or input error.  Every command is deterministic given its flags.
+Each warning a command raises is printed to stderr at once as
+``warning: <message>``, whatever warning filters the caller set.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -157,10 +160,8 @@ def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
     header = make_header(ns.seed, argv)
     write_trace_csv(ns.out, trace, header)
     if trace.reference is None:
-        print(
-            f"warning: normal reference is degenerate ({_degenerate_reason(trace)}); "
-            "d written as NA",
-            file=sys.stderr,
+        warnings.warn(
+            f"normal reference is degenerate ({_degenerate_reason(trace)}); d written as NA"
         )
     if ns.pooled_out:
         write_sample(ns.pooled_out, trace.pooled, header)
@@ -290,14 +291,14 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    try:
-        return ns.func(ns, list(argv))
-    except DeconvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return ns.func(ns, list(argv))
+        except (DeconvError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

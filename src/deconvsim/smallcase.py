@@ -118,8 +118,6 @@ def enumerate_regions(x) -> list[tuple[Fraction, Fraction]]:
     interior, and one rational midpoint is built per band.
     """
     x = _as_fraction(x)
-    if not Fraction(0) < x < Fraction(1, 2):
-        raise InvalidInputError("x must lie strictly in (0, 1/2)")
     if x in X_CONFIG_BOUNDARIES:
         raise InvalidInputError(
             f"{x} is a configuration-change value; pick x strictly between them"

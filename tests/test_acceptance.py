@@ -94,16 +94,13 @@ def test_criterion_2_monte_carlo_matches_exact_stationary(census):
         sortz = np.array([-float(entry.a), 0.0, float(entry.b)])
         # The six candidate iterates, built through the same float
         # arithmetic the engine uses, so occupation is exact-matchable.
-        targets = [tuple(np.sort(sortz[list(pi)] - sortx)) for pi in PERMS]
-        assert len(set(targets)) == 6
-        lookup = {t: i for i, t in enumerate(targets)}
-        rng = make_rng(900_000 + idx)
-        y = np.sort(sortz - sortx)
-        counts = np.zeros(6)
-        for t in range(total):
-            y, _ = step(sortx, sortz, y, random_permutation(3, rng), rng)
-            if t >= burn:
-                counts[lookup[tuple(y)]] += 1
+        targets = np.array([np.sort(sortz[list(pi)] - sortx) for pi in PERMS])
+        assert len(set(map(tuple, targets))) == 6
+        # Row t of ys is iteration t; rows 1..burn are the burn-in.
+        ys = run(sortx, sortz, DeconvConfig(iters=total, seed=900_000 + idx)).ys
+        hits = (ys[burn + 1 :, None, :] == targets).all(axis=2)
+        assert np.all(hits.sum(axis=1) == 1)
+        counts = hits.sum(axis=0)
         kept = total - burn
         freq = counts / kept
         exact = np.array([float(v) for v in entry.stationary])

@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import warnings
 from pathlib import Path
 
@@ -142,6 +144,27 @@ def test_run_degenerate_reference_writes_na_and_warns(tmp_path, capsys):
     assert all(row.split(",")[1] == "NA" for row in rows)
 
 
+def test_run_prints_each_warning_when_it_is_raised(tmp_path):
+    x_path, z_path, _ = _simulate(tmp_path)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            code = main(
+                ["run", "--x", x_path, "--z", x_path, "--out", str(tmp_path / "t.csv"),
+                 "--support", "0:inf", "--iters", "3"]
+            )
+    lines = text.getvalue().splitlines()
+    assert code == 0 and caught == []
+    assert lines[:3] == [
+        "warning: support is bounded but no adjustment policy is set; "
+        "iterates may leave the support",
+        "warning: normal reference is degenerate (var(z) <= var(x) or n < 2); "
+        "d written as NA",
+        "n: 100",
+    ]
+
+
 def test_run_pooled_output(tmp_path, capsys):
     x_path, z_path, _ = _simulate(tmp_path)
     pooled = tmp_path / "pooled.txt"
@@ -258,6 +281,17 @@ def test_run_overflowing_moments_print_na(tmp_path, capsys):
     assert len(rows) == 4 and all(row.split(",")[1] == "NA" for row in rows)
 
 
+def test_run_unwritable_output_exits_2(tmp_path, capsys):
+    x_path, z_path, _ = _simulate(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "missing-dir" / "t.csv"
+    code = main(["run", "--x", x_path, "--z", z_path, "--out", str(out), "--iters", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "missing-dir" in captured.err
+    assert captured.out == ""
+
+
 def test_run_rejects_unknown_adjust_choice(tmp_path, capsys):
     x_path, z_path, _ = _simulate(tmp_path)
     code = main(
@@ -294,6 +328,9 @@ def test_analyze3_rejects_bad_x_values(tmp_path, capsys):
     assert main(["analyze3", "--out", out, "--x-values", "zzz"]) == 2
     assert main(["analyze3", "--out", out, "--x-values", "1/5"]) == 2
     capsys.readouterr()
+    assert main(["analyze3", "--out", out, "--x-values", ","]) == 2
+    assert capsys.readouterr().err == "error: --x-values is empty\n"
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_qq_command(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -20,82 +21,6 @@ from deconvsim.metrics import (
     reference_normal_line,
     sample_moments,
 )
-
-
-# The scalar normal_quantile as it was before it took arrays, copied
-# verbatim (renamed): the array version must reproduce it bit for bit.
-# Rational approximation coefficients for the inverse normal CDF
-# (P. J. Acklam's method), refined below to full double precision.
-_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _scalar_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, accurate to well below 1e-8.
-
-    Acklam's rational approximation gives ~1e-9 relative error; one Halley
-    step against math.erfc pushes that to near machine precision.
-    """
-    if not 0.0 < p < 1.0:
-        if p == 0.0:
-            return -math.inf
-        if p == 1.0:
-            return math.inf
-        raise InvalidInputError("quantile probability must lie in [0, 1]")
-
-    p_low = 0.02425
-    if p_low <= p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
-            * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-        )
-    else:
-        # The tails are mirror images: the upper one is the negated lower
-        # tail at 1 - p.
-        upper = p > 0.5
-        q = math.sqrt(-2.0 * math.log(1.0 - p if upper else p))
-        x = (
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-        if upper:
-            x = -x
-
-    # Halley refinement: e = Phi(x) - p, u = e / phi(x).
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
 
 
 def test_normal_quantile_against_frozen_high_precision_values():
@@ -139,36 +64,34 @@ def _probe_points():
     ]
 
 
-def test_normal_quantile_is_bit_identical_to_the_scalar_reference():
-    # The two branch edges and one ulp either side of each.
+def _normal_probe_points():
+    # The probes, the branch edges of the rational approximation the
+    # package used before NormalDist (one ulp either side of each too),
+    # and subnormal-to-tiny p.
     edges = [
         np.nextafter(edge, toward)
         for edge in (0.02425, 1.0 - 0.02425)
         for toward in (0.0, edge, 1.0)
     ]
-    p = np.concatenate(_probe_points() + [np.array(edges)])
-    expected = [_scalar_normal_quantile(v) for v in p.tolist()]
+    return np.concatenate(
+        _probe_points() + [np.array(edges), np.geomspace(5e-324, 1e-300, 2_000)]
+    )
+
+
+def test_normal_quantile_is_bit_identical_to_normal_dist():
+    p = _normal_probe_points()
+    inv_cdf = NormalDist().inv_cdf
+    expected = [inv_cdf(v) for v in p.tolist()]
     assert np.array_equal(_bits(normal_quantile(p)), _bits(expected))
 
 
-def test_normal_quantile_subnormal_p_skips_the_overflowing_refinement():
+def test_normal_quantile_is_accurate_to_a_few_ulps():
     from scipy.special import ndtri
 
-    assert normal_quantile(5e-324) == pytest.approx(ndtri(5e-324), rel=1.8e-9)
-    assert normal_quantile(np.array([5e-324, 0.5]))[0] == normal_quantile(5e-324)
-    # Wherever the reference can still refine, the result is its value.
-    p = np.geomspace(5e-324, 1e-300, 2_000)
-    got = normal_quantile(p)
-    refined = 0
-    for v, g in zip(p.tolist(), got.tolist()):
-        try:
-            expected = _scalar_normal_quantile(v)
-        except OverflowError:
-            assert g == pytest.approx(ndtri(v), rel=1.8e-9)
-            continue
-        assert _bits(g) == _bits(expected)
-        refined += 1
-    assert 0 < refined < p.size
+    p = _normal_probe_points()
+    exact = ndtri(p)
+    err = np.abs(normal_quantile(p) - exact) / np.maximum(1.0, np.abs(exact))
+    assert err.max() <= 2e-15
 
 
 def test_quantile_functions_take_scalars_and_arrays():
@@ -289,6 +212,12 @@ def test_qq_data_single_point():
 def test_qq_data_two_point_exponential():
     qq = qq_data([1.0, 2.0], TheoreticalDist.STANDARD_EXPONENTIAL)
     assert np.allclose(qq.theoretical, [-math.log(0.75), -math.log(0.25)])
+
+
+@pytest.mark.parametrize("dist", list(TheoreticalDist))
+def test_qq_data_rejects_an_empty_sample(dist):
+    with pytest.raises(InvalidInputError, match="nonempty"):
+        qq_data([], dist)
 
 
 def test_qq_theoretical_coords_ignore_the_data():

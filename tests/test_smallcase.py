@@ -95,6 +95,9 @@ def test_enumerate_regions_rejects_boundary_x():
     for bad in (F(1, 6), F(1, 5), F(1, 4), F(1, 3), F(2, 5)):
         with pytest.raises(InvalidInputError):
             enumerate_regions(bad)
+    for bad in (F(0), F(1, 2), F(3, 5), F(-1, 7)):
+        with pytest.raises(InvalidInputError, match=r"^x must lie strictly in \(0, 1/2\)$"):
+            enumerate_regions(bad)
 
 
 def test_transition_matrix_far_region_is_uniform():

@@ -45,6 +45,17 @@ def test_tile_repeats_whole_then_tops_up():
     assert set(counts) == {10.0, 20.0, 30.0}
 
 
+def test_tile_tops_up_z_to_a_longer_x():
+    x = np.arange(13.0)
+    z = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
+    x2, z2 = equalize_lengths(x, z, EqualizeStrategy.tile(), make_rng(1))
+    assert np.array_equal(x2, x) and z2.size == 13
+    # 13 = 2*5 + 3: z twice in order, then three draws without replacement.
+    assert np.array_equal(z2[:10], np.tile(z, 2))
+    assert np.array_equal(z2[10:], make_rng(1).choice(z, size=3, replace=False))
+    assert len(set(z2[10:])) == 3
+
+
 def test_subsample_shrinks_the_longer_vector():
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     z = np.array([7.0, 8.0, 9.0])
@@ -169,3 +180,9 @@ def test_pooling_rejects_burn_in_eating_everything(pool):
     ys = [np.array([0.0]), np.array([1.0])]
     with pytest.raises(InvalidInputError):
         pool(ys, 2)
+
+
+@pytest.mark.parametrize("pool", [pool_average, pool_concat])
+def test_pooling_rejects_a_negative_burn_in(pool):
+    with pytest.raises(InvalidInputError, match="burn-in must be >= 0"):
+        pool([np.array([0.0]), np.array([1.0])], -1)
