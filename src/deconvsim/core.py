@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import ConfigError, InvalidInputError
 
 FloatArray = np.ndarray
 IntArray = np.ndarray
@@ -37,8 +37,14 @@ class TieRule(Enum):
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """One seedable generator family for the whole package (PCG64)."""
-    return np.random.default_rng(seed)
+    """One seedable generator family for the whole package (PCG64).
+
+    Raises ConfigError for a seed NumPy rejects, such as a negative one.
+    """
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}") from None
 
 
 def as_sample(values) -> FloatArray:

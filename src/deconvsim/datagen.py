@@ -125,26 +125,30 @@ def generate(spec: DistSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     p = spec.params
-    if spec.kind is DistKind.NORMAL:
-        return rng.normal(p[0], p[1], n)
-    if spec.kind is DistKind.EXPONENTIAL:
-        return rng.exponential(p[0], n)
-    if spec.kind is DistKind.UNIFORM:
-        return rng.uniform(p[0], p[1], n)
     if spec.kind is DistKind.CONTAMINATED_EXPONENTIAL:
-        n_main, main_mean, n_out, out_mean = int(p[0]), p[1], int(p[2]), p[3]
+        n_main, n_out = int(p[0]), int(p[2])
         if n != n_main + n_out:
             raise InvalidInputError(
                 f"contaminated sample needs n == {n_main + n_out}, got {n}"
             )
-        pooled = np.concatenate(
-            [rng.exponential(main_mean, n_main), rng.exponential(out_mean, n_out)]
-        )
-        return pooled[rng.permutation(n)]
-    if spec.kind is DistKind.DELAY_LINK:
-        base, prob, spike_mean = p
-        spikes = np.where(rng.random(n) < prob, rng.exponential(spike_mean, n), 0.0)
-        return base + spikes
+    try:
+        if spec.kind is DistKind.NORMAL:
+            return rng.normal(p[0], p[1], n)
+        if spec.kind is DistKind.EXPONENTIAL:
+            return rng.exponential(p[0], n)
+        if spec.kind is DistKind.UNIFORM:
+            return rng.uniform(p[0], p[1], n)
+        if spec.kind is DistKind.CONTAMINATED_EXPONENTIAL:
+            pooled = np.concatenate(
+                [rng.exponential(p[1], n_main), rng.exponential(p[3], n_out)]
+            )
+            return pooled[rng.permutation(n)]
+        if spec.kind is DistKind.DELAY_LINK:
+            base, prob, spike_mean = p
+            spikes = np.where(rng.random(n) < prob, rng.exponential(spike_mean, n), 0.0)
+            return base + spikes
+    except (MemoryError, ValueError):  # ValueError: beyond the largest array size
+        raise InvalidInputError(f"a sample of n = {n} values does not fit in memory") from None
     raise ConfigError(f"unhandled distribution kind {spec.kind}")
 
 

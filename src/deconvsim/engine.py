@@ -150,7 +150,10 @@ def _check_reach(
     stays within ``|v| + 2 max|bound|``, so ``|w|`` stays within
     ``2 max|x| + max|z| + 2 max|bound| (+ max|eta|)``.  The fold's period
     ``2 (upper - lower)`` is within ``4 max|bound|``.  Fresh smoothing
-    noise, drawn per step, is not covered.
+    noise, drawn per step, is covered too: every sd is at most
+    sqrt(float max) ~ 1.34e154, so each normal draw is orders of magnitude
+    below half an ulp of float max (~1e292), and a sum that is finite
+    without the noise rounds to a finite value with it.
     """
     xmax = float(max(-sortx[0], sortx[-1]))
     zmax = float(max(-sortz[0], sortz[-1]))

@@ -7,7 +7,7 @@ y[i] = sortz[pi[i]] - sortx[i], and its transition matrix is piecewise
 constant in (a, b): it only changes when a, b, or a + b crosses one of
 nine cut values determined by x.  This module enumerates the resulting
 regions of the positive quadrant, builds each region's 6x6 transition
-matrix, and solves for the limiting occupation distribution, all exact
+matrix, and solves for its unique stationary distribution, all exact
 (no floats anywhere).  Ranks are compared on Python integers: x, a and
 b are scaled by their common denominator, which keeps every order and
 every tie.  Linear systems are solved by fraction-free elimination on
@@ -15,7 +15,7 @@ integers, and results are Fractions.
 
 The census sweeps six canonical x values, one from each interval
 between consecutive configuration-change points, and tabulates how
-often each distinct limiting distribution occurs.  Many regions share
+often each distinct stationary distribution occurs.  Many regions share
 one matrix, so the census solves each distinct matrix once.
 """
 
@@ -229,84 +229,27 @@ def _solve_linear(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction
     return [Fraction(m[r][n], m[r][r]) for r in range(n)]
 
 
-def _communicating_classes(p: Matrix) -> list[list[int]]:
-    n = len(p)
-    reach = [[p[i][j] > 0 or i == j for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                for j in range(n):
-                    if reach[k][j]:
-                        reach[i][j] = True
-    seen: list[int] = []
-    classes: list[list[int]] = []
-    for i in range(n):
-        if i in seen:
-            continue
-        cls = [j for j in range(n) if reach[i][j] and reach[j][i]]
-        classes.append(cls)
-        seen.extend(cls)
-    return classes
-
-
-def _class_stationary(p: Matrix, cls: list[int]) -> dict[int, Fraction]:
-    # Unique stationary vector of the chain restricted to one recurrent
-    # class: solve pi P = pi with the last balance equation replaced by
-    # normalization.
-    k = len(cls)
-    a = [[p[cls[i]][cls[j]] - (1 if i == j else 0) for i in range(k)] for j in range(k)]
-    rhs = [Fraction(0)] * k
-    a[k - 1] = [Fraction(1)] * k
-    rhs[k - 1] = Fraction(1)
-    sol = _solve_linear(a, rhs)
-    return dict(zip(cls, sol))
-
-
 def stationary_distribution(p: Matrix) -> Distribution:
-    """Limiting occupation distribution from the uniform start.
+    """The unique stationary distribution of a chain with one recurrent class.
 
-    Decomposes the chain into recurrent classes and transient states,
-    weights each class's unique stationary vector by the exact
-    probability of absorption into it from the uniform start, and sums.
-    Equals the classical stationary distribution when the chain is
-    irreducible; Cesaro averaging makes periodicity harmless.
+    Solves pi P = pi with sum(pi) = 1 as one linear system: the balance
+    equations of states 0..n-2 (every row of P - I sums to 0, so the last
+    follows) and a row of ones.  With one recurrent class it has exactly
+    one solution, zero on the transient states: the limiting occupation
+    law from any start, periodic or not.  With two or more recurrent
+    classes it is singular and InvalidInputError is raised.
     """
     n = len(p)
-    classes = _communicating_classes(p)
-    recurrent = [
-        cls
-        for cls in classes
-        if all(p[i][j] == 0 for i in cls for j in range(n) if j not in cls)
-    ]
-    transient = [i for i in range(n) if not any(i in cls for cls in recurrent)]
-
-    uniform = Fraction(1, n)
-    total = [Fraction(0)] * n
-    weight_sum = Fraction(0)
-    for cls in recurrent:
-        # Absorption probability into cls from each transient state.
-        if transient:
-            a = [
-                [
-                    (p[s][t] if s != t else p[s][t] - 1)
-                    for t in transient
-                ]
-                for s in transient
-            ]
-            rhs = [-sum(p[s][j] for j in cls) for s in transient]
-            absorbed = dict(zip(transient, _solve_linear(a, rhs)))
-        else:
-            absorbed = {}
-        weight = uniform * len(cls) + uniform * sum(
-            absorbed[s] for s in transient
-        )
-        weight_sum += weight
-        pi_cls = _class_stationary(p, cls)
-        for state, mass in pi_cls.items():
-            total[state] += weight * mass
-    assert weight_sum == 1
-    assert sum(total) == 1
-    return tuple(total)
+    a = [[p[i][j] - 1 if i == j else p[i][j] for i in range(n)] for j in range(n - 1)]
+    a.append([Fraction(1)] * n)
+    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    try:
+        return tuple(_solve_linear(a, rhs))
+    except InvalidInputError:
+        raise InvalidInputError(
+            "the chain has more than one recurrent class, "
+            "so its stationary distribution is not unique"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -377,8 +320,11 @@ def full_census(x_values=CANONICAL_X) -> RegionCensus:
     """Sweep the given x values (default: the six canonical ones),
     solving every region exactly.  Deterministic, no randomness.
 
-    Regions with equal matrices share one matrix and one distribution
-    object; each distinct matrix is solved once.
+    Every x in one interval between configuration-change values gives
+    the canonical x's matrices, each with one recurrent class, so
+    ``stationary_distribution`` never rejects a census chain.  Regions
+    with equal matrices share one matrix and one distribution object;
+    each distinct matrix is solved once.
     """
     solved: dict[Counts, tuple[Matrix, Distribution]] = {}
     entries = []

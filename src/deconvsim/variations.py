@@ -8,6 +8,7 @@ resampling, and combining iterates into a single pooled estimate.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -16,6 +17,9 @@ import numpy as np
 
 from .core import as_sample
 from .errors import InvalidInputError
+
+# The largest smoothing sd whose square is a finite float, about 1.34e154.
+_SD_MAX = math.sqrt(sys.float_info.max)
 
 
 class EqualizeKind(Enum):
@@ -65,7 +69,7 @@ class SmoothingSpec:
     otherwise one set is drawn up front and reused.  The smoothings are
     bias-free when zeta_sd**2 == xi_sd**2 + eta_sd**2 (perturbed x plus
     perturbed y is then distributed like perturbed z); violating that is
-    allowed but warned about.
+    allowed but warned about.  Each sd must lie in [0, _SD_MAX].
     """
 
     xi_sd: float = 0.0
@@ -75,9 +79,9 @@ class SmoothingSpec:
 
     def __post_init__(self):
         sds = (self.xi_sd, self.eta_sd, self.zeta_sd)
-        if not all(math.isfinite(sd) and sd >= 0 for sd in sds):
+        if not all(0 <= sd <= _SD_MAX for sd in sds):
             raise InvalidInputError(
-                "smoothing standard deviations must be finite and >= 0"
+                f"smoothing standard deviations must lie in [0, {_SD_MAX:.3g}]"
             )
         if self.active:
             want = self.xi_sd**2 + self.eta_sd**2
@@ -129,7 +133,12 @@ def equalize_lengths(
 
     if kind is EqualizeKind.BOOTSTRAP:
         n = strategy.target
-        return x[rng.integers(0, x.size, n)], z[rng.integers(0, z.size, n)]
+        try:
+            return x[rng.integers(0, x.size, n)], z[rng.integers(0, z.size, n)]
+        except (MemoryError, ValueError):  # ValueError: beyond the largest array size
+            raise InvalidInputError(
+                f"a bootstrap sample of n = {n} values does not fit in memory"
+            ) from None
 
     if x.size == z.size:
         return x, z

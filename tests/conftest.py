@@ -1,9 +1,10 @@
 """Shared fixtures and frozen oracle data.
 
-The exact three-point census takes about 0.2 s (2-core host; 1.8 s
+The exact three-point census takes about 0.15 s (2-core host; 1.8 s
 before it ranked on integers and solved each distinct matrix once), and
-many tests read it, so the suite computes it once per session.  The inverse-normal table was computed
-once with mpmath at 60 decimal digits and frozen here.
+many tests read it, so the suite computes it once per session.  The
+inverse-normal table was computed once with mpmath at 60 decimal digits
+and frozen here.
 """
 
 import pytest

@@ -210,6 +210,10 @@ def test_run_with_boundary_policy(tmp_path, capsys):
         {"--iters": "-3"},
         {"--equalize": "mirror"},
         {"--x": "/nonexistent/file.txt"},
+        {"--seed": "-1"},
+        {"--smooth-xi": "1e200", "--smooth-zeta": "1e200"},
+        {"--equalize": "bootstrap:4611686018427387904"},
+        {"--equalize": f"bootstrap:{10**19}"},
     ],
 )
 def test_run_bad_flags_exit_2(tmp_path, capsys, mutation):
@@ -224,7 +228,23 @@ def test_run_bad_flags_exit_2(tmp_path, capsys, mutation):
     for key, value in flags.items():
         argv += [key, value]
     assert main(argv) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--experiment", "normal", "--seed", "-3"],
+        ["--dist", "normal:0,1", "--seed", "-3"],
+        ["--dist", "normal:0,1", "--n", "4611686018427387904"],
+        ["--dist", "normal:0,1", "--n", str(10**19)],
+    ],
+)
+def test_simulate_bad_flags_exit_2(tmp_path, capsys, args):
+    argv = ["simulate", *args, "--out-prefix", str(tmp_path / "s-")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("iters", [10**15, 10**17])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from deconvsim import TieRule, make_rng
 from deconvsim.core import as_sample, random_permutation, ranks
-from deconvsim.errors import InvalidInputError
+from deconvsim.errors import ConfigError, InvalidInputError
 
 finite_vectors = st.lists(
     st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -108,3 +108,9 @@ def test_random_permutation_is_reproducible():
 def test_random_permutation_rejects_zero_length():
     with pytest.raises(InvalidInputError):
         random_permutation(0, make_rng(0))
+
+
+@pytest.mark.parametrize("seed", [-1, -3, 1.5, [1, -2]])
+def test_make_rng_rejects_a_seed_numpy_rejects(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        make_rng(seed)

@@ -84,6 +84,19 @@ def test_generate_rejects_nonpositive_n():
         generate(DistSpec.normal(), 0, make_rng(0))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [DistSpec.normal(), DistSpec.exponential(), DistSpec.uniform(),
+     DistSpec.delay_link(5.0, 0.1, 20.0)],
+)
+@pytest.mark.parametrize("n", [2**62, 10**19])
+def test_generate_rejects_a_sample_beyond_the_address_space(spec, n):
+    # NumPy refuses both sizes without asking for memory: "array is too
+    # big" at 2**62, "Maximum allowed dimension exceeded" at 10**19.
+    with pytest.raises(InvalidInputError, match=f"n = {n} .*memory"):
+        generate(spec, n, make_rng(0))
+
+
 def test_make_experiment_wiring():
     seed = 17
     x1, z0, truth = make_experiment("normal", seed)

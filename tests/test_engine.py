@@ -1,6 +1,7 @@
 """The core iteration, the naive baselines, and the run driver."""
 
 import itertools
+import math
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from deconvsim import (
     AdjustPolicy,
     DeconvConfig,
+    EqualizeStrategy,
     PoolingKind,
     PoolingMode,
     SmoothingSpec,
@@ -280,6 +282,35 @@ def test_run_rejects_a_trace_beyond_the_address_space(iters):
     x1, z0, _ = make_experiment("normal", 0)
     with pytest.raises(InvalidInputError, match=rf"T \+ 1 = {iters + 1} .* n = 100 "):
         run(x1, z0, DeconvConfig(iters=iters, seed=0))
+
+
+def test_run_rejects_a_negative_seed():
+    x1, z0, _ = make_experiment("normal", 0)
+    with pytest.raises(ConfigError, match="seed"):
+        run(x1, z0, DeconvConfig(seed=-1))
+
+
+@pytest.mark.parametrize("target", [2**62, 10**19])
+def test_run_rejects_a_bootstrap_beyond_the_address_space(target):
+    x1, z0, _ = make_experiment("normal", 0)
+    config = DeconvConfig(equalize=EqualizeStrategy.bootstrap(target))
+    with pytest.raises(InvalidInputError, match="bootstrap sample"):
+        run(x1, z0, config)
+
+
+@pytest.mark.parametrize("policy", list(AdjustPolicy))
+def test_fresh_smoothing_at_the_sd_bound_keeps_every_iterate_finite(policy):
+    # Each sd is near sqrt(float max), so every per-step draw is far below
+    # half an ulp of float max, and inputs that pass the reach check stay
+    # finite with fresh noise added at every step.
+    g = np.random.default_rng(12)
+    x, z = g.uniform(-4e307, 4e307, (2, 50))
+    sd = 9e153
+    smoothing = SmoothingSpec(xi_sd=sd, eta_sd=sd, zeta_sd=math.hypot(sd, sd))
+    support = UNBOUNDED if policy is AdjustPolicy.NONE else SupportConstraint(-1e307, 1e307)
+    config = DeconvConfig(iters=200, adjust=policy, support=support, smoothing=smoothing)
+    trace = run(x, z, config)
+    assert np.all(np.isfinite(trace.ys))
 
 
 # Inputs near 1e308 whose working vector w = sortx + y[rperm] overflows.

@@ -20,6 +20,7 @@ from deconvsim.smallcase import (
     _solve_linear,
     cut_values,
     enumerate_regions,
+    full_census,
     is_point_mass,
     stationary_distribution,
     transition_matrix,
@@ -147,13 +148,6 @@ def test_stationary_of_uniform_matrix_is_uniform():
     assert stationary_distribution(uniform) == (SIXTH,) * 6
 
 
-def test_stationary_of_identity_matrix_is_uniform():
-    identity = tuple(
-        tuple(F(1) if i == j else F(0) for j in range(6)) for i in range(6)
-    )
-    assert stationary_distribution(identity) == (SIXTH,) * 6
-
-
 def test_stationary_with_one_absorbing_state_is_a_point_mass():
     to_zero = tuple(
         tuple(F(1) if j == 0 else F(0) for j in range(6)) for _ in range(6)
@@ -161,28 +155,6 @@ def test_stationary_with_one_absorbing_state_is_a_point_mass():
     dist = stationary_distribution(to_zero)
     assert dist == (F(1), F(0), F(0), F(0), F(0), F(0))
     assert is_point_mass(dist)
-
-
-def test_stationary_splits_mass_between_two_absorbing_states():
-    rows = [[F(0)] * 6 for _ in range(6)]
-    rows[0][0] = F(1)
-    rows[1][1] = F(1)
-    for i in range(2, 6):
-        rows[i][0] = F(1, 2)
-        rows[i][1] = F(1, 2)
-    dist = stationary_distribution(tuple(tuple(r) for r in rows))
-    assert dist == (F(1, 2), F(1, 2), F(0), F(0), F(0), F(0))
-
-
-def test_stationary_handles_periodic_chains_by_occupation_share():
-    # Three disjoint 2-cycles: each pair holds 1/3 of the start mass,
-    # split evenly despite the period.
-    rows = [[F(0)] * 6 for _ in range(6)]
-    for i, j in ((0, 1), (2, 3), (4, 5)):
-        rows[i][j] = F(1)
-        rows[j][i] = F(1)
-    dist = stationary_distribution(tuple(tuple(r) for r in rows))
-    assert dist == (SIXTH,) * 6
 
 
 def test_stationary_satisfies_balance_exactly_across_regions():
@@ -424,6 +396,20 @@ def test_every_census_chain_has_one_recurrent_class_and_exact_balance(census):
         assert all(sum(pi[i] * p[i][j] for i in range(6)) == pi[j] for j in range(6))
 
 
+def test_every_x_of_an_interval_gives_the_canonical_matrices(census):
+    # Between configuration-change values the arrangement keeps its
+    # combinatorics, so any x analyze3 accepts yields the canonical x's
+    # matrices, each with one recurrent class (checked above): the census
+    # never meets a chain whose stationary law is not unique.
+    edges = (F(0), *X_CONFIG_BOUNDARIES, F(1, 2))
+    for lo, hi, canonical in zip(edges, edges[1:], CANONICAL_X):
+        expected = Counter(e.matrix for e in census.entries if e.x == canonical)
+        width = hi - lo
+        for x in (lo + width / 1000, lo + width / 3, hi - width / 1000):
+            got = Counter(e.matrix for e in full_census([x]).entries)
+            assert got == expected, x
+
+
 # The Fraction implementation that the integer-rank matrix and the
 # per-matrix stationary memo replaced, kept verbatim (names prefixed
 # with "fraction") as the oracle the census must keep matching.
@@ -582,10 +568,19 @@ TWO_ABSORBING = _matrix_of(
 PERIODIC = _matrix_of(
     [[F(int(j == i ^ 1)) for j in range(6)] for i in range(6)]
 )
+# One 6-cycle 0 -> 1 -> ... -> 5 -> 0: irreducible with period 6.
+SIX_CYCLE = _matrix_of(
+    [[F(int(j == (i + 1) % 6)) for j in range(6)] for i in range(6)]
+)
 HAND_BUILT_CHAINS = {
     "uniform": UNIFORM,
-    "identity": IDENTITY,
     "to-zero": TO_ZERO,
+    "six-cycle": SIX_CYCLE,
+}
+# Chains with two or more recurrent classes, whose stationary
+# distribution is not unique.
+SEVERAL_RECURRENT_CLASSES = {
+    "identity": IDENTITY,
     "two-absorbing": TWO_ABSORBING,
     "periodic": PERIODIC,
 }
@@ -610,6 +605,16 @@ def test_every_census_cell_matches_the_fraction_implementation(census):
 def test_stationary_matches_the_fraction_implementation_on_hand_built_chains(name):
     p = HAND_BUILT_CHAINS[name]
     assert stationary_distribution(p) == fraction_stationary_distribution(p)
+
+
+def test_stationary_of_a_periodic_irreducible_chain_is_uniform():
+    assert stationary_distribution(SIX_CYCLE) == (SIXTH,) * 6
+
+
+@pytest.mark.parametrize("name", sorted(SEVERAL_RECURRENT_CLASSES))
+def test_stationary_rejects_several_recurrent_classes(name):
+    with pytest.raises(InvalidInputError, match="recurrent class"):
+        stationary_distribution(SEVERAL_RECURRENT_CLASSES[name])
 
 
 def test_every_cut_line_raises_in_both_implementations():

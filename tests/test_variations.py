@@ -74,6 +74,15 @@ def test_bootstrap_resamples_both_to_target():
     assert set(x2) <= set(x) and set(z2) <= set(z)
 
 
+@pytest.mark.parametrize("target", [2**62, 10**19])
+def test_bootstrap_beyond_the_address_space_is_rejected(target):
+    # Both sizes exceed the largest array NumPy can describe, so no memory
+    # is asked for.
+    x = np.array([1.0, 2.0])
+    with pytest.raises(InvalidInputError, match=f"n = {target} .*memory"):
+        equalize_lengths(x, x, EqualizeStrategy.bootstrap(target), make_rng(0))
+
+
 def test_perturb_sd_zero_is_identity():
     # smooth skips a zero sd: x and z come back as given, eta is None,
     # and no draw is made.
@@ -125,6 +134,21 @@ def test_bootstrap_sample_distinct_coverage_fraction():
 def test_smoothing_rejects_negative_sd(sd):
     with pytest.raises(InvalidInputError):
         SmoothingSpec(xi_sd=sd)
+
+
+SD_MAX = math.sqrt(np.finfo(np.float64).max)
+
+
+@pytest.mark.parametrize("sd", [math.nextafter(SD_MAX, math.inf), 1e200, 10**400])
+def test_smoothing_rejects_an_sd_whose_square_overflows(sd):
+    with pytest.raises(InvalidInputError, match="standard deviations"):
+        SmoothingSpec(xi_sd=sd, zeta_sd=sd)
+
+
+def test_smoothing_accepts_the_largest_sd_with_a_finite_square():
+    assert math.isfinite(SD_MAX**2)
+    spec = SmoothingSpec(xi_sd=SD_MAX, zeta_sd=SD_MAX)
+    assert spec.active
 
 
 def test_smoothing_warns_when_variances_do_not_add_up():
