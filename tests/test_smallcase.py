@@ -572,9 +572,23 @@ PERIODIC = _matrix_of(
 SIX_CYCLE = _matrix_of(
     [[F(int(j == (i + 1) % 6)) for j in range(6)] for i in range(6)]
 )
+# Walk on the path 0 - 1 - ... - 5 reflected at both ends: irreducible
+# with period 2; each state's long-run share is its degree over 10.
+REFLECTING_WALK = _matrix_of(
+    [
+        [
+            F(1, 1 + (0 < i < 5)) if abs(i - j) == 1 else F(0)
+            for j in range(6)
+        ]
+        for i in range(6)
+    ]
+)
 HAND_BUILT_CHAINS = {
     "uniform": UNIFORM,
+    "identity": IDENTITY,
     "to-zero": TO_ZERO,
+    "two-absorbing": TWO_ABSORBING,
+    "periodic": PERIODIC,
     "six-cycle": SIX_CYCLE,
 }
 # Chains with two or more recurrent classes, whose stationary
@@ -603,12 +617,28 @@ def test_every_census_cell_matches_the_fraction_implementation(census):
 
 @pytest.mark.parametrize("name", sorted(HAND_BUILT_CHAINS))
 def test_stationary_matches_the_fraction_implementation_on_hand_built_chains(name):
+    # Where the oracle's class decomposition finds one recurrent class the
+    # laws agree; where it finds several, the oracle weights them from the
+    # uniform start and stationary_distribution refuses the chain.
     p = HAND_BUILT_CHAINS[name]
-    assert stationary_distribution(p) == fraction_stationary_distribution(p)
+    n = len(p)
+    recurrent = [
+        cls
+        for cls in fraction_communicating_classes(p)
+        if all(p[i][j] == 0 for i in cls for j in range(n) if j not in cls)
+    ]
+    if len(recurrent) == 1:
+        assert stationary_distribution(p) == fraction_stationary_distribution(p)
+    else:
+        with pytest.raises(InvalidInputError, match="recurrent class"):
+            stationary_distribution(p)
 
 
-def test_stationary_of_a_periodic_irreducible_chain_is_uniform():
+def test_stationary_handles_periodic_chains_by_occupation_share():
     assert stationary_distribution(SIX_CYCLE) == (SIXTH,) * 6
+    assert stationary_distribution(REFLECTING_WALK) == tuple(
+        F(d, 10) for d in (1, 2, 2, 2, 2, 1)
+    )
 
 
 @pytest.mark.parametrize("name", sorted(SEVERAL_RECURRENT_CLASSES))
