@@ -8,6 +8,7 @@ returned as ground truth for evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,9 +48,13 @@ class DistSpec:
 
     @classmethod
     def uniform(cls, lo: float = 0.0, hi: float = 1.0) -> "DistSpec":
+        lo, hi = float(lo), float(hi)
         if not lo < hi:
             raise ConfigError("uniform requires lo < hi")
-        return cls(DistKind.UNIFORM, (float(lo), float(hi)))
+        # Generator.uniform draws lo + (hi - lo) * u, so the width must be finite.
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"uniform requires a finite width hi - lo, got {lo:g},{hi:g}")
+        return cls(DistKind.UNIFORM, (lo, hi))
 
     @classmethod
     def contaminated_exponential(

@@ -33,8 +33,9 @@ from .errors import DegenerateReferenceError, InvalidInputError
 from .metrics import NormalReferenceLine, distance_index, reference_normal_line
 from .variations import PoolingKind, equalize_lengths
 
-# Elements per distance_index call when run computes d: bounds the one
-# temporary it allocates (512 KB) while keeping the calls per run few.
+# Elements per distance_index call when run computes d, and per block of
+# permutations when run draws them in blocks: bounds each temporary
+# (512 KB) while keeping the calls per run few.
 _D_CHUNK = 1 << 16
 
 
@@ -98,20 +99,25 @@ def step(
     support: SupportConstraint = UNBOUNDED,
     tie_rule: TieRule = TieRule.FIRST_OCCURRENCE,
     w_noise: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """One chain step; returns the new sorted estimate and the
     pre-adjustment violation count.
 
     Unchecked: sortx, sortz and y must be ascending finite float64 vectors
     of one length n, rperm a permutation of 0..n-1 and rng a generator
-    (``run`` validates its inputs).  The arguments are not modified.
-    w_noise, if given, is added to the working vector.  rng is used only
-    by the random tie rule and the RESAMPLE policy.
+    (``run`` validates its inputs).  w_noise, if given, is added to the
+    working vector.  rng is used only by the random tie rule and the
+    RESAMPLE policy.
+
+    The estimate is written to out, a float64 vector of length n that
+    overlaps no other argument, and out is returned; without out it goes
+    to a new array.  Every other argument is left unmodified.
     """
     w = sortx + y[rperm]
     if w_noise is not None:
         w += w_noise
-    adjusted = sortz - sortx[_sort_order(w, tie_rule, rng)]
+    adjusted = np.subtract(sortz, sortx[_sort_order(w, tie_rule, rng)], out=out)
     violations = _repair(adjusted, policy, support, rng)
     adjusted.sort()
     return adjusted, violations
@@ -169,6 +175,28 @@ def _check_reach(
         )
 
 
+def _permutations(n: int, count: int, rng: np.random.Generator, blocked: bool):
+    """Yield count uniform permutations of 0..n-1 from rng.
+
+    Unblocked, each is drawn by ``random_permutation`` when it is asked
+    for.  Blocked, they come from blocks of at most max(n, _D_CHUNK)
+    elements, each drawn by one ``rng.permuted`` call when its first row
+    is asked for.  NumPy's ``permuted`` shuffles each row with the same
+    draws as ``permutation`` (pinned by a test), so a block gives the
+    rows, and leaves rng in the state, of as many successive
+    ``random_permutation`` calls; blocking is only exact when nothing else
+    draws from rng between two rows.
+    """
+    if not blocked:
+        for _ in range(count):
+            yield random_permutation(n, rng)
+        return
+    rows = max(1, _D_CHUNK // n)
+    for start in range(0, count, rows):
+        block = np.tile(np.arange(n), (min(rows, count - start), 1))
+        yield from rng.permuted(block, axis=1, out=block)
+
+
 def run(x, z, config: DeconvConfig) -> IterationTrace:
     """Drive a full deconvolution run.
 
@@ -180,7 +208,13 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
 
     RNG consumption order is fixed: equalization, one-shot smoothing, then
     per iteration pool draw / rperm / fresh xi / eta / zeta / tie draws /
-    adjuster.
+    adjuster.  When rperm is the only per-iteration draw (tie rule
+    FIRST_OCCURRENCE, no fresh smoothing, pooling not CONCAT_AND_DRAW and
+    not RESAMPLE on a bounded support), the rperms are drawn in blocks of
+    at most max(n, 2**16) elements, each when its first row is needed;
+    this gives the same rperms and the same stream as one draw per
+    iteration.  Each step writes its estimate straight into its row of
+    the trace.
     """
     rng = make_rng(config.seed)
     # equalize_lengths validates and copies x, then z.
@@ -221,6 +255,13 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     violations[0] = config.support.violations(ys[0]).sum()
 
     pool_mode = config.pool.kind
+    blocked = (
+        config.tie_rule is TieRule.FIRST_OCCURRENCE
+        and not fresh
+        and pool_mode is not PoolingKind.CONCAT_AND_DRAW
+        and not (config.adjust is AdjustPolicy.RESAMPLE and config.support.bounded)
+    )
+    rperms = _permutations(n, config.iters, rng, blocked)
     for t in range(1, config.iters + 1):
         if pool_mode is PoolingKind.CONCAT_AND_DRAW:
             pool = ys[:t].reshape(-1)
@@ -228,14 +269,14 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
         else:
             oldy = ys[t - 1]
 
-        rperm = random_permutation(n, rng)
+        rperm = next(rperms)
 
         if fresh:
             x_eff, w_noise, z_eff = variations.smooth(sortx, sortz, sm, rng)
         else:
             x_eff, w_noise, z_eff = sortx, eta_once, sortz
 
-        ys[t], violations[t] = step(
+        _, violations[t] = step(
             x_eff,
             z_eff,
             oldy,
@@ -245,6 +286,7 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
             config.support,
             config.tie_rule,
             w_noise,
+            ys[t],
         )
 
     d = None

@@ -238,6 +238,8 @@ def test_run_bad_flags_exit_2(tmp_path, capsys, mutation):
         ["--dist", "normal:0,1", "--seed", "-3"],
         ["--dist", "normal:0,1", "--n", "4611686018427387904"],
         ["--dist", "normal:0,1", "--n", str(10**19)],
+        ["--dist", "uniform:0,inf"],
+        ["--dist", "uniform:-1e308,1e308"],
     ],
 )
 def test_simulate_bad_flags_exit_2(tmp_path, capsys, args):

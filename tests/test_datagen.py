@@ -54,6 +54,19 @@ def test_uniform_range():
     assert v.min() >= 2.0 and v.max() < 3.0
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)])
+def test_uniform_rejects_a_width_beyond_float_max(lo, hi):
+    with pytest.raises(ConfigError, match="finite width"):
+        DistSpec.uniform(lo, hi)
+    with pytest.raises(ConfigError, match="finite width"):
+        parse_dist_spec(f"uniform:{lo!r},{hi!r}")
+
+
+def test_uniform_draws_within_the_widest_finite_range():
+    v = generate(DistSpec.uniform(0.0, 1e308), 1000, make_rng(4))
+    assert np.all(np.isfinite(v)) and v.min() >= 0.0 and v.max() < 1e308
+
+
 def test_contaminated_draws_exactly_the_stated_component_counts():
     spec = DistSpec.contaminated_exponential(95, 1.0, 5, 100.0)
     seed = 3

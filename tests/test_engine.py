@@ -25,11 +25,26 @@ from deconvsim import (
     make_rng,
     run,
 )
+from deconvsim import variations
 from deconvsim.adjusters import adjust
 from deconvsim.core import random_permutation, ranks
-from deconvsim.engine import naive_random_difference, naive_sorted_difference, step
-from deconvsim.errors import ConfigError, InfeasibleAdjustmentError, InvalidInputError
-from deconvsim.metrics import l1_distance
+from deconvsim.engine import (
+    _D_CHUNK,
+    IterationTrace,
+    _check_reach,
+    _permutations,
+    naive_random_difference,
+    naive_sorted_difference,
+    step,
+)
+from deconvsim.errors import (
+    ConfigError,
+    DegenerateReferenceError,
+    InfeasibleAdjustmentError,
+    InvalidInputError,
+)
+from deconvsim.metrics import distance_index, l1_distance, reference_normal_line
+from deconvsim.variations import equalize_lengths
 
 sample_lists = st.lists(
     st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=25
@@ -272,6 +287,171 @@ def test_run_d_is_the_per_row_distance_bit_for_bit(iters, n):
     line = trace.reference.line_values
     per_row = np.array([l1_distance(y, line) for y in trace.ys])
     assert np.array_equal(trace.d.view(np.int64), per_row.view(np.int64))
+
+
+def _parent_run(x, z, config):
+    """``run`` as it was before permutations were drawn in blocks and
+    steps wrote into the trace: one ``random_permutation`` per iteration
+    and a fresh array per step.  Kept verbatim as the byte oracle."""
+    rng = make_rng(config.seed)
+    # equalize_lengths validates and copies x, then z.
+    x_eq, z_eq = equalize_lengths(x, z, config.equalize, rng)
+    n = x_eq.size
+
+    # The reference line is fitted to the equalized data before smoothing,
+    # so d keeps one meaning across smoothing configurations.
+    reference = None
+    if n >= 2:
+        try:
+            reference = reference_normal_line(x_eq, z_eq, n)
+        except (DegenerateReferenceError, InvalidInputError):
+            # var(z) <= var(x), or a mean or variance overflows float64
+            # (the only InvalidInputError on validated samples of n >= 2).
+            reference = None
+
+    sm = config.smoothing
+    fresh = sm.active and sm.fresh_each_step
+    eta_once = None
+    if sm.active and not fresh:
+        # One-shot noise is added at the unsorted equalized positions.
+        x_eq, eta_once, z_eq = variations.smooth(x_eq, z_eq, sm, rng)
+
+    sortx = np.sort(x_eq)
+    sortz = np.sort(z_eq)
+    _check_reach(sortx, sortz, eta_once, config.support)
+
+    try:
+        ys = np.empty((config.iters + 1, n))
+    except (MemoryError, ValueError):  # ValueError: beyond the largest array size
+        raise InvalidInputError(
+            f"a trace of T + 1 = {config.iters + 1} iterates of n = {n} values "
+            "does not fit in memory"
+        ) from None
+    violations = np.empty(config.iters + 1, dtype=np.int64)
+    ys[0] = np.sort(sortz - sortx)
+    violations[0] = config.support.violations(ys[0]).sum()
+
+    pool_mode = config.pool.kind
+    for t in range(1, config.iters + 1):
+        if pool_mode is PoolingKind.CONCAT_AND_DRAW:
+            pool = ys[:t].reshape(-1)
+            oldy = np.sort(pool[rng.integers(0, pool.size, n)])
+        else:
+            oldy = ys[t - 1]
+
+        rperm = random_permutation(n, rng)
+
+        if fresh:
+            x_eff, w_noise, z_eff = variations.smooth(sortx, sortz, sm, rng)
+        else:
+            x_eff, w_noise, z_eff = sortx, eta_once, sortz
+
+        ys[t], violations[t] = step(
+            x_eff,
+            z_eff,
+            oldy,
+            rperm,
+            rng,
+            config.adjust,
+            config.support,
+            config.tie_rule,
+            w_noise,
+        )
+
+    d = None
+    if reference is not None:
+        d = np.empty(config.iters + 1)
+        rows = max(1, _D_CHUNK // n)
+        for i in range(0, d.size, rows):
+            d[i : i + rows] = distance_index(ys[i : i + rows], reference)
+    trace = IterationTrace(
+        config=config,
+        sortx=sortx,
+        sortz=sortz,
+        ys=ys,
+        d=d,
+        violations=violations,
+        reference=reference,
+    )
+    if pool_mode is PoolingKind.AVERAGE:
+        trace.pooled = variations.pool_average(ys[1:], config.pool.burn_in)
+    elif pool_mode in (PoolingKind.CONCAT, PoolingKind.CONCAT_AND_DRAW):
+        trace.pooled = variations.pool_concat(ys[1:], config.pool.burn_in)
+    return trace
+
+
+def _run_or_error(run_fn, x, z, config):
+    try:
+        return run_fn(x, z, config)
+    except InfeasibleAdjustmentError as exc:
+        return str(exc)
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+_SMOOTHINGS = {
+    "off": SmoothingSpec(),
+    "one-shot": SmoothingSpec(0.1, 0.1, math.sqrt(0.02), fresh_each_step=False),
+    "fresh": SmoothingSpec(0.1, 0.1, math.sqrt(0.02), fresh_each_step=True),
+}
+
+
+@pytest.mark.parametrize("policy", list(AdjustPolicy))
+@pytest.mark.parametrize("n", [1, 3, 100, 1000])
+def test_run_matches_the_per_step_draw_loop_byte_for_byte(n, policy):
+    # At n = 1000 a block holds 65 permutations, so 150 iterations cross
+    # two block boundaries.  z = x' + Exp(1) puts some z - x below 0, so
+    # the bounded runs repair, and var(z) > var(x), so d is defined.
+    g = np.random.default_rng(n)
+    x = g.normal(0.0, 1.0, n)
+    z = g.normal(0.0, 1.0, n) + g.exponential(1.0, n)
+    supports = (UNBOUNDED, SupportConstraint(0.0, np.inf))
+    for kind, tie_rule, smoothing, support in itertools.product(
+        PoolingKind, TieRule, _SMOOTHINGS.values(), supports
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # bounded support under NONE
+            config = DeconvConfig(
+                iters=150,
+                adjust=policy,
+                support=support,
+                smoothing=smoothing,
+                pool=PoolingMode(kind, burn_in=10),
+                seed=n + 7,
+                tie_rule=tie_rule,
+            )
+        got = _run_or_error(run, x, z, config)
+        want = _run_or_error(_parent_run, x, z, config)
+        where = f"{kind.value}/{tie_rule.value}/{smoothing}/{support}"
+        if isinstance(want, str):
+            assert got == want, where
+            continue
+        assert _same_bits(got.ys, want.ys), where
+        assert _same_bits(got.d, want.d), where
+        assert _same_bits(got.violations, want.violations), where
+        assert _same_bits(got.pooled, want.pooled), where
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 1000, 65536, 200_000])
+def test_blocked_permutations_equal_successive_draws(n):
+    # NumPy's Generator.permuted shuffles each row with the draws
+    # Generator.permutation makes, so a block of k rows equals k
+    # successive calls and leaves the generator in the same state.  One
+    # more permutation than a block holds makes the last block short.
+    count = max(1, _D_CHUNK // n) + 1
+    blocked_rng, single_rng = make_rng(n), make_rng(n)
+    rows = list(_permutations(n, count, blocked_rng, blocked=True))
+    singles = [random_permutation(n, single_rng) for _ in range(count)]
+    assert len(rows) == count
+    for row, single in zip(rows, singles):
+        assert row.dtype == single.dtype
+        assert np.array_equal(row, single)
+        assert row.base.size <= max(n, _D_CHUNK)
+    assert blocked_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("iters", [10**15, 10**17])
