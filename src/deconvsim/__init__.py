@@ -9,9 +9,9 @@ three-observation chain.
 All vectors are numpy float arrays and all indexing is 0-based throughout
 the package, including every file format it emits.
 
-The package namespace holds the user API; the building blocks (ranks,
-adjusters, quantile functions, the census pieces ...) are imported from
-their modules, e.g. ``deconvsim.core.ranks``.
+The package namespace holds the user API; the building blocks (the chain
+step, quantile functions, the census pieces ...) are imported from their
+modules, e.g. ``deconvsim.engine.step``.
 """
 
 __version__ = "0.1.0"

@@ -72,31 +72,17 @@ def _fold(v: np.ndarray, lower: float, upper: float) -> np.ndarray:
     return lower + np.minimum(t, period - t)
 
 
-def adjust(
-    ydiff,
-    policy: AdjustPolicy,
-    support: SupportConstraint = UNBOUNDED,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, int]:
-    """Apply a boundary policy; returns (adjusted vector, violation count).
-
-    The violation count refers to the input vector.  Policies other than
-    NONE guarantee the output lies entirely inside the closed support.
-    """
-    if not isinstance(policy, AdjustPolicy):
-        raise InvalidInputError(f"unknown adjust policy {policy!r}")
-    v = np.asarray(ydiff, dtype=np.float64).copy()
-    return v, _repair(v, policy, support, rng)
-
-
 def _repair(
     v: np.ndarray,
     policy: AdjustPolicy,
     support: SupportConstraint,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
 ) -> int:
-    """``adjust`` in place on the float64 vector v, which the caller owns;
-    returns the violation count.  Unchecked: policy must be an AdjustPolicy.
+    """Apply the boundary policy to v in place; returns v's violation count.
+
+    Unchecked: v is a float64 vector the caller owns and policy an
+    AdjustPolicy (``DeconvConfig`` checks it).  Policies other than NONE
+    leave v inside the closed support; only RESAMPLE draws from rng.
 
     Only a finite bound is compared against, so a half-line support costs
     one mask; ``v > inf`` and ``v < -inf`` are false for every v, so the
@@ -134,8 +120,6 @@ def _repair(
         )
 
     if policy is AdjustPolicy.RESAMPLE:
-        if rng is None:
-            raise InvalidInputError("resample policy requires an rng")
         v[bad] = good[rng.integers(0, good.size, count)]
         return count
 

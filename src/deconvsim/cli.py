@@ -233,8 +233,7 @@ def cmd_analyze3(ns: argparse.Namespace, argv: list[str]) -> int:
 
 
 def cmd_qq(ns: argparse.Namespace, argv: list[str]) -> int:
-    sample = read_sample(ns.infile)
-    qq = qq_data(np.sort(sample), TheoreticalDist(ns.dist))
+    qq = qq_data(read_sample(ns.infile), TheoreticalDist(ns.dist))
     write_qq_csv(ns.out, qq, make_header("-", argv))
     print(f"qq data: {ns.out}")
     return 0

@@ -13,6 +13,7 @@ from .variations import (
     PoolingKind,
     PoolingMode,
     SmoothingSpec,
+    _check_type,
 )
 
 DEFAULT_SEED = 1729
@@ -24,7 +25,8 @@ class DeconvConfig:
 
     The burn-in is ``pool.burn_in``, a reporting concept: the engine records
     every iteration and summaries (pooled estimates, mean distance) skip
-    the first ``pool.burn_in`` of them.
+    the first ``pool.burn_in`` of them.  A field of the wrong type raises
+    ConfigError, so the engine's unchecked layers never see one.
     """
 
     iters: int = 100
@@ -37,6 +39,8 @@ class DeconvConfig:
     tie_rule: TieRule = TieRule.FIRST_OCCURRENCE
 
     def __post_init__(self):
+        for name, cls in _FIELD_TYPES:
+            _check_type(name, getattr(self, name), cls)
         if self.iters < 0:
             raise ConfigError("iteration count must be >= 0")
         if self.pool.kind is not PoolingKind.NONE and self.pool.burn_in >= self.iters:
@@ -50,3 +54,10 @@ class DeconvConfig:
                 "iterates may leave the support",
                 stacklevel=2,
             )
+
+
+_FIELD_TYPES = (
+    ("iters", int), ("adjust", AdjustPolicy), ("support", SupportConstraint),
+    ("equalize", EqualizeStrategy), ("smoothing", SmoothingSpec),
+    ("pool", PoolingMode), ("tie_rule", TieRule),
+)

@@ -1,10 +1,10 @@
-"""Vector primitives: sample validation, ranking, random permutations.
+"""Vector primitives: sample validation, sort orders, random permutations.
 
 Everything downstream is built on these operations plus a single
 seedable RNG family (numpy's PCG64 via ``numpy.random.default_rng``).
-Ranks and permutations are 0-based: ``ranks(v)[i]`` is the number of
-elements that sort strictly before ``v[i]`` (ties broken by position),
-so ``np.sort(v)[ranks(v)] == v`` exactly.
+Sort orders and permutations are 0-based: ``_sort_order(v, ...)`` lists
+the indices of v in ascending order of value, so
+``v[_sort_order(v, ...)] == np.sort(v)`` exactly.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def as_sample(values) -> FloatArray:
     if v.ndim != 1:
         v = v.reshape(-1)
     if v.size < 1:
-        raise InvalidInputError("sample must contain at least one value")
+        raise InvalidInputError("sample must be nonempty")
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("sample contains non-finite values")
     return v.copy()
@@ -68,7 +68,7 @@ def _sort_order(
     """Indices that sort v ascending, ties ordered by tie_rule; unchecked.
 
     v must be a finite float64 vector, tie_rule a TieRule and rng a
-    generator when tie_rule is RANDOM (``ranks`` checks all three).
+    generator when tie_rule is RANDOM (``run`` checks what they come from).
 
     FIRST_OCCURRENCE gives the order of a stable sort.  From n = 1024 on,
     the default argsort is tried first: without ties its order is the only
@@ -86,28 +86,6 @@ def _sort_order(
     if np.any(s[1:] == s[:-1]):
         order = v.argsort(kind="stable")
     return order
-
-
-def ranks(
-    v,
-    tie_rule: TieRule = TieRule.FIRST_OCCURRENCE,
-    rng: np.random.Generator | None = None,
-) -> IntArray:
-    """0-based ranks of the elements of v.
-
-    ``result[i]`` is the position v[i] would occupy after an ascending sort
-    (see ``_sort_order``).  The result is always a permutation of 0..n-1,
-    even with tied values.
-    """
-    v = as_sample(v)
-    if not isinstance(tie_rule, TieRule):
-        raise InvalidInputError(f"unknown tie rule {tie_rule!r}")
-    if tie_rule is TieRule.RANDOM and rng is None:
-        raise InvalidInputError("random tie rule requires an rng")
-    order = _sort_order(v, tie_rule, rng)
-    r = np.empty(order.size, dtype=np.intp)
-    r[order] = np.arange(order.size, dtype=np.intp)
-    return r
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> IntArray:

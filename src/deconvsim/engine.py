@@ -5,13 +5,12 @@ estimate oldy, one step draws a uniform random permutation rperm, forms
 ``w = sortx + oldy[rperm]`` and, with ``order = argsort(w)`` under the tie
 rule, stores ``sort(repair(sortz - sortx[order]))``, where repair applies
 the boundary policy.  This pairs sortz[j] with the x at the j-th smallest
-w, the pairs of the rank form ``sortz[ranks(w)] - sortx``, so each iterate
-is one of the n! vectors ``sortz[perm] - sortx`` and the run is a random
-walk over those candidates.  An iterate holding both -0.0 and 0.0 may list
-the two zeros in either order (they compare equal; the sort is not
-stable).  RESAMPLE indexes its in-support donors in z order, where the
-rank form used x order: the same law and draws, but another stream than
-the rank form gave.
+w, the pairs of the rank form ``sortz[r] - sortx`` with r the ranks of w
+(the inverse of order), so each iterate is one of the n! vectors
+``sortz[perm] - sortx`` and the run is a random walk over those
+candidates.  An iterate holding both -0.0 and 0.0 may list the two zeros
+in either order (they compare equal; the sort is not stable).  RESAMPLE
+indexes its in-support donors in z order.
 
 Two deliberately bad estimators are included for comparison: the sorted
 difference (far too little spread) and the fully random difference (far
@@ -69,7 +68,8 @@ class IterationTrace:
 
     @property
     def all_records(self) -> list[IterationRecord]:
-        """Every row as a record; each ``record.y`` is a view of ``ys``."""
+        """Every row as a record; each ``record.y`` is a view of ``ys``.
+        Only the benchmark harness in ``perfbench/`` still reads records."""
         return [
             IterationRecord(t, y, None if self.d is None else float(self.d[t]), int(v))
             for t, (y, v) in enumerate(zip(self.ys, self.violations))

@@ -186,10 +186,9 @@ def distance_index(sorted_y, ref: NormalReferenceLine) -> float | np.ndarray:
     return l1_distance(sorted_y, ref.line_values)
 
 
-def qq_data(sorted_y, dist: TheoreticalDist) -> QQData:
-    """QQ coordinates of a sorted sample against a theoretical distribution."""
-    y = np.asarray(sorted_y, dtype=np.float64)
-    if y.size < 1:
-        raise InvalidInputError("QQ data needs a nonempty sample")
+def qq_data(sample, dist: TheoreticalDist) -> QQData:
+    """QQ coordinates of a sample, checked as by ``as_sample`` and sorted."""
+    y = as_sample(sample)
+    y.sort()
     theo = _QUANTILE_FN[dist](plotting_positions(y.size))
-    return QQData(theoretical=theo, sample=y.copy())
+    return QQData(theoretical=theo, sample=y)

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .core import as_sample
-from .errors import InvalidInputError
+from .errors import ConfigError, InvalidInputError
 
 # The largest smoothing sd whose square is a finite float, about 1.34e154.
 _SD_MAX = math.sqrt(sys.float_info.max)
@@ -42,6 +42,9 @@ class EqualizeStrategy:
     target: int | None = None
 
     def __post_init__(self):
+        _check_type("equalize kind", self.kind, EqualizeKind)
+        if self.target is not None:
+            _check_type("bootstrap target", self.target, int)
         if self.kind is EqualizeKind.BOOTSTRAP:
             if self.target is None or self.target < 1:
                 raise InvalidInputError("bootstrap equalization needs target >= 1")
@@ -119,8 +122,16 @@ class PoolingMode:
     burn_in: int = 4
 
     def __post_init__(self):
+        _check_type("pooling kind", self.kind, PoolingKind)
+        _check_type("pooling burn-in", self.burn_in, int)
         if self.burn_in < 0:
             raise InvalidInputError("pooling burn-in must be >= 0")
+
+
+def _check_type(what: str, value, cls: type) -> None:
+    """Raise ConfigError unless value is a cls (an ``operator.index`` integer for int)."""
+    if not (hasattr(type(value), "__index__") if cls is int else isinstance(value, cls)):
+        raise ConfigError(f"{what} must be of type {cls.__name__}, got {value!r}")
 
 
 def equalize_lengths(
@@ -149,12 +160,10 @@ def equalize_lengths(
             return rng.choice(x, size=n, replace=False), z
         return x, rng.choice(z, size=n, replace=False)
 
-    if kind is EqualizeKind.TILE:
-        if x.size < z.size:
-            return _tile_to(x, z.size, rng), z
-        return x, _tile_to(z, x.size, rng)
-
-    raise InvalidInputError(f"unknown equalize strategy {kind!r}")  # pragma: no cover
+    # TILE
+    if x.size < z.size:
+        return _tile_to(x, z.size, rng), z
+    return x, _tile_to(z, x.size, rng)
 
 
 def _tile_to(v: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

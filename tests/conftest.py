@@ -1,4 +1,4 @@
-"""Shared fixtures and frozen oracle data.
+"""Shared fixtures, frozen oracle data and the rank oracle.
 
 The exact three-point census takes about 0.15 s (2-core host; 1.8 s
 before it ranked on integers and solved each distinct matrix once), and
@@ -7,9 +7,12 @@ inverse-normal table was computed once with mpmath at 60 decimal digits
 and frozen here.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
+from deconvsim import TieRule
+from deconvsim.core import _sort_order
 from deconvsim.smallcase import full_census
 
 # Property tests draw the same examples on every run (derandomize), and
@@ -45,3 +48,13 @@ INVERSE_NORMAL_TABLE = [
 @pytest.fixture(scope="session")
 def census():
     return full_census()
+
+
+def ranks(v, tie_rule=TieRule.FIRST_OCCURRENCE, rng=None):
+    """0-based ranks of the float64 vector v under tie_rule: the inverse of
+    the permutation the engine's ``_sort_order`` gives, so that
+    ``np.sort(v)[ranks(v)] == v``."""
+    order = _sort_order(np.asarray(v, dtype=np.float64), tie_rule, rng)
+    r = np.empty(order.size, dtype=np.intp)
+    r[order] = np.arange(order.size, dtype=np.intp)
+    return r

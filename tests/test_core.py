@@ -1,12 +1,13 @@
-"""Vector primitives: sample validation, ranking, random permutations."""
+"""Vector primitives: sample validation, sort orders, random permutations."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ranks
 from deconvsim import TieRule, make_rng
-from deconvsim.core import as_sample, random_permutation, ranks
+from deconvsim.core import as_sample, random_permutation
 from deconvsim.errors import ConfigError, InvalidInputError
 
 finite_vectors = st.lists(
@@ -42,16 +43,6 @@ def test_ranks_all_equal_is_still_a_permutation():
     assert sorted(r) == list(range(8))
 
 
-def test_ranks_rejects_non_finite():
-    with pytest.raises(InvalidInputError):
-        ranks([1.0, np.nan])
-
-
-def test_ranks_random_tie_rule_needs_rng():
-    with pytest.raises(InvalidInputError):
-        ranks([1, 1], tie_rule=TieRule.RANDOM)
-
-
 def test_ranks_random_tie_rule_hits_both_orders():
     rng = make_rng(5)
     seen = {tuple(ranks([7, 7], TieRule.RANDOM, rng)) for _ in range(64)}
@@ -79,7 +70,7 @@ def test_sort_rank_identity_with_ties(v):
 @pytest.mark.parametrize("n", [1023, 1024, 10_000])
 def test_ranks_of_tied_values_match_a_stable_sort(n):
     # Integer values with many ties, on both sides of the length at which
-    # ranks switches to the default argsort and falls back on ties.
+    # _sort_order switches to the default argsort and falls back on ties.
     v = make_rng(n).integers(0, 50, size=n).astype(np.float64)
     expected = np.empty(n, dtype=np.intp)
     expected[np.argsort(v, kind="stable")] = np.arange(n)

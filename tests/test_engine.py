@@ -25,9 +25,10 @@ from deconvsim import (
     make_rng,
     run,
 )
-from deconvsim import variations
-from deconvsim.adjusters import adjust
-from deconvsim.core import random_permutation, ranks
+from conftest import ranks
+from deconvsim import engine, variations
+from deconvsim.adjusters import _repair
+from deconvsim.core import random_permutation
 from deconvsim.engine import (
     _D_CHUNK,
     IterationTrace,
@@ -100,9 +101,10 @@ def test_iterate_once_counts_violations_before_adjustment():
     assert np.array_equal(y, [1.0, 3.0])
 
 
-# The step in its rank form, copied verbatim from before the one-argsort
-# form (renamed): `step` must reproduce it byte for byte, violation count
-# and rng state included.
+# The step in its rank form, as it was before the one-argsort form
+# (renamed; it ranks through `conftest.ranks` and repairs with `_repair`,
+# the functions its checked wrappers called): `step` must reproduce it
+# byte for byte, violation count and rng state included.
 def _rank_form_step(
     sortx: np.ndarray,
     sortz: np.ndarray,
@@ -117,8 +119,8 @@ def _rank_form_step(
     w = sortx + y[rperm]
     if w_noise is not None:
         w = w + w_noise
-    r = ranks(w, tie_rule, rng)
-    adjusted, violations = adjust(sortz[r] - sortx, policy, support, rng)
+    adjusted = sortz[ranks(w, tie_rule, rng)] - sortx
+    violations = _repair(adjusted, policy, support, rng)
     return np.sort(adjusted), violations
 
 
@@ -586,7 +588,7 @@ def test_run_records_every_iteration_plus_the_initial_row():
 def test_run_zero_iterations_keeps_only_the_initial_estimate():
     x1, z0, _ = make_experiment("normal", 1)
     trace = run(x1, z0, DeconvConfig(iters=0, seed=1))
-    assert trace.steps == []
+    assert trace.ys.shape == (1, 100) and trace.violations.shape == (1,)
     assert np.array_equal(trace.ys, [naive_sorted_difference(x1, z0)])
 
 
@@ -595,17 +597,16 @@ def test_run_is_deterministic_given_the_seed():
     config = DeconvConfig(iters=30, seed=2)
     a = run(x1, z0, config)
     b = run(x1, z0, config)
-    for ra, rb in zip(a.all_records, b.all_records):
-        assert np.array_equal(ra.y, rb.y)
-        assert ra.d == rb.d and ra.violations == rb.violations
+    assert np.array_equal(a.ys, b.ys)
+    assert np.array_equal(a.d, b.d) and np.array_equal(a.violations, b.violations)
 
 
 def test_run_conserves_the_mean_without_adjustment_or_smoothing():
     x1, z0, _ = make_experiment("normal", 3)
     trace = run(x1, z0, DeconvConfig(iters=50, seed=3))
     target = trace.sortz.sum() - trace.sortx.sum()
-    for record in trace.all_records:
-        assert record.y.sum() == pytest.approx(target, rel=1e-9)
+    for y in trace.ys:
+        assert y.sum() == pytest.approx(target, rel=1e-9)
 
 
 def test_every_iterate_is_a_permuted_difference_on_integer_inputs():
@@ -618,21 +619,20 @@ def test_every_iterate_is_a_permuted_difference_on_integer_inputs():
         for perm in itertools.permutations(range(5))
     }
     trace = run(x, z, DeconvConfig(iters=200, seed=11))
-    for record in trace.all_records:
-        assert tuple(record.y) in candidates
+    for y in trace.ys:
+        assert tuple(y) in candidates
 
 
 def test_run_reports_d_only_when_the_reference_exists():
     x1, z0, _ = make_experiment("normal", 4)
     trace = run(x1, z0, DeconvConfig(iters=5, seed=4))
     assert trace.reference is not None
-    assert all(r.d is not None and r.d >= 0 for r in trace.all_records)
+    assert trace.d.shape == (6,) and np.all(trace.d >= 0)
 
     v = np.sort(make_rng(4).normal(size=50))
     degenerate = run(v, v, DeconvConfig(iters=5, seed=4))
     assert degenerate.reference is None
     assert degenerate.d is None
-    assert all(r.d is None for r in degenerate.all_records)
     assert degenerate.mean_distance() is None
 
 
@@ -642,7 +642,7 @@ def test_run_pool_average_matches_manual_mean():
         iters=20, seed=5, pool=PoolingMode(PoolingKind.AVERAGE, burn_in=4)
     )
     trace = run(x1, z0, config)
-    post = [r.y for r in trace.steps if r.iteration > 4]
+    post = trace.ys[5:]  # iterations 5..20, beyond the burn-in of 4
     assert np.array_equal(trace.pooled, np.mean(post, axis=0))
     assert np.all(np.diff(trace.pooled) >= 0)
 
@@ -666,7 +666,7 @@ def test_run_concat_and_draw_feeds_from_the_pool():
     # Pool draws change the chain: the trajectory must differ from the
     # plain run with the same seed.
     plain = run(x1, z0, DeconvConfig(iters=20, seed=7))
-    assert not np.array_equal(trace.steps[-1].y, plain.steps[-1].y)
+    assert not np.array_equal(trace.ys[-1], plain.ys[-1])
 
 
 def test_run_equalizes_unequal_lengths():
@@ -685,7 +685,7 @@ def test_run_with_fresh_smoothing_stays_near_mean_conservation():
         x1, z0, _ = make_experiment("normal", seed)
         target = np.sort(z0).sum() - np.sort(x1).sum()
         trace = run(x1, z0, DeconvConfig(iters=10, seed=seed, smoothing=sm))
-        gaps.append(trace.steps[-1].y.sum() - target)
+        gaps.append(trace.ys[-1].sum() - target)
     # sum gap per run ~ N(0, n*(xi^2+zeta^2)) = N(0, 3); 40-run average
     # has sd ~ 0.27.
     assert abs(np.mean(gaps)) < 1.0
@@ -712,14 +712,14 @@ def test_run_applies_boundary_policy_every_step():
         support=SupportConstraint(0.0, np.inf),
     )
     trace = run(x1, z0, config)
-    assert all((r.y >= 0).all() for r in trace.steps)
-    assert any(r.violations > 0 for r in trace.steps)
+    assert np.all(trace.ys[1:] >= 0)
+    assert np.any(trace.violations[1:] > 0)
 
 
 def test_trace_mean_distance_uses_burn_in():
     x1, z0, _ = make_experiment("normal", 10)
     trace = run(x1, z0, DeconvConfig(iters=10, seed=10, pool=PoolingMode(burn_in=7)))
-    manual = np.mean([r.d for r in trace.steps if r.iteration > 7])
+    manual = np.mean(trace.d[8:])  # iterations 8..10, beyond the burn-in of 7
     assert trace.mean_distance() == pytest.approx(manual)
 
 
@@ -732,6 +732,43 @@ def test_config_validation():
         DeconvConfig(support=SupportConstraint(0.0, np.inf))
 
 
+WRONG_TYPES = {
+    "adjust": lambda: DeconvConfig(adjust="clamp", support=SupportConstraint(0.0, np.inf)),
+    "tie_rule": lambda: DeconvConfig(tie_rule="random"),
+    "pooling kind": lambda: DeconvConfig(pool=PoolingMode("average")),
+    "pool": lambda: DeconvConfig(pool="average"),
+    "equalize kind": lambda: DeconvConfig(equalize=EqualizeStrategy("tile")),
+    "equalize": lambda: DeconvConfig(equalize="tile"),
+    "bootstrap target": lambda: DeconvConfig(equalize=EqualizeStrategy.bootstrap(50.0)),
+    "iters": lambda: DeconvConfig(iters=100.0),
+    "pooling burn-in": lambda: DeconvConfig(pool=PoolingMode(PoolingKind.AVERAGE, 4.0)),
+    "support": lambda: DeconvConfig(support=(0.0, np.inf), adjust=AdjustPolicy.ABSOLUTE),
+    "smoothing": lambda: DeconvConfig(smoothing=0.1),
+}
+
+
+@pytest.mark.parametrize("field", list(WRONG_TYPES))
+def test_config_rejects_a_field_of_the_wrong_type(field, monkeypatch):
+    # The engine's unchecked layers would misread these: adjust="clamp"
+    # falls through to copy-min, PoolingMode("average") pools nothing,
+    # tie_rule="random" ranks by first occurrence, and a float count is a
+    # bare TypeError.  The config must raise before run starts.
+    started = []
+    monkeypatch.setattr(engine, "make_rng", started.append)
+    x1, z0, _ = make_experiment("normal", 0)
+    with pytest.raises(ConfigError, match=f"^{field} must be of type "):
+        run(x1, z0, WRONG_TYPES[field]())
+    assert started == []
+
+
+def test_config_takes_numpy_integers():
+    pool = PoolingMode(PoolingKind.AVERAGE, burn_in=np.int64(3))
+    config = DeconvConfig(iters=np.int64(6), pool=pool, seed=0)
+    reference = DeconvConfig(iters=6, pool=PoolingMode(PoolingKind.AVERAGE, burn_in=3), seed=0)
+    x1, z0, _ = make_experiment("normal", 0)
+    assert np.array_equal(run(x1, z0, config).pooled, run(x1, z0, reference).pooled)
+
+
 def test_bounded_support_with_none_policy_counts_but_keeps_values():
     x1, z0, _ = make_experiment("exponential", 12)
     with warnings.catch_warnings():
@@ -740,8 +777,8 @@ def test_bounded_support_with_none_policy_counts_but_keeps_values():
             iters=30, seed=12, support=SupportConstraint(0.0, np.inf)
         )
     trace = run(x1, z0, config)
-    assert any(r.violations > 0 for r in trace.steps)
-    assert any((r.y < 0).any() for r in trace.steps)
+    assert np.any(trace.violations[1:] > 0)
+    assert np.any(trace.ys[1:] < 0)
 
 
 # Edge inputs: one point, all-equal samples, the random tie rule on

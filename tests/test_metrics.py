@@ -220,6 +220,18 @@ def test_qq_data_rejects_an_empty_sample(dist):
         qq_data([], dist)
 
 
+def test_qq_data_sorts_and_checks_its_sample():
+    dist = TheoreticalDist.STANDARD_NORMAL
+    unsorted = qq_data([3.0, 1.0, 2.0], dist)
+    assert unsorted.sample.tolist() == [1.0, 2.0, 3.0]
+    assert np.array_equal(unsorted.theoretical, qq_data([1.0, 2.0, 3.0], dist).theoretical)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        qq_data([np.nan, 1.0], dist)
+    square = qq_data(np.array([[4.0, 3.0], [2.0, 1.0]]), dist)
+    assert square.sample.shape == square.theoretical.shape == (4,)
+    assert square.sample.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
 def test_qq_theoretical_coords_ignore_the_data():
     a = qq_data([1.0, 2.0, 3.0], TheoreticalDist.STANDARD_NORMAL)
     b = qq_data([-9.0, 0.0, 4.0], TheoreticalDist.STANDARD_NORMAL)
