@@ -3,14 +3,16 @@
 Given ascending samples sortx and sortz of equal length n and a current
 estimate oldy, one step draws a uniform random permutation rperm, forms
 ``w = sortx + oldy[rperm]`` and, with ``order = argsort(w)`` under the tie
-rule, stores ``sort(repair(sortz - sortx[order]))``, where repair applies
-the boundary policy.  This pairs sortz[j] with the x at the j-th smallest
-w, the pairs of the rank form ``sortz[r] - sortx`` with r the ranks of w
-(the inverse of order), so each iterate is one of the n! vectors
-``sortz[perm] - sortx`` and the run is a random walk over those
-candidates.  An iterate holding both -0.0 and 0.0 may list the two zeros
-in either order (they compare equal; the sort is not stable).  RESAMPLE
-indexes its in-support donors in z order.
+rule, stores ``repair(sort(sortz - sortx[order]))``, where repair applies
+the boundary policy to the sorted vector and keeps it sorted.  This pairs
+sortz[j] with the x at the j-th smallest w, the pairs of the rank form
+``sortz[r] - sortx`` with r the ranks of w (the inverse of order), so
+each iterate is one of the n! vectors ``sortz[perm] - sortx`` and the
+run is a random walk over those candidates.  RESAMPLE indexes its
+in-support donors in z order, so it stores
+``sort(repair(sortz - sortx[order]))``.  An iterate holding both -0.0 and
+0.0 may list the two zeros in either order, or in other numbers (they
+compare equal, and NumPy's sort may keep either of two equal values).
 
 Two deliberately bad estimators are included for comparison: the sorted
 difference (far too little spread) and the fully random difference (far
@@ -118,9 +120,7 @@ def step(
     if w_noise is not None:
         w += w_noise
     adjusted = np.subtract(sortz, sortx[_sort_order(w, tie_rule, rng)], out=out)
-    violations = _repair(adjusted, policy, support, rng)
-    adjusted.sort()
-    return adjusted, violations
+    return adjusted, _repair(adjusted, policy, support, rng)
 
 
 def naive_sorted_difference(x, z) -> np.ndarray:
@@ -265,7 +265,8 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     for t in range(1, config.iters + 1):
         if pool_mode is PoolingKind.CONCAT_AND_DRAW:
             pool = ys[:t].reshape(-1)
-            oldy = np.sort(pool[rng.integers(0, pool.size, n)])
+            oldy = pool[rng.integers(0, pool.size, n)]
+            oldy.sort()
         else:
             oldy = ys[t - 1]
 

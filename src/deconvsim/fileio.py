@@ -219,7 +219,8 @@ def _repr_join(values, seps: str = ",") -> str:
     if back.size:
         canvas[back] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     rows += end
-    flat[rows] = np.resize(np.frombuffer(seps.encode("ascii"), dtype=np.uint8), k)
+    sep = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
+    flat[rows] = np.tile(sep, -(-k // sep.size))[:k]
     del rows
     cols = np.arange(width)
     spans = ((cols >= cols[:, None, None]) & (cols <= cols[:, None])).reshape(-1, width)

@@ -12,6 +12,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -81,14 +82,24 @@ class SmoothingSpec:
     fresh_each_step: bool = True
 
     def __post_init__(self):
-        sds = (self.xi_sd, self.eta_sd, self.zeta_sd)
+        _check_type("smoothing xi_sd", self.xi_sd, Real)
+        _check_type("smoothing eta_sd", self.eta_sd, Real)
+        _check_type("smoothing zeta_sd", self.zeta_sd, Real)
+        _check_type("fresh_each_step", self.fresh_each_step, bool)
+        # As Python numbers: NumPy would compare a float32 sd with _SD_MAX,
+        # and square it, in float32, where both overflow.
+        sds = [
+            sd.item() if isinstance(sd, np.generic) else sd
+            for sd in (self.xi_sd, self.eta_sd, self.zeta_sd)
+        ]
         if not all(0 <= sd <= _SD_MAX for sd in sds):
             raise InvalidInputError(
                 f"smoothing standard deviations must lie in [0, {_SD_MAX:.3g}]"
             )
         if self.active:
-            want = self.xi_sd**2 + self.eta_sd**2
-            got = self.zeta_sd**2
+            xi, eta, zeta = sds
+            want = xi**2 + eta**2
+            got = zeta**2
             if not np.isclose(want, got, rtol=1e-9, atol=1e-12):
                 warnings.warn(
                     "smoothing is biased: zeta_sd^2 != xi_sd^2 + eta_sd^2 "
@@ -130,7 +141,15 @@ class PoolingMode:
 
 def _check_type(what: str, value, cls: type) -> None:
     """Raise ConfigError unless value is a cls (an ``operator.index`` integer for int)."""
-    if not (hasattr(type(value), "__index__") if cls is int else isinstance(value, cls)):
+    if cls is int:
+        ok = hasattr(type(value), "__index__")
+    elif cls is Real:
+        # A float first: it skips isinstance(value, Real), an ABC check
+        # about ten times slower, which every config built would pay.
+        ok = type(value) is float or isinstance(value, Real)
+    else:
+        ok = isinstance(value, cls)
+    if not ok:
         raise ConfigError(f"{what} must be of type {cls.__name__}, got {value!r}")
 
 

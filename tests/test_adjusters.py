@@ -8,15 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from deconvsim import AdjustPolicy, SupportConstraint, make_rng
-from deconvsim.adjusters import UNBOUNDED, _fold, _repair
-from deconvsim.errors import InfeasibleAdjustmentError, InvalidInputError
+from deconvsim.adjusters import UNBOUNDED, _repair, _resample
+from deconvsim.errors import ConfigError, InfeasibleAdjustmentError, InvalidInputError
 
 HALF_LINE = SupportConstraint(0.0, math.inf)
 UNIT = SupportConstraint(0.0, 1.0)
 
 
 def repaired(values, policy, support, rng=None):
-    """``_repair`` on a float64 copy of values: (repaired copy, count)."""
+    """``_repair`` on a float64 copy of values: (sorted repaired copy, count)."""
     v = np.array(values, dtype=np.float64)
     return v, _repair(v, policy, support, rng)
 
@@ -33,6 +33,23 @@ def test_support_rejects_nan_bounds():
         SupportConstraint(math.nan, 1.0)
     with pytest.raises(InvalidInputError):
         SupportConstraint(0.0, math.nan)
+
+
+@pytest.mark.parametrize("field", ["lower", "upper"])
+def test_support_rejects_a_bound_of_the_wrong_type(field):
+    bounds = {"lower": 0.0, "upper": 1.0}
+    for bad in ("1", None, [1.0], 1j):
+        with pytest.raises(ConfigError, match=f"support {field} bound"):
+            SupportConstraint(**{**bounds, field: bad})
+
+
+def test_support_takes_any_real_bound():
+    bounds = [(0, 10**400), (-(10**400), 0), (np.float32(-1.5), np.int64(3)), (0.0, 1.0)]
+    for lower, upper in bounds:
+        s = SupportConstraint(lower, upper)
+        assert (s.lower, s.upper) == (lower, upper)
+    with pytest.raises(InvalidInputError):
+        SupportConstraint(10**400, 0)
 
 
 def test_support_bounded_flag():
@@ -66,7 +83,7 @@ def test_clamp_rounds_up_to_zero():
 
 def test_absolute_reflects_above_upper_bound():
     out, count = repaired([1.4, 0.5], AdjustPolicy.ABSOLUTE, UNIT)
-    assert np.allclose(out, [0.6, 0.5])
+    assert np.allclose(out, [0.5, 0.6])
     assert count == 1
 
 
@@ -78,7 +95,7 @@ def test_absolute_folds_repeatedly_when_doubly_bounded():
 
 def test_absolute_handles_upper_bound_only():
     out, count = repaired([1.4, -5.0], AdjustPolicy.ABSOLUTE, SupportConstraint(-math.inf, 1.0))
-    assert np.allclose(out, [0.6, -5.0])
+    assert np.allclose(out, [-5.0, 0.6])
     assert count == 1
 
 
@@ -94,6 +111,14 @@ def test_copy_smallest_cycles_when_violators_outnumber_candidates():
     assert sorted(out) == [4, 4, 4, 4]
 
 
+def test_copy_smallest_cycles_on_both_sides():
+    # Below: 0.5, 0.7, 0.5; above: 0.7, 0.5, 0.7, 0.5.
+    v = [2.0, -3.0, 0.7, 3.0, -2.0, 0.5, 4.0, -1.0, 5.0]
+    out, count = repaired(v, AdjustPolicy.COPY_SMALLEST, UNIT)
+    assert count == 7
+    assert out.tolist() == [0.5] * 5 + [0.7] * 4
+
+
 def test_copy_smallest_upper_violations_take_largest_values():
     out, count = repaired([-1.0, 0.3, 0.7, 2.0], AdjustPolicy.COPY_SMALLEST, UNIT)
     assert count == 2
@@ -103,7 +128,8 @@ def test_copy_smallest_upper_violations_take_largest_values():
 def test_resample_draws_only_from_in_support_values():
     rng = make_rng(11)
     for _ in range(25):
-        out, count = repaired([-4.0, -9.0, 1.0, 2.0], AdjustPolicy.RESAMPLE, HALF_LINE, rng)
+        out = np.array([-4.0, -9.0, 1.0, 2.0])
+        count = _resample(out, HALF_LINE, rng)
         assert count == 2
         assert set(out[:2]) <= {1.0, 2.0}
         assert np.array_equal(out[2:], [1.0, 2.0])
@@ -153,9 +179,22 @@ def test_every_repair_policy_lands_inside_the_support(v, support, policy):
     assert out.size == arr.size
 
 
-# `_repair` as it was before the one-sided masks, copied verbatim
-# (renamed): the current code must reproduce it byte for byte, in position
-# order, with the same violation count, rng state and error.
+# `_repair` as it was before the one-sided masks and `_fold` as it was
+# before it folded in place, copied verbatim (renamed; `_fold` without its
+# comment).  The old `_repair` repaired in position order and the engine
+# sorted the result: the current `_repair`, which sorts and then repairs,
+# must give its sorted bytes with the same violation count, rng state and
+# error, and `_resample` its position-order bytes.
+def _parent_fold(v: np.ndarray, lower: float, upper: float) -> np.ndarray:
+    if math.isinf(upper):
+        return lower + np.abs(v - lower)
+    if math.isinf(lower):
+        return upper - np.abs(v - upper)
+    period = 2.0 * (upper - lower)
+    t = np.mod(v - lower, period)
+    return lower + np.minimum(t, period - t)
+
+
 def _parent_repair(
     v: np.ndarray,
     policy: AdjustPolicy,
@@ -177,7 +216,7 @@ def _parent_repair(
         return count
 
     if policy is AdjustPolicy.ABSOLUTE:
-        v[bad] = _fold(v[bad], support.lower, support.upper)
+        v[bad] = _parent_fold(v[bad], support.lower, support.upper)
         return count
 
     good = v[~bad]
@@ -234,22 +273,41 @@ def _repair_cases(n, support, g):
     return cases
 
 
-def _outcome(repair, v, policy, support, rng):
+def _outcome(repair, v, policy, support, rng, signed_zeros=True):
     """(bytes as int64, count, count type, next draw) or the error raised,
-    when repair runs on a float64 copy of v."""
+    when repair runs on a float64 copy of v.  Without signed_zeros each
+    zero of the repaired copy reads as 0.0."""
     out = np.array(v, dtype=np.float64)
     try:
         count = repair(out, policy, support, rng)
     except (InfeasibleAdjustmentError, InvalidInputError) as exc:
         return type(exc), str(exc), None if rng is None else rng.random()
+    if not signed_zeros:
+        out[out == 0] = 0.0
     return out.view(np.int64).tolist(), count, type(count), None if rng is None else rng.random()
+
+
+def _sorted_parent_repair(v, policy, support, rng):
+    count = _parent_repair(v, policy, support, rng)
+    v.sort()
+    return count
+
+
+def _mixed_zeros(v):
+    zeros = v[v == 0]
+    return bool(np.signbit(zeros).any() and not np.signbit(zeros).all())
 
 
 @pytest.mark.parametrize("support", REPAIR_SUPPORTS, ids=lambda s: f"{s.lower}:{s.upper}")
 @pytest.mark.parametrize("policy", list(AdjustPolicy), ids=lambda p: p.value)
 def test_repair_matches_the_two_sided_masks_byte_for_byte(policy, support):
-    # Compared in position order, not only as a multiset.  Every policy but
-    # RESAMPLE draws nothing, so it is run without a generator as well.
+    # _repair leaves v sorted; the reference is the parent's repair
+    # followed by a sort.  Where the parent's repaired vector holds both
+    # -0.0 and 0.0, each zero is compared as 0.0: NumPy's sort may list
+    # them in either order and, on short vectors, even change how many of
+    # each it returns (its min/max network picks either of two equal
+    # operands).  Every policy but RESAMPLE draws nothing, so it is run
+    # without a generator as well.
     rng_cases = (True,) if policy is AdjustPolicy.RESAMPLE else (True, False)
     for n in (1, 3, 100, 5000):
         g = np.random.default_rng(n)
@@ -257,8 +315,35 @@ def test_repair_matches_the_two_sided_masks_byte_for_byte(policy, support):
             for seed in (0, 1):
                 for with_rng in rng_cases:
                     label = (n, name, seed, with_rng)
-                    expected = _outcome(
-                        _parent_repair, v, policy, support, make_rng(seed) if with_rng else None
+                    position = np.array(v, dtype=np.float64)
+                    try:
+                        _parent_repair(position, policy, support, make_rng(seed))
+                    except InfeasibleAdjustmentError:
+                        pass
+                    signed = not _mixed_zeros(position)
+                    expected, got = (
+                        _outcome(
+                            repair, v, policy, support, make_rng(seed) if with_rng else None, signed
+                        )
+                        for repair in (_sorted_parent_repair, _repair)
                     )
-                    got = _outcome(_repair, v, policy, support, make_rng(seed) if with_rng else None)
                     assert got == expected, label
+                    if not isinstance(got[0], type):
+                        out = np.array(got[0]).view(np.float64)
+                        assert np.all(out[:-1] <= out[1:]), label
+
+
+@pytest.mark.parametrize("support", REPAIR_SUPPORTS, ids=lambda s: f"{s.lower}:{s.upper}")
+def test_resample_matches_the_two_sided_masks_in_position_order(support):
+    def resample(v, policy, support, rng):
+        return _resample(v, support, rng)
+
+    for n in (1, 3, 100, 5000):
+        g = np.random.default_rng(n)
+        for name, v in _repair_cases(n, support, g).items():
+            for seed in (0, 1):
+                expected = _outcome(
+                    _parent_repair, v, AdjustPolicy.RESAMPLE, support, make_rng(seed)
+                )
+                got = _outcome(resample, v, AdjustPolicy.RESAMPLE, support, make_rng(seed))
+                assert got == expected, (n, name, seed)

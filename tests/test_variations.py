@@ -7,8 +7,29 @@ import numpy as np
 import pytest
 
 from deconvsim import EqualizeStrategy, PoolingMode, SmoothingSpec, make_rng
-from deconvsim.errors import InvalidInputError
+from deconvsim.errors import ConfigError, InvalidInputError
 from deconvsim.variations import equalize_lengths, pool_average, pool_concat, smooth
+
+
+@pytest.mark.parametrize("field", ["xi_sd", "eta_sd", "zeta_sd"])
+def test_smoothing_rejects_an_sd_of_the_wrong_type(field):
+    for bad in ("0.1", None, [0.1], 0.1j):
+        with pytest.raises(ConfigError, match=f"smoothing {field}"):
+            SmoothingSpec(**{field: bad})
+
+
+def test_smoothing_takes_any_real_sd():
+    spec = SmoothingSpec(np.float32(0.75), np.int64(1), np.float64(1.25), fresh_each_step=False)
+    assert spec.active and not spec.fresh_each_step
+    assert SmoothingSpec(3, 4, 5).zeta_sd == 5
+    with pytest.raises(InvalidInputError):  # the range check, after the type check
+        SmoothingSpec(xi_sd=10**400)
+
+
+def test_smoothing_fresh_each_step_must_be_a_bool():
+    for bad in ("no", 0, 1, None, np.bool_(False)):
+        with pytest.raises(ConfigError, match="fresh_each_step"):
+            SmoothingSpec(0.1, 0.0, 0.1, fresh_each_step=bad)
 
 
 def test_bootstrap_strategy_needs_a_target():
