@@ -4,8 +4,7 @@ A support constraint is a closed interval [lower, upper] (either side may
 be infinite).  Each policy maps a raw difference vector back into the
 support and reports how many elements violated it before adjustment.
 ``_repair`` sorts the vector and repairs it, so the engine stores
-``repair(sort(difference))``; only RESAMPLE, whose donors are indexed in
-position order, repairs first and sorts after.
+``repair(sort(difference))`` under every policy.
 """
 
 from __future__ import annotations
@@ -21,9 +20,19 @@ from .errors import InfeasibleAdjustmentError, InvalidInputError
 from .variations import _check_type
 
 
+def _as_float(bound: Real) -> float:
+    # A bound beyond float range becomes the infinity no sample can cross.
+    try:
+        return float(bound)
+    except OverflowError:
+        return math.inf if bound > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class SupportConstraint:
-    """Known support of Y: values must lie in [lower, upper]."""
+    """Known support of Y: values must lie in [lower, upper].  The bounds
+    are kept as given; every computation uses ``float_bounds``, their
+    float64 values, in which a bound beyond float range is infinite."""
 
     lower: float = -math.inf
     upper: float = math.inf
@@ -34,14 +43,19 @@ class SupportConstraint:
         # Also false when either bound is NaN.
         if not self.lower < self.upper:
             raise InvalidInputError("support requires lower < upper")
+        lower, upper = _as_float(self.lower), _as_float(self.upper)
+        if not lower < upper:
+            raise InvalidInputError("support bounds must differ as float64 values")
+        object.__setattr__(self, "float_bounds", (lower, upper))
 
     @property
     def bounded(self) -> bool:
-        return math.isfinite(self.lower) or math.isfinite(self.upper)
+        return any(map(math.isfinite, self.float_bounds))
 
     def violations(self, v: np.ndarray) -> np.ndarray:
         """Boolean mask of out-of-support elements."""
-        return (v < self.lower) | (v > self.upper)
+        lower, upper = self.float_bounds
+        return (v < lower) | (v > upper)
 
 
 UNBOUNDED = SupportConstraint()
@@ -102,18 +116,16 @@ def _repair(
     AdjustPolicy (``DeconvConfig`` checks it).  Policies other than NONE
     leave v inside the closed support; only RESAMPLE draws from rng.
 
-    RESAMPLE repairs v in position order before the sort (``_resample``).
-    Every other policy gives a multiset that does not depend on the order
-    of v, so it repairs the sorted vector, whose violators are the prefix
-    ``v[:lo]`` below the support and the suffix ``v[hi:]`` above it.
+    The violators of the sorted vector are the prefix ``v[:lo]`` below
+    the support and the suffix ``v[hi:]`` above it.  RESAMPLE replaces
+    them, prefix first, with ``v[lo:hi][rng.integers(0, hi - lo, count)]``
+    and sorts again.  Repairing v in any other order draws the same
+    integers from the same donors, so the law of the sorted result does
+    not depend on the order of v.
     """
-    if policy is AdjustPolicy.RESAMPLE:
-        count = _resample(v, support, rng)
-        v.sort()
-        return count
     v.sort()
     n = v.size
-    lower, upper = support.lower, support.upper
+    lower, upper = support.float_bounds
     lo = int(v.searchsorted(lower)) if lower != -math.inf else 0
     hi = int(v.searchsorted(upper, "right")) if upper != math.inf else n
     count = lo + n - hi
@@ -136,12 +148,19 @@ def _repair(
         v.sort()
         return count
 
-    # COPY_SMALLEST: the j-th violator below the support takes the j-th
-    # smallest in-support value and the j-th above it the j-th largest,
-    # cycling when the violators outnumber the in-support values.
     size = hi - lo
     if size == 0:
         raise _no_donors(policy)
+
+    if policy is AdjustPolicy.RESAMPLE:
+        picks = v[lo:hi][rng.integers(0, size, count)]
+        v[:lo], v[hi:] = picks[:lo], picks[lo:]
+        v.sort()
+        return count
+
+    # COPY_SMALLEST: the j-th violator below the support takes the j-th
+    # smallest in-support value and the j-th above it the j-th largest,
+    # cycling when the violators outnumber the in-support values.
     if hi == n and lo <= size:
         v[: 2 * lo] = v[lo : 2 * lo].repeat(2)
         return count
@@ -150,34 +169,6 @@ def _repair(
     counts[: lo % size] += 1
     counts[size - above % size :] += 1
     v[:] = v[lo:hi].repeat(counts)
-    return count
-
-
-def _resample(v: np.ndarray, support: SupportConstraint, rng: np.random.Generator) -> int:
-    """Replace each violator of v, in position order, with a uniform draw
-    from v's in-support values listed in position order; returns the
-    violation count.
-
-    Only a finite bound is compared against, so a half-line support costs
-    one mask; ``v > inf`` and ``v < -inf`` are false for every v, so the
-    violations are those of ``support.violations``.
-    """
-    lower, upper = support.lower, support.upper
-    if lower == -math.inf:
-        if upper == math.inf:
-            return 0
-        bad = v > upper
-    elif upper == math.inf:
-        bad = v < lower
-    else:
-        bad = (v < lower) | (v > upper)
-    count = int(np.count_nonzero(bad))
-    if count == 0:
-        return count
-    good = v[~bad]
-    if good.size == 0:
-        raise _no_donors(AdjustPolicy.RESAMPLE)
-    v[bad] = good[rng.integers(0, good.size, count)]
     return count
 
 

@@ -8,11 +8,10 @@ the boundary policy to the sorted vector and keeps it sorted.  This pairs
 sortz[j] with the x at the j-th smallest w, the pairs of the rank form
 ``sortz[r] - sortx`` with r the ranks of w (the inverse of order), so
 each iterate is one of the n! vectors ``sortz[perm] - sortx`` and the
-run is a random walk over those candidates.  RESAMPLE indexes its
-in-support donors in z order, so it stores
-``sort(repair(sortz - sortx[order]))``.  An iterate holding both -0.0 and
-0.0 may list the two zeros in either order, or in other numbers (they
-compare equal, and NumPy's sort may keep either of two equal values).
+run is a random walk over those candidates.  An iterate holding both
+-0.0 and 0.0 may list the two zeros in either order, or in other numbers
+(they compare equal, and NumPy's sort may keep either of two equal
+values).
 
 Two deliberately bad estimators are included for comparison: the sorted
 difference (far too little spread) and the fully random difference (far
@@ -35,8 +34,8 @@ from .metrics import NormalReferenceLine, distance_index, reference_normal_line
 from .variations import PoolingKind, equalize_lengths
 
 # Elements per distance_index call when run computes d, and per block of
-# permutations when run draws them in blocks: bounds each temporary
-# (512 KB) while keeping the calls per run few.
+# permutations or pool picks: bounds each temporary (512 KB) while keeping
+# the calls per run few.
 _D_CHUNK = 1 << 16
 
 
@@ -163,7 +162,7 @@ def _check_reach(
     """
     xmax = float(max(-sortx[0], sortx[-1]))
     zmax = float(max(-sortz[0], sortz[-1]))
-    finite = [abs(b) for b in (support.lower, support.upper) if math.isfinite(b)]
+    finite = [abs(b) for b in support.float_bounds if math.isfinite(b)]
     bmax = max(finite, default=0.0)
     reach = max(xmax + (xmax + zmax + 2.0 * bmax), 4.0 * bmax)
     if eta is not None:
@@ -175,26 +174,35 @@ def _check_reach(
         )
 
 
-def _permutations(n: int, count: int, rng: np.random.Generator, blocked: bool):
-    """Yield count uniform permutations of 0..n-1 from rng.
-
-    Unblocked, each is drawn by ``random_permutation`` when it is asked
-    for.  Blocked, they come from blocks of at most max(n, _D_CHUNK)
-    elements, each drawn by one ``rng.permuted`` call when its first row
-    is asked for.  NumPy's ``permuted`` shuffles each row with the same
-    draws as ``permutation`` (pinned by a test), so a block gives the
-    rows, and leaves rng in the state, of as many successive
-    ``random_permutation`` calls; blocking is only exact when nothing else
-    draws from rng between two rows.
-    """
-    if not blocked:
-        for _ in range(count):
-            yield random_permutation(n, rng)
-        return
+def _blocks(n: int, count: int):
+    """Yield (start, rows) for blocks of at most max(n, _D_CHUNK) elements
+    that together hold count rows of n."""
     rows = max(1, _D_CHUNK // n)
     for start in range(0, count, rows):
-        block = np.tile(np.arange(n), (min(rows, count - start), 1))
+        yield start, min(rows, count - start)
+
+
+def _permutations(n: int, count: int, rng: np.random.Generator):
+    """Yield count uniform permutations of 0..n-1 from rng, drawn a block
+    at a time by one ``rng.permuted`` call when its first row is asked
+    for.  NumPy's ``permuted`` shuffles each row with the same draws as
+    ``permutation`` (pinned by a test), so a block gives the rows, and
+    leaves rng in the state, of as many successive ``random_permutation``
+    calls, as long as nothing else draws from rng between two rows.
+    """
+    for _, rows in _blocks(n, count):
+        block = np.tile(np.arange(n), (rows, 1))
         yield from rng.permuted(block, axis=1, out=block)
+
+
+def _pool_picks(n: int, count: int, rng: np.random.Generator):
+    """Yield, for t = 1..count, the n indices ``rng.integers(0, t * n, n)``
+    from blocks drawn by one ``integers`` call with a column of bounds,
+    which NumPy fills in row order with the same draws (pinned by a test):
+    the same rows, and the same final state of rng, as successive calls."""
+    for start, rows in _blocks(n, count):
+        highs = np.arange(start + 1, start + rows + 1) * n
+        yield from rng.integers(0, highs[:, None], (rows, n))
 
 
 def run(x, z, config: DeconvConfig) -> IterationTrace:
@@ -206,17 +214,20 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     when pooling is configured.  Deterministic given ``config.seed``, the
     one seed of the run's generator.
 
-    RNG consumption order is fixed: equalization, one-shot smoothing, then
-    per iteration pool draw / rperm / fresh xi / eta / zeta / tie draws /
-    adjuster.  When rperm is the only per-iteration draw (tie rule
-    FIRST_OCCURRENCE, no fresh smoothing, pooling not CONCAT_AND_DRAW and
-    not RESAMPLE on a bounded support), the rperms are drawn in blocks of
-    at most max(n, 2**16) elements, each when its first row is needed;
-    this gives the same rperms and the same stream as one draw per
-    iteration.  Each step writes its estimate straight into its row of
-    the trace.
+    The run's generator draws, in this order, the equalization, the
+    one-shot smoothing and then the permutations, one per iteration.  Its
+    first child (``spawn``, which leaves the generator's state unchanged)
+    makes the other per-iteration draws, in this order: fresh xi / eta /
+    zeta, the tie keys and the adjuster's donors.  Under CONCAT_AND_DRAW
+    its second child draws each iteration's pool indices.  The
+    permutations and the pool indices are drawn in blocks of at most
+    max(n, 2**16) elements, each when its first row is needed; this gives
+    the values of, and leaves each generator in the state of, one draw
+    per iteration.  Each step writes its estimate straight into its row
+    of the trace.
     """
     rng = make_rng(config.seed)
+    draws = rng.spawn(1)[0]
     # equalize_lengths validates and copies x, then z.
     x_eq, z_eq = equalize_lengths(x, z, config.equalize, rng)
     n = x_eq.size
@@ -255,25 +266,21 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     violations[0] = config.support.violations(ys[0]).sum()
 
     pool_mode = config.pool.kind
-    blocked = (
-        config.tie_rule is TieRule.FIRST_OCCURRENCE
-        and not fresh
-        and pool_mode is not PoolingKind.CONCAT_AND_DRAW
-        and not (config.adjust is AdjustPolicy.RESAMPLE and config.support.bounded)
-    )
-    rperms = _permutations(n, config.iters, rng, blocked)
+    picks = None
+    if pool_mode is PoolingKind.CONCAT_AND_DRAW:
+        # Step t picks from the t * n values of rows 0..t-1 of the flat trace.
+        flat = ys.reshape(-1)
+        picks = _pool_picks(n, config.iters, rng.spawn(1)[0])
+    rperms = _permutations(n, config.iters, rng)
     for t in range(1, config.iters + 1):
-        if pool_mode is PoolingKind.CONCAT_AND_DRAW:
-            pool = ys[:t].reshape(-1)
-            oldy = pool[rng.integers(0, pool.size, n)]
+        if picks is not None:
+            oldy = flat[next(picks)]
             oldy.sort()
         else:
             oldy = ys[t - 1]
 
-        rperm = next(rperms)
-
         if fresh:
-            x_eff, w_noise, z_eff = variations.smooth(sortx, sortz, sm, rng)
+            x_eff, w_noise, z_eff = variations.smooth(sortx, sortz, sm, draws)
         else:
             x_eff, w_noise, z_eff = sortx, eta_once, sortz
 
@@ -281,8 +288,8 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
             x_eff,
             z_eff,
             oldy,
-            rperm,
-            rng,
+            next(rperms),
+            draws,
             config.adjust,
             config.support,
             config.tie_rule,
@@ -293,8 +300,7 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     d = None
     if reference is not None:
         d = np.empty(config.iters + 1)
-        rows = max(1, _D_CHUNK // n)
-        for i in range(0, d.size, rows):
+        for i, rows in _blocks(n, d.size):
             d[i : i + rows] = distance_index(ys[i : i + rows], reference)
     trace = IterationTrace(
         config=config,

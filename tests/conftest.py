@@ -1,4 +1,5 @@
-"""Shared fixtures, frozen oracle data and the rank oracle.
+"""Shared fixtures, frozen oracle data, the rank oracle and a generator
+stand-in that enumerates every RESAMPLE donor draw.
 
 The exact three-point census takes about 0.15 s (2-core host; 1.8 s
 before it ranked on integers and solved each distinct matrix once), and
@@ -6,6 +7,8 @@ many tests read it, so the suite computes it once per session.  The
 inverse-normal table was computed once with mpmath at 60 decimal digits
 and frozen here.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -58,3 +61,18 @@ def ranks(v, tie_rule=TieRule.FIRST_OCCURRENCE, rng=None):
     r = np.empty(order.size, dtype=np.intp)
     r[order] = np.arange(order.size, dtype=np.intp)
     return r
+
+
+class EveryDraw:
+    """A generator stand-in for RESAMPLE's one draw: the i-th call of
+    ``integers(0, g, k)`` returns the i-th of the g**k index vectors."""
+
+    def __init__(self):
+        self.draws = None
+        self.total = 1  # a repair without violators makes no draw
+
+    def integers(self, low, high, size):
+        if self.draws is None:
+            self.draws = itertools.product(range(low, high), repeat=size)
+            self.total = (high - low) ** size
+        return np.array(next(self.draws), dtype=np.int64)

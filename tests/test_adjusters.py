@@ -1,6 +1,7 @@
 """Boundary policies: violation counting and in-support guarantees."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from deconvsim import AdjustPolicy, SupportConstraint, make_rng
-from deconvsim.adjusters import UNBOUNDED, _repair, _resample
+from conftest import EveryDraw
+from deconvsim.adjusters import UNBOUNDED, _no_donors, _repair
 from deconvsim.errors import ConfigError, InfeasibleAdjustmentError, InvalidInputError
 
 HALF_LINE = SupportConstraint(0.0, math.inf)
@@ -50,6 +52,19 @@ def test_support_takes_any_real_bound():
         assert (s.lower, s.upper) == (lower, upper)
     with pytest.raises(InvalidInputError):
         SupportConstraint(10**400, 0)
+
+
+def test_support_computes_with_a_bound_beyond_float_range_as_infinite():
+    below, above = SupportConstraint(-(10**400), 0), SupportConstraint(0, 10**400)
+    assert below.float_bounds == (-math.inf, 0.0) and below.bounded
+    assert above.float_bounds == (0.0, math.inf) and above.bounded
+    v = np.array([-1e308, -0.5, 0.0, 0.5, 1e308])
+    assert below.violations(v).tolist() == [False, False, False, True, True]
+    assert above.violations(v).tolist() == [True, True, False, False, False]
+    # No float64 value lies between bounds that are equal as float64 values.
+    for lower, upper in [(10**400, 10**401), (-(10**401), -(10**400)), (10**400, math.inf)]:
+        with pytest.raises(InvalidInputError):
+            SupportConstraint(lower, upper)
 
 
 def test_support_bounded_flag():
@@ -127,12 +142,15 @@ def test_copy_smallest_upper_violations_take_largest_values():
 
 def test_resample_draws_only_from_in_support_values():
     rng = make_rng(11)
+    drawn = set()
     for _ in range(25):
-        out = np.array([-4.0, -9.0, 1.0, 2.0])
-        count = _resample(out, HALF_LINE, rng)
+        out, count = repaired([-4.0, -9.0, 1.0, 2.0], AdjustPolicy.RESAMPLE, HALF_LINE, rng)
         assert count == 2
-        assert set(out[:2]) <= {1.0, 2.0}
-        assert np.array_equal(out[2:], [1.0, 2.0])
+        # The two in-support values stay; the two violators became copies.
+        assert set(out.tolist()) == {1.0, 2.0}
+        assert np.all(out[:-1] <= out[1:])
+        drawn.add(tuple(out.tolist()))
+    assert len(drawn) == 3  # both donors are drawn, alone or together
 
 
 def test_resample_is_deterministic_per_seed():
@@ -184,7 +202,7 @@ def test_every_repair_policy_lands_inside_the_support(v, support, policy):
 # comment).  The old `_repair` repaired in position order and the engine
 # sorted the result: the current `_repair`, which sorts and then repairs,
 # must give its sorted bytes with the same violation count, rng state and
-# error, and `_resample` its position-order bytes.
+# error.  RESAMPLE must give the old repair of the sorted vector, sorted.
 def _parent_fold(v: np.ndarray, lower: float, upper: float) -> np.ndarray:
     if math.isinf(upper):
         return lower + np.abs(v - lower)
@@ -288,6 +306,9 @@ def _outcome(repair, v, policy, support, rng, signed_zeros=True):
 
 
 def _sorted_parent_repair(v, policy, support, rng):
+    if policy is AdjustPolicy.RESAMPLE:
+        # Its donors and violators are taken in the order of the sorted v.
+        v.sort()
     count = _parent_repair(v, policy, support, rng)
     v.sort()
     return count
@@ -302,12 +323,12 @@ def _mixed_zeros(v):
 @pytest.mark.parametrize("policy", list(AdjustPolicy), ids=lambda p: p.value)
 def test_repair_matches_the_two_sided_masks_byte_for_byte(policy, support):
     # _repair leaves v sorted; the reference is the parent's repair
-    # followed by a sort.  Where the parent's repaired vector holds both
-    # -0.0 and 0.0, each zero is compared as 0.0: NumPy's sort may list
-    # them in either order and, on short vectors, even change how many of
-    # each it returns (its min/max network picks either of two equal
-    # operands).  Every policy but RESAMPLE draws nothing, so it is run
-    # without a generator as well.
+    # followed by a sort (for RESAMPLE, of the sorted v).  Where the
+    # parent's repaired vector holds both -0.0 and 0.0, each zero is
+    # compared as 0.0: NumPy's sort may list them in either order and, on
+    # short vectors, even change how many of each it returns (its min/max
+    # network picks either of two equal operands).  Every policy but
+    # RESAMPLE draws nothing, so it is run without a generator as well.
     rng_cases = (True,) if policy is AdjustPolicy.RESAMPLE else (True, False)
     for n in (1, 3, 100, 5000):
         g = np.random.default_rng(n)
@@ -331,10 +352,44 @@ def test_repair_matches_the_two_sided_masks_byte_for_byte(policy, support):
                     if not isinstance(got[0], type):
                         out = np.array(got[0]).view(np.float64)
                         assert np.all(out[:-1] <= out[1:]), label
+                        assert got[1] == np.count_nonzero(support.violations(v)), label
+                        if policy is not AdjustPolicy.NONE:
+                            assert not support.violations(out).any(), label
+
+
+# The position-order RESAMPLE repair as it was before it joined the
+# sorted-vector repair, copied verbatim: the law oracle of the sorted one.
+def _resample(v: np.ndarray, support: SupportConstraint, rng: np.random.Generator) -> int:
+    """Replace each violator of v, in position order, with a uniform draw
+    from v's in-support values listed in position order; returns the
+    violation count.
+
+    Only a finite bound is compared against, so a half-line support costs
+    one mask; ``v > inf`` and ``v < -inf`` are false for every v, so the
+    violations are those of ``support.violations``.
+    """
+    lower, upper = support.lower, support.upper
+    if lower == -math.inf:
+        if upper == math.inf:
+            return 0
+        bad = v > upper
+    elif upper == math.inf:
+        bad = v < lower
+    else:
+        bad = (v < lower) | (v > upper)
+    count = int(np.count_nonzero(bad))
+    if count == 0:
+        return count
+    good = v[~bad]
+    if good.size == 0:
+        raise _no_donors(AdjustPolicy.RESAMPLE)
+    v[bad] = good[rng.integers(0, good.size, count)]
+    return count
 
 
 @pytest.mark.parametrize("support", REPAIR_SUPPORTS, ids=lambda s: f"{s.lower}:{s.upper}")
 def test_resample_matches_the_two_sided_masks_in_position_order(support):
+    # The oracle below is the parent's RESAMPLE branch, byte for byte.
     def resample(v, policy, support, rng):
         return _resample(v, support, rng)
 
@@ -347,3 +402,38 @@ def test_resample_matches_the_two_sided_masks_in_position_order(support):
                 )
                 got = _outcome(resample, v, AdjustPolicy.RESAMPLE, support, make_rng(seed))
                 assert got == expected, (n, name, seed)
+
+
+def _law(repair, v, support):
+    """Counter of the sorted outputs of ``repair(copy of v, support, rng)``
+    over every donor draw (see ``conftest.EveryDraw``)."""
+    rng = EveryDraw()
+    outputs = Counter()
+    while sum(outputs.values()) < rng.total:
+        out = np.array(v, dtype=np.float64)
+        repair(out, support, rng)
+        outputs[tuple(np.sort(out).tolist())] += 1
+    return outputs
+
+
+@pytest.mark.parametrize("support", REPAIR_SUPPORTS, ids=lambda s: f"{s.lower}:{s.upper}")
+def test_sorted_resample_has_the_position_order_law(support):
+    # The sorted repair draws its donors by their rank, the position-order
+    # oracle by their position, so one draw may pick another donor; over
+    # every draw the two give each sorted result equally often.
+    def sorted_repair(v, support, rng):
+        return _repair(v, AdjustPolicy.RESAMPLE, support, rng)
+
+    drawn = 0
+    for n in range(1, 6):
+        g = np.random.default_rng(n)
+        for name, v in _repair_cases(n, support, g).items():
+            try:
+                expected = _law(_resample, v, support)
+            except InfeasibleAdjustmentError:
+                with pytest.raises(InfeasibleAdjustmentError):
+                    _law(sorted_repair, v, support)
+                continue
+            assert _law(sorted_repair, v, support) == expected, (n, name)
+            drawn += sum(expected.values()) > 1
+    assert drawn > 0 or not support.bounded  # some case had violators to repair

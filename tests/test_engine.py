@@ -25,7 +25,7 @@ from deconvsim import (
     make_rng,
     run,
 )
-from conftest import ranks
+from conftest import EveryDraw, ranks
 from deconvsim import engine, variations
 from deconvsim.adjusters import _repair
 from deconvsim.core import random_permutation
@@ -34,6 +34,7 @@ from deconvsim.engine import (
     IterationTrace,
     _check_reach,
     _permutations,
+    _pool_picks,
     naive_random_difference,
     naive_sorted_difference,
     step,
@@ -46,6 +47,7 @@ from deconvsim.errors import (
 )
 from deconvsim.metrics import distance_index, l1_distance, reference_normal_line
 from deconvsim.variations import equalize_lengths
+from test_adjusters import _resample
 
 sample_lists = st.lists(
     st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=25
@@ -103,8 +105,9 @@ def test_iterate_once_counts_violations_before_adjustment():
 
 # The step in its rank form, as it was before the one-argsort form
 # (renamed; it ranks through `conftest.ranks` and repairs with `_repair`,
-# the functions its checked wrappers called): `step` must reproduce it
-# byte for byte, violation count and rng state included.
+# the functions its checked wrappers called, or under RESAMPLE with the
+# position-order oracle `test_adjusters._resample`): `step` must reproduce
+# it byte for byte, violation count and rng state included.
 def _rank_form_step(
     sortx: np.ndarray,
     sortz: np.ndarray,
@@ -120,7 +123,10 @@ def _rank_form_step(
     if w_noise is not None:
         w = w + w_noise
     adjusted = sortz[ranks(w, tie_rule, rng)] - sortx
-    violations = _repair(adjusted, policy, support, rng)
+    if policy is AdjustPolicy.RESAMPLE:
+        violations = _resample(adjusted, support, rng)
+    else:
+        violations = _repair(adjusted, policy, support, rng)
     return np.sort(adjusted), violations
 
 
@@ -187,9 +193,9 @@ def test_step_matches_the_rank_form_byte_for_byte(policy, support):
             assert np.array_equal(before, after), label
 
 
-# RESAMPLE lists its in-support donors in z order, the rank form in x
-# order, so one draw may pick another donor.  The two forms still draw the
-# same integers from the same multiset: the violation count and the
+# RESAMPLE lists its in-support donors in ascending order, the rank form
+# in x order, so one draw may pick another donor.  The two forms still draw
+# the same integers from the same multiset: the violation count and the
 # generator state after the step agree, and so does the law of the result.
 
 
@@ -213,24 +219,9 @@ def test_resample_step_keeps_the_rank_form_count_and_rng_state(support):
         assert np.all((got >= support.lower) & (got <= support.upper)), label
 
 
-class _EveryDraw:
-    """A generator stand-in for RESAMPLE's one draw: the i-th call of
-    ``integers(0, g, k)`` returns the i-th of the g**k index vectors."""
-
-    def __init__(self):
-        self.draws = None
-        self.total = 1  # a step without violators makes no draw
-
-    def integers(self, low, high, size):
-        if self.draws is None:
-            self.draws = itertools.product(range(low, high), repeat=size)
-            self.total = (high - low) ** size
-        return np.array(next(self.draws), dtype=np.int64)
-
-
 def _law_over_every_draw(form, args, kwargs):
     """Counter of the sorted outputs of ``form`` over every donor draw."""
-    rng = _EveryDraw()
+    rng = EveryDraw()
     outputs = Counter()
     while sum(outputs.values()) < rng.total:
         y, _ = form(*args, rng, **kwargs)
@@ -292,10 +283,13 @@ def test_run_d_is_the_per_row_distance_bit_for_bit(iters, n):
 
 
 def _parent_run(x, z, config):
-    """``run`` as it was before permutations were drawn in blocks and
-    steps wrote into the trace: one ``random_permutation`` per iteration
-    and a fresh array per step.  Kept verbatim as the byte oracle."""
+    """``run`` as a loop of one draw per iteration from each stream: one
+    ``random_permutation`` from the run's generator, the pool draw
+    ``picks.integers(0, t * n, n)`` from its second child, and fresh
+    smoothing and the step's draws from its first child, with a fresh
+    array per step.  The byte oracle of the blocked draws."""
     rng = make_rng(config.seed)
+    draws = rng.spawn(1)[0]
     # equalize_lengths validates and copies x, then z.
     x_eq, z_eq = equalize_lengths(x, z, config.equalize, rng)
     n = x_eq.size
@@ -334,17 +328,19 @@ def _parent_run(x, z, config):
     violations[0] = config.support.violations(ys[0]).sum()
 
     pool_mode = config.pool.kind
+    if pool_mode is PoolingKind.CONCAT_AND_DRAW:
+        picks = rng.spawn(1)[0]
     for t in range(1, config.iters + 1):
         if pool_mode is PoolingKind.CONCAT_AND_DRAW:
             pool = ys[:t].reshape(-1)
-            oldy = np.sort(pool[rng.integers(0, pool.size, n)])
+            oldy = np.sort(pool[picks.integers(0, pool.size, n)])
         else:
             oldy = ys[t - 1]
 
         rperm = random_permutation(n, rng)
 
         if fresh:
-            x_eff, w_noise, z_eff = variations.smooth(sortx, sortz, sm, rng)
+            x_eff, w_noise, z_eff = variations.smooth(sortx, sortz, sm, draws)
         else:
             x_eff, w_noise, z_eff = sortx, eta_once, sortz
 
@@ -353,7 +349,7 @@ def _parent_run(x, z, config):
             z_eff,
             oldy,
             rperm,
-            rng,
+            draws,
             config.adjust,
             config.support,
             config.tie_rule,
@@ -446,7 +442,7 @@ def test_blocked_permutations_equal_successive_draws(n):
     # more permutation than a block holds makes the last block short.
     count = max(1, _D_CHUNK // n) + 1
     blocked_rng, single_rng = make_rng(n), make_rng(n)
-    rows = list(_permutations(n, count, blocked_rng, blocked=True))
+    rows = list(_permutations(n, count, blocked_rng))
     singles = [random_permutation(n, single_rng) for _ in range(count)]
     assert len(rows) == count
     for row, single in zip(rows, singles):
@@ -454,6 +450,56 @@ def test_blocked_permutations_equal_successive_draws(n):
         assert np.array_equal(row, single)
         assert row.base.size <= max(n, _D_CHUNK)
     assert blocked_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+def test_spawn_leaves_the_parent_stream_unchanged():
+    # run spawns its children before it draws from its generator.
+    rng, twin = make_rng(5), make_rng(5)
+    state = rng.bit_generator.state
+    rng.spawn(1)
+    assert rng.bit_generator.state == state
+    assert np.array_equal(random_permutation(100, rng), random_permutation(100, twin))
+
+
+@pytest.mark.parametrize("n", [1, 3, 100, 1000])
+def test_blocked_pool_picks_equal_successive_draws(n):
+    # A Generator.integers call with a column of upper bounds draws each
+    # element in row order with the draw a call with that scalar bound
+    # makes, so a block of k rows equals k successive calls and leaves the
+    # generator in the same state.  The last block is short.
+    count = max(1, _D_CHUNK // n) + 1
+    blocked_rng, single_rng = make_rng(n), make_rng(n)
+    rows = list(_pool_picks(n, count, blocked_rng))
+    singles = [single_rng.integers(0, t * n, n) for t in range(1, count + 1)]
+    assert len(rows) == count
+    for row, single in zip(rows, singles):
+        assert row.dtype == single.dtype
+        assert np.array_equal(row, single)
+        assert row.base.size <= max(n, _D_CHUNK)
+    assert blocked_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("policy", list(AdjustPolicy))
+def test_run_takes_a_bound_beyond_float_range_as_infinite(policy):
+    g = np.random.default_rng(3)
+    x = g.normal(0.0, 1.0, 100)
+    z = g.normal(0.0, 1.0, 100) + g.exponential(1.0, 100) - 0.5
+    pairs = [((0, 10**400), (0.0, math.inf)), ((-(10**400), 0.5), (-math.inf, 0.5))]
+    for huge, infinite in pairs:
+        traces = []
+        for bounds in (huge, infinite):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # bounded support under NONE
+                config = DeconvConfig(
+                    iters=50, adjust=policy, support=SupportConstraint(*bounds), seed=9
+                )
+            traces.append(_run_or_error(run, x, z, config))
+        got, want = traces
+        if isinstance(want, str):
+            assert got == want, huge
+            continue
+        assert _same_bits(got.ys, want.ys) and _same_bits(got.d, want.d), huge
+        assert _same_bits(got.violations, want.violations), huge
 
 
 @pytest.mark.parametrize("iters", [10**15, 10**17])

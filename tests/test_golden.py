@@ -58,12 +58,12 @@ RUN_CASES = {
         EXP + OUT + ["--adjust", "copy-min", "--support", "0:1.5"],
         "39df191c5f553afc041f374227bfffd5028750638cf606d81bd97005794ce36b",
     ),
-    # Re-pinned earlier when resample moved to the one-argsort step: it
-    # indexes its donors in z order, not x order, so the same draws pick
-    # other donors (the law is unchanged; see tests/test_engine.py).
+    # Re-pinned when the per-step draws moved to a child stream: the
+    # donors come from the run generator's first child, indexed in
+    # ascending order (the law is unchanged; see tests/test_adjusters.py).
     "resample": (
         EXP + OUT + ["--adjust", "resample", "--support", "0:inf"],
-        "19544f8eb52afe4b6377fa9ee00aa8e29b1ec5a55ef2de68c01e3b6a41bb36e3",
+        "974be70bcecb622c28b9977e71c7dbdaa2677c57e1b2c5365d0f03c1070a4238",
     ),
     "clamp": (
         EXP + OUT + ["--adjust", "clamp", "--support", "0:1.5"],
@@ -73,13 +73,17 @@ RUN_CASES = {
         EXP + OUT + ["--pool", "concat", "--burn-in", "10"] + POOLED,
         "b5a92d7087a47bb554e82bf8cfc451cf95f31ee82fc58d8977bb3086aabe4964",
     ),
+    # Re-pinned when the per-step draws moved to a child stream: the pool
+    # indices come from the run generator's second child.
     "pool-concat-draw-400": (
         EXP + OUT + ["--pool", "concat-draw", "--iters", "400"] + POOLED,
-        "bffecedb8305a32051f3585738cdbb700a1db50d1a658c995bb0df3f04e524b0",
+        "54d91d8b294451dffe2e8671e31d12a5ad8668d7aca1d597ed4a9fbe292bd6e9",
     ),
+    # Re-pinned when the per-step draws moved to a child stream: the fresh
+    # noise comes from the run generator's first child.
     "smooth-fresh": (
         EXP + OUT + SMOOTH,
-        "2b461b92ed6826fc89d91daacd1a3dbcb9fecaa0fcc431362db1aba682fc178d",
+        "472e338fc67d066e2cc70f7d11e436efd1be346d7d10ee07db601ad2e9324096",
     ),
     "smooth-once": (
         EXP + OUT + SMOOTH + ["--smooth-fresh", "0"],
@@ -97,9 +101,11 @@ RUN_CASES = {
         ["--x", "short-sample.txt", "--z", "exp-z0.txt", "--equalize", "bootstrap:80"] + OUT,
         "78235cf6ff619e4e092ae6302112125d642bada80b9eb596e0ef8915ca778c54",
     ),
+    # Re-pinned when the per-step draws moved to a child stream: the tie
+    # keys come from the run generator's first child.
     "tie-random-lattice": (
         ["--x", "lat-x.txt", "--z", "lat-z.txt", "--tie-rule", "random"] + OUT,
-        "52c145e12ed3797344d45b1977b0c8a2f57cc929abf8c993ffa44045f7c319a4",
+        "b75aa0188e5a91289dbdbe5dc1b7a5d7b8d150cd98ac7f305bf5724a334f8da7",
     ),
     "degenerate-reference": (
         ["--x", "exp-z0.txt", "--z", "exp-x1.txt"] + OUT,
