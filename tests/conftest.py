@@ -1,5 +1,6 @@
-"""Shared fixtures, frozen oracle data, the rank oracle and a generator
-stand-in that enumerates every RESAMPLE donor draw.
+"""Shared fixtures, frozen oracle data, the rank oracle, the position-order
+repair oracle and a generator stand-in that enumerates every RESAMPLE
+donor draw.
 
 The exact three-point census takes about 0.15 s (2-core host; 1.8 s
 before it ranked on integers and solved each distinct matrix once), and
@@ -9,13 +10,15 @@ and frozen here.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from deconvsim import TieRule
+from deconvsim import AdjustPolicy, SupportConstraint, TieRule
 from deconvsim.core import _sort_order
+from deconvsim.errors import InfeasibleAdjustmentError, InvalidInputError
 from deconvsim.smallcase import full_census
 
 # Property tests draw the same examples on every run (derandomize), and
@@ -76,3 +79,64 @@ class EveryDraw:
             self.draws = itertools.product(range(low, high), repeat=size)
             self.total = (high - low) ** size
         return np.array(next(self.draws), dtype=np.int64)
+
+
+# `adjusters._repair` as it was before the one-sided masks and `_fold` as
+# it was before it folded in place, copied verbatim (renamed; `_fold`
+# without its comment).  It repairs in position order: the RESAMPLE branch
+# is the position-order oracle of the sorted-vector repair, for the
+# repair tests and for the rank-form step of the engine tests.
+def _parent_fold(v: np.ndarray, lower: float, upper: float) -> np.ndarray:
+    if math.isinf(upper):
+        return lower + np.abs(v - lower)
+    if math.isinf(lower):
+        return upper - np.abs(v - upper)
+    period = 2.0 * (upper - lower)
+    t = np.mod(v - lower, period)
+    return lower + np.minimum(t, period - t)
+
+
+def parent_repair(
+    v: np.ndarray,
+    policy: AdjustPolicy,
+    support: SupportConstraint,
+    rng: np.random.Generator | None,
+) -> int:
+    """``adjust`` in place on the float64 vector v, which the caller owns;
+    returns the violation count.  Unchecked: policy must be an AdjustPolicy.
+    """
+    if not support.bounded:
+        return 0
+    bad = support.violations(v)
+    count = int(np.count_nonzero(bad))
+    if policy is AdjustPolicy.NONE or count == 0:
+        return count
+
+    if policy is AdjustPolicy.CLAMP:
+        np.clip(v, support.lower, support.upper, out=v)
+        return count
+
+    if policy is AdjustPolicy.ABSOLUTE:
+        v[bad] = _parent_fold(v[bad], support.lower, support.upper)
+        return count
+
+    good = v[~bad]
+    if good.size == 0:
+        raise InfeasibleAdjustmentError(
+            f"policy {policy.value!r} needs at least one in-support value"
+        )
+
+    if policy is AdjustPolicy.RESAMPLE:
+        if rng is None:
+            raise InvalidInputError("resample policy requires an rng")
+        v[bad] = good[rng.integers(0, good.size, count)]
+        return count
+
+    # COPY_SMALLEST
+    good_sorted = np.sort(good)
+    low_idx = np.flatnonzero(v < support.lower)
+    high_idx = np.flatnonzero(v > support.upper)
+    # More violators than in-support values: cycle through the copies.
+    v[low_idx] = good_sorted[np.arange(low_idx.size) % good_sorted.size]
+    v[high_idx] = good_sorted[::-1][np.arange(high_idx.size) % good_sorted.size]
+    return count

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from deconvsim import AdjustPolicy, SupportConstraint, make_rng
-from conftest import EveryDraw
-from deconvsim.adjusters import UNBOUNDED, _no_donors, _repair
+from conftest import EveryDraw, parent_repair
+from deconvsim.adjusters import UNBOUNDED, _repair
 from deconvsim.errors import ConfigError, InfeasibleAdjustmentError, InvalidInputError
 
 HALF_LINE = SupportConstraint(0.0, math.inf)
@@ -197,68 +197,11 @@ def test_every_repair_policy_lands_inside_the_support(v, support, policy):
     assert out.size == arr.size
 
 
-# `_repair` as it was before the one-sided masks and `_fold` as it was
-# before it folded in place, copied verbatim (renamed; `_fold` without its
-# comment).  The old `_repair` repaired in position order and the engine
-# sorted the result: the current `_repair`, which sorts and then repairs,
-# must give its sorted bytes with the same violation count, rng state and
-# error.  RESAMPLE must give the old repair of the sorted vector, sorted.
-def _parent_fold(v: np.ndarray, lower: float, upper: float) -> np.ndarray:
-    if math.isinf(upper):
-        return lower + np.abs(v - lower)
-    if math.isinf(lower):
-        return upper - np.abs(v - upper)
-    period = 2.0 * (upper - lower)
-    t = np.mod(v - lower, period)
-    return lower + np.minimum(t, period - t)
-
-
-def _parent_repair(
-    v: np.ndarray,
-    policy: AdjustPolicy,
-    support: SupportConstraint,
-    rng: np.random.Generator | None,
-) -> int:
-    """``adjust`` in place on the float64 vector v, which the caller owns;
-    returns the violation count.  Unchecked: policy must be an AdjustPolicy.
-    """
-    if not support.bounded:
-        return 0
-    bad = support.violations(v)
-    count = int(np.count_nonzero(bad))
-    if policy is AdjustPolicy.NONE or count == 0:
-        return count
-
-    if policy is AdjustPolicy.CLAMP:
-        np.clip(v, support.lower, support.upper, out=v)
-        return count
-
-    if policy is AdjustPolicy.ABSOLUTE:
-        v[bad] = _parent_fold(v[bad], support.lower, support.upper)
-        return count
-
-    good = v[~bad]
-    if good.size == 0:
-        raise InfeasibleAdjustmentError(
-            f"policy {policy.value!r} needs at least one in-support value"
-        )
-
-    if policy is AdjustPolicy.RESAMPLE:
-        if rng is None:
-            raise InvalidInputError("resample policy requires an rng")
-        v[bad] = good[rng.integers(0, good.size, count)]
-        return count
-
-    # COPY_SMALLEST
-    good_sorted = np.sort(good)
-    low_idx = np.flatnonzero(v < support.lower)
-    high_idx = np.flatnonzero(v > support.upper)
-    # More violators than in-support values: cycle through the copies.
-    v[low_idx] = good_sorted[np.arange(low_idx.size) % good_sorted.size]
-    v[high_idx] = good_sorted[::-1][np.arange(high_idx.size) % good_sorted.size]
-    return count
-
-
+# `conftest.parent_repair` is `_repair` as it was before the one-sided
+# masks.  It repaired in position order and the engine sorted the result:
+# the current `_repair`, which sorts and then repairs, must give its sorted
+# bytes with the same violation count, rng state and error.  RESAMPLE must
+# give the old repair of the sorted vector, sorted.
 REPAIR_SUPPORTS = [
     UNBOUNDED,
     SupportConstraint(0.0, math.inf),
@@ -305,11 +248,11 @@ def _outcome(repair, v, policy, support, rng, signed_zeros=True):
     return out.view(np.int64).tolist(), count, type(count), None if rng is None else rng.random()
 
 
-def _sorted_parent_repair(v, policy, support, rng):
+def _sortedparent_repair(v, policy, support, rng):
     if policy is AdjustPolicy.RESAMPLE:
         # Its donors and violators are taken in the order of the sorted v.
         v.sort()
-    count = _parent_repair(v, policy, support, rng)
+    count = parent_repair(v, policy, support, rng)
     v.sort()
     return count
 
@@ -338,7 +281,7 @@ def test_repair_matches_the_two_sided_masks_byte_for_byte(policy, support):
                     label = (n, name, seed, with_rng)
                     position = np.array(v, dtype=np.float64)
                     try:
-                        _parent_repair(position, policy, support, make_rng(seed))
+                        parent_repair(position, policy, support, make_rng(seed))
                     except InfeasibleAdjustmentError:
                         pass
                     signed = not _mixed_zeros(position)
@@ -346,7 +289,7 @@ def test_repair_matches_the_two_sided_masks_byte_for_byte(policy, support):
                         _outcome(
                             repair, v, policy, support, make_rng(seed) if with_rng else None, signed
                         )
-                        for repair in (_sorted_parent_repair, _repair)
+                        for repair in (_sortedparent_repair, _repair)
                     )
                     assert got == expected, label
                     if not isinstance(got[0], type):
@@ -357,83 +300,33 @@ def test_repair_matches_the_two_sided_masks_byte_for_byte(policy, support):
                             assert not support.violations(out).any(), label
 
 
-# The position-order RESAMPLE repair as it was before it joined the
-# sorted-vector repair, copied verbatim: the law oracle of the sorted one.
-def _resample(v: np.ndarray, support: SupportConstraint, rng: np.random.Generator) -> int:
-    """Replace each violator of v, in position order, with a uniform draw
-    from v's in-support values listed in position order; returns the
-    violation count.
-
-    Only a finite bound is compared against, so a half-line support costs
-    one mask; ``v > inf`` and ``v < -inf`` are false for every v, so the
-    violations are those of ``support.violations``.
-    """
-    lower, upper = support.lower, support.upper
-    if lower == -math.inf:
-        if upper == math.inf:
-            return 0
-        bad = v > upper
-    elif upper == math.inf:
-        bad = v < lower
-    else:
-        bad = (v < lower) | (v > upper)
-    count = int(np.count_nonzero(bad))
-    if count == 0:
-        return count
-    good = v[~bad]
-    if good.size == 0:
-        raise _no_donors(AdjustPolicy.RESAMPLE)
-    v[bad] = good[rng.integers(0, good.size, count)]
-    return count
-
-
-@pytest.mark.parametrize("support", REPAIR_SUPPORTS, ids=lambda s: f"{s.lower}:{s.upper}")
-def test_resample_matches_the_two_sided_masks_in_position_order(support):
-    # The oracle below is the parent's RESAMPLE branch, byte for byte.
-    def resample(v, policy, support, rng):
-        return _resample(v, support, rng)
-
-    for n in (1, 3, 100, 5000):
-        g = np.random.default_rng(n)
-        for name, v in _repair_cases(n, support, g).items():
-            for seed in (0, 1):
-                expected = _outcome(
-                    _parent_repair, v, AdjustPolicy.RESAMPLE, support, make_rng(seed)
-                )
-                got = _outcome(resample, v, AdjustPolicy.RESAMPLE, support, make_rng(seed))
-                assert got == expected, (n, name, seed)
-
-
 def _law(repair, v, support):
-    """Counter of the sorted outputs of ``repair(copy of v, support, rng)``
-    over every donor draw (see ``conftest.EveryDraw``)."""
+    """Counter of the sorted outputs of ``repair(copy of v, RESAMPLE,
+    support, rng)`` over every donor draw (see ``conftest.EveryDraw``)."""
     rng = EveryDraw()
     outputs = Counter()
     while sum(outputs.values()) < rng.total:
         out = np.array(v, dtype=np.float64)
-        repair(out, support, rng)
+        repair(out, AdjustPolicy.RESAMPLE, support, rng)
         outputs[tuple(np.sort(out).tolist())] += 1
     return outputs
 
 
 @pytest.mark.parametrize("support", REPAIR_SUPPORTS, ids=lambda s: f"{s.lower}:{s.upper}")
-def test_sorted_resample_has_the_position_order_law(support):
+def test_resample_matches_the_two_sided_masks_in_position_order(support):
     # The sorted repair draws its donors by their rank, the position-order
-    # oracle by their position, so one draw may pick another donor; over
-    # every draw the two give each sorted result equally often.
-    def sorted_repair(v, support, rng):
-        return _repair(v, AdjustPolicy.RESAMPLE, support, rng)
-
+    # two-sided-mask repair by their position, so one draw may pick another
+    # donor; over every draw the two give each sorted result equally often.
     drawn = 0
     for n in range(1, 6):
         g = np.random.default_rng(n)
         for name, v in _repair_cases(n, support, g).items():
             try:
-                expected = _law(_resample, v, support)
+                expected = _law(parent_repair, v, support)
             except InfeasibleAdjustmentError:
                 with pytest.raises(InfeasibleAdjustmentError):
-                    _law(sorted_repair, v, support)
+                    _law(_repair, v, support)
                 continue
-            assert _law(sorted_repair, v, support) == expected, (n, name)
+            assert _law(_repair, v, support) == expected, (n, name)
             drawn += sum(expected.values()) > 1
     assert drawn > 0 or not support.bounded  # some case had violators to repair

@@ -25,7 +25,7 @@ from deconvsim import (
     make_rng,
     run,
 )
-from conftest import EveryDraw, ranks
+from conftest import EveryDraw, parent_repair, ranks
 from deconvsim import engine, variations
 from deconvsim.adjusters import _repair
 from deconvsim.core import random_permutation
@@ -47,7 +47,6 @@ from deconvsim.errors import (
 )
 from deconvsim.metrics import distance_index, l1_distance, reference_normal_line
 from deconvsim.variations import equalize_lengths
-from test_adjusters import _resample
 
 sample_lists = st.lists(
     st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=25
@@ -106,7 +105,7 @@ def test_iterate_once_counts_violations_before_adjustment():
 # The step in its rank form, as it was before the one-argsort form
 # (renamed; it ranks through `conftest.ranks` and repairs with `_repair`,
 # the functions its checked wrappers called, or under RESAMPLE with the
-# position-order oracle `test_adjusters._resample`): `step` must reproduce
+# position-order oracle `conftest.parent_repair`): `step` must reproduce
 # it byte for byte, violation count and rng state included.
 def _rank_form_step(
     sortx: np.ndarray,
@@ -124,7 +123,7 @@ def _rank_form_step(
         w = w + w_noise
     adjusted = sortz[ranks(w, tie_rule, rng)] - sortx
     if policy is AdjustPolicy.RESAMPLE:
-        violations = _resample(adjusted, support, rng)
+        violations = parent_repair(adjusted, policy, support, rng)
     else:
         violations = _repair(adjusted, policy, support, rng)
     return np.sort(adjusted), violations
