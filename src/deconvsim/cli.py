@@ -138,18 +138,6 @@ def _config_from(ns: argparse.Namespace) -> DeconvConfig:
     )
 
 
-def _degenerate_reason(trace) -> str:
-    """Why ``run`` fitted no normal reference, judged on the samples the
-    chain ran on (``trace.sortx`` and ``trace.sortz``)."""
-    if trace.sortx.size >= 2:
-        try:
-            sample_moments(trace.sortx)
-            sample_moments(trace.sortz)
-        except InvalidInputError:
-            return "a mean or variance overflows float64"
-    return "var(z) <= var(x) or n < 2"
-
-
 def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
     config = _config_from(ns)
     if ns.pooled_out and config.pool.kind is PoolingKind.NONE:
@@ -160,9 +148,11 @@ def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
     header = make_header(ns.seed, argv)
     write_trace_csv(ns.out, trace, header)
     if trace.reference is None:
-        warnings.warn(
-            f"normal reference is degenerate ({_degenerate_reason(trace)}); d written as NA"
-        )
+        if isinstance(trace.reference_error, InvalidInputError):
+            reason = "a mean or variance overflows float64"
+        else:
+            reason = "var(z) <= var(x) or n < 2"
+        warnings.warn(f"normal reference is degenerate ({reason}); d written as NA")
     if ns.pooled_out:
         write_sample(ns.pooled_out, trace.pooled, header)
 

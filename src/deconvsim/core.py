@@ -1,8 +1,8 @@
-"""Vector primitives: sample validation, sort orders, random permutations.
+"""Vector primitives: sample validation and sort orders.
 
 Everything downstream is built on these operations plus a single
 seedable RNG family (numpy's PCG64 via ``numpy.random.default_rng``).
-Sort orders and permutations are 0-based: ``_sort_order(v, ...)`` lists
+Sort orders are 0-based: ``_sort_order(v, ...)`` lists
 the indices of v in ascending order of value, so
 ``v[_sort_order(v, ...)] == np.sort(v)`` exactly.
 """
@@ -14,9 +14,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-
-FloatArray = np.ndarray
-IntArray = np.ndarray
 
 # From this length on, FIRST_OCCURRENCE ranking tries NumPy's default (SIMD)
 # argsort first; below it the tie check costs more than the faster sort saves.
@@ -47,7 +44,7 @@ def make_rng(seed: int) -> np.random.Generator:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}") from None
 
 
-def as_sample(values) -> FloatArray:
+def as_sample(values) -> np.ndarray:
     """Validate and copy input into a float64 sample vector.
 
     Raises InvalidInputError on empty input or any non-finite element.
@@ -63,8 +60,8 @@ def as_sample(values) -> FloatArray:
 
 
 def _sort_order(
-    v: FloatArray, tie_rule: TieRule, rng: np.random.Generator | None
-) -> IntArray:
+    v: np.ndarray, tie_rule: TieRule, rng: np.random.Generator | None
+) -> np.ndarray:
     """Indices that sort v ascending, ties ordered by tie_rule; unchecked.
 
     v must be a finite float64 vector, tie_rule a TieRule and rng a
@@ -87,9 +84,3 @@ def _sort_order(
         order = v.argsort(kind="stable")
     return order
 
-
-def random_permutation(n: int, rng: np.random.Generator) -> IntArray:
-    """A uniformly random permutation of 0..n-1."""
-    if n < 1:
-        raise InvalidInputError("permutation length must be at least 1")
-    return rng.permutation(n)

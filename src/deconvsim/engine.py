@@ -28,7 +28,7 @@ import numpy as np
 from . import variations
 from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint, _repair
 from .config import DeconvConfig
-from .core import TieRule, _sort_order, as_sample, make_rng, random_permutation
+from .core import TieRule, _sort_order, as_sample, make_rng
 from .errors import DegenerateReferenceError, InvalidInputError
 from .metrics import NormalReferenceLine, distance_index, reference_normal_line
 from .variations import PoolingKind, equalize_lengths
@@ -55,7 +55,10 @@ class IterationTrace:
 
     Row 0 of ``ys`` (shape ``(T+1, n)``), ``d`` and ``violations`` (shape
     ``(T+1,)``) is the initial estimate and row t is iteration t.  ``d`` is
-    None when the normal reference is degenerate.
+    None when the normal reference is degenerate; ``reference_error`` then
+    holds what fitting it raised (DegenerateReferenceError when
+    var(z) <= var(x), InvalidInputError when a mean or variance overflows
+    float64), or None when n < 2 and no fit was tried.
     """
 
     config: DeconvConfig
@@ -65,6 +68,7 @@ class IterationTrace:
     d: np.ndarray | None
     violations: np.ndarray
     reference: NormalReferenceLine | None = None
+    reference_error: DegenerateReferenceError | InvalidInputError | None = None
     pooled: np.ndarray | None = None
 
     @property
@@ -137,8 +141,8 @@ def naive_random_difference(x, z, rng: np.random.Generator) -> np.ndarray:
     z = as_sample(z)
     if x.size != z.size:
         raise InvalidInputError("x and z must have equal length")
-    xp = x[random_permutation(x.size, rng)]
-    zp = z[random_permutation(z.size, rng)]
+    xp = x[rng.permutation(x.size)]
+    zp = z[rng.permutation(z.size)]
     return np.sort(zp - xp)
 
 
@@ -187,7 +191,7 @@ def _permutations(n: int, count: int, rng: np.random.Generator):
     at a time by one ``rng.permuted`` call when its first row is asked
     for.  NumPy's ``permuted`` shuffles each row with the same draws as
     ``permutation`` (pinned by a test), so a block gives the rows, and
-    leaves rng in the state, of as many successive ``random_permutation``
+    leaves rng in the state, of as many successive ``rng.permutation(n)``
     calls, as long as nothing else draws from rng between two rows.
     """
     for _, rows in _blocks(n, count):
@@ -234,14 +238,15 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
 
     # The reference line is fitted to the equalized data before smoothing,
     # so d keeps one meaning across smoothing configurations.
-    reference = None
+    reference = reference_error = None
     if n >= 2:
         try:
             reference = reference_normal_line(x_eq, z_eq, n)
-        except (DegenerateReferenceError, InvalidInputError):
+        except (DegenerateReferenceError, InvalidInputError) as exc:
             # var(z) <= var(x), or a mean or variance overflows float64
             # (the only InvalidInputError on validated samples of n >= 2).
-            reference = None
+            # Without its traceback the error keeps no frame of this run alive.
+            reference_error = exc.with_traceback(None)
 
     sm = config.smoothing
     fresh = sm.active and sm.fresh_each_step
@@ -310,6 +315,7 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
         d=d,
         violations=violations,
         reference=reference,
+        reference_error=reference_error,
     )
     if pool_mode is PoolingKind.AVERAGE:
         trace.pooled = variations.pool_average(ys[1:], config.pool.burn_in)

@@ -165,25 +165,19 @@ def reference_normal_line(x, z, n: int) -> NormalReferenceLine:
     return NormalReferenceLine(mu=mu, sigma=sigma, line_values=mu + sigma * _normal_scores(n))
 
 
-def l1_distance(u, v) -> float | np.ndarray:
-    """Sum of absolute elementwise differences between two equal-length
-    vectors.  u may also be a stack of such vectors (shape ``(k, n)``),
-    giving one sum per row, each bit-identical to the sum of that row alone.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or u.shape[-1:] != v.shape:
+def distance_index(sorted_y, ref: NormalReferenceLine) -> float | np.ndarray:
+    """Distance index d: sum of absolute deviations from the reference line,
+    of one sorted estimate or of each row of a stack of them (shape
+    ``(k, n)``), each sum bit-identical to that of the row alone.
+    Raises InvalidInputError unless the rows match the line's length."""
+    line = ref.line_values
+    u = np.asarray(sorted_y, dtype=np.float64)
+    if u.shape[-1:] != line.shape:
         raise InvalidInputError("vectors must have equal length")
-    diff = u - v
+    diff = u - line
     np.abs(diff, out=diff)
     total = diff.sum(axis=-1)
     return float(total) if total.ndim == 0 else total
-
-
-def distance_index(sorted_y, ref: NormalReferenceLine) -> float | np.ndarray:
-    """Distance index d: sum of absolute deviations from the reference line,
-    of one sorted estimate or of each row of a stack of them."""
-    return l1_distance(sorted_y, ref.line_values)
 
 
 def qq_data(sample, dist: TheoreticalDist) -> QQData:

@@ -13,10 +13,10 @@ b are scaled by their common denominator, which keeps every order and
 every tie.  Linear systems are solved by fraction-free elimination on
 integers, and results are Fractions.
 
-The census sweeps six canonical x values, one from each interval
-between consecutive configuration-change points, and tabulates how
-often each distinct stationary distribution occurs.  Many regions share
-one matrix, so the census solves each distinct matrix once.
+The census (``full_census``) sweeps six canonical x values, one from
+each interval between consecutive configuration-change points, and
+tabulates how often each distinct stationary distribution occurs.  Many
+regions share one matrix, so the census solves each distinct matrix once.
 """
 
 from __future__ import annotations
@@ -61,37 +61,6 @@ def _as_fraction(value) -> Fraction:
         return Fraction(value)
     except (ValueError, TypeError) as exc:
         raise InvalidInputError(f"not a rational: {value!r}") from exc
-
-
-@dataclass(frozen=True)
-class CanonicalInstance:
-    """Normalized 3-point problem: sortx = (0, x, 1), sortz = (-a, 0, b)."""
-
-    x: Fraction
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _as_fraction(self.x))
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
-        if not Fraction(0) < self.x < Fraction(1, 2):
-            raise InvalidInputError("x must lie strictly in (0, 1/2)")
-        if self.a <= 0 or self.b <= 0:
-            raise InvalidInputError("a and b must be positive")
-
-    @property
-    def sortx(self) -> tuple[Fraction, ...]:
-        return (Fraction(0), self.x, Fraction(1))
-
-    @property
-    def sortz(self) -> tuple[Fraction, ...]:
-        return (-self.a, Fraction(0), self.b)
-
-    def state_vector(self, pi: tuple[int, ...]) -> tuple[Fraction, ...]:
-        """The y vector of state pi, aligned by position (not sorted)."""
-        sx, sz = self.sortx, self.sortz
-        return tuple(sz[pi[i]] - sx[i] for i in range(3))
 
 
 def cut_values(x) -> frozenset[Fraction]:
@@ -165,13 +134,17 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 Distribution = tuple[Fraction, ...]
 
 
-def _transition_counts(inst: CanonicalInstance) -> Counts:
-    """6 * transition_matrix(inst), as integers.
+def _transition_counts(x: Fraction, a: Fraction, b: Fraction) -> Counts:
+    """6 P as integers, P the exact transition matrix at sortx = (0, x, 1),
+    sortz = (-a, 0, b): P[s][t] counts, out of the 6 reorderings of state
+    s's y vector, those whose rank vector is t's permutation.
 
-    Ranks are invariant under positive scaling, so sortx and sortz are
-    scaled by the common denominator of x, a and b and compared as ints.
+    x, a and b are Fractions with 0 < x < 1/2 and a, b > 0, unchecked
+    (``enumerate_regions`` gives such a and b); a point on a cut line
+    raises CutLineError.  Ranks are invariant under positive scaling, so
+    sortx and sortz are scaled by the common denominator of x, a and b
+    and compared as ints.
     """
-    x, a, b = inst.x, inst.a, inst.b
     scale = math.lcm(x.denominator, a.denominator, b.denominator)
     sx = (0, x.numerator * (scale // x.denominator), scale)
     sz = (
@@ -192,15 +165,6 @@ def _transition_counts(inst: CanonicalInstance) -> Counts:
 
 def _matrix(counts: Counts) -> Matrix:
     return tuple(tuple(_SIXTHS[c] for c in row) for row in counts)
-
-
-def transition_matrix(inst: CanonicalInstance) -> Matrix:
-    """6x6 exact transition matrix of the permutation walk at inst.
-
-    P[s][t] counts, out of the 6 equally likely reorderings of state
-    s's y vector, those whose rank vector is t's permutation.
-    """
-    return _matrix(_transition_counts(inst))
 
 
 def _solve_linear(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -331,7 +295,7 @@ def full_census(x_values=CANONICAL_X) -> RegionCensus:
     for x in x_values:
         x = _as_fraction(x)
         for a, b in enumerate_regions(x):
-            counts = _transition_counts(CanonicalInstance(x, a, b))
+            counts = _transition_counts(x, a, b)
             if counts not in solved:
                 p = _matrix(counts)
                 solved[counts] = (p, stationary_distribution(p))

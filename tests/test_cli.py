@@ -303,6 +303,25 @@ def test_run_overflowing_moments_print_na(tmp_path, capsys):
     assert len(rows) == 4 and all(row.split(",")[1] == "NA" for row in rows)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_degenerate_warning_names_the_cause_seen_before_smoothing(tmp_path, capsys, seed):
+    # var(z) = 0.5 <= var(x) = 50 on the data the reference is fitted to.
+    # One-shot noise of sd 1.3e154 then makes the smoothed samples' moments
+    # overflow for some seeds, which must not change the reason given.
+    x_path = _write_values(tmp_path / "bx.txt", [0.0, 10.0])
+    z_path = _write_values(tmp_path / "bz.txt", [0.0, 1.0])
+    code = main(
+        ["run", "--x", x_path, "--z", z_path, "--out", str(tmp_path / "t.csv"),
+         "--iters", "3", "--smooth-eta", "1.3e154", "--smooth-zeta", "1.3e154",
+         "--smooth-fresh", "0", "--seed", str(seed)]
+    )
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: normal reference is degenerate (var(z) <= var(x) or n < 2); "
+        "d written as NA\n"
+    )
+
+
 def test_run_unwritable_output_exits_2(tmp_path, capsys):
     x_path, z_path, _ = _simulate(tmp_path)
     capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Vector primitives: sample validation, sort orders, random permutations."""
+"""Vector primitives: sample validation, sort orders, the rng family."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import ranks
 from deconvsim import TieRule, make_rng
-from deconvsim.core import as_sample, random_permutation
+from deconvsim.core import as_sample
 from deconvsim.errors import ConfigError, InvalidInputError
 
 finite_vectors = st.lists(
@@ -83,22 +83,6 @@ def test_sort_rank_identity_on_large_tie_free_input():
     v = make_rng(3).normal(size=10_000)
     assert np.unique(v).size == v.size
     assert np.array_equal(np.sort(v)[ranks(v)], v)
-
-
-def test_random_permutation_n1():
-    assert np.array_equal(random_permutation(1, make_rng(0)), [0])
-
-
-def test_random_permutation_is_reproducible():
-    a = random_permutation(10, make_rng(42))
-    b = random_permutation(10, make_rng(42))
-    assert np.array_equal(a, b)
-    assert sorted(a) == list(range(10))
-
-
-def test_random_permutation_rejects_zero_length():
-    with pytest.raises(InvalidInputError):
-        random_permutation(0, make_rng(0))
 
 
 @pytest.mark.parametrize("seed", [-1, -3, 1.5, [1, -2]])

@@ -28,7 +28,6 @@ from deconvsim import (
 from conftest import EveryDraw, parent_repair, ranks
 from deconvsim import engine, variations
 from deconvsim.adjusters import _repair
-from deconvsim.core import random_permutation
 from deconvsim.engine import (
     _D_CHUNK,
     IterationTrace,
@@ -45,7 +44,7 @@ from deconvsim.errors import (
     InfeasibleAdjustmentError,
     InvalidInputError,
 )
-from deconvsim.metrics import distance_index, l1_distance, reference_normal_line
+from deconvsim.metrics import distance_index, reference_normal_line
 from deconvsim.variations import equalize_lengths
 
 sample_lists = st.lists(
@@ -83,7 +82,7 @@ def test_single_element_chain_absorbs_immediately():
     sortx, sortz, y = np.array([2.0]), np.array([7.0]), np.array([5.0])
     rng = make_rng(9)
     for _ in range(5):
-        y, _ = step(sortx, sortz, y, random_permutation(1, rng), rng)
+        y, _ = step(sortx, sortz, y, rng.permutation(1), rng)
         assert np.array_equal(y, [5.0])
 
 
@@ -277,13 +276,13 @@ def test_run_d_is_the_per_row_distance_bit_for_bit(iters, n):
     z = 1.0 + 2.0 * g.permutation(x)  # var(z) = 4 var(x): d is defined
     trace = run(x, z, DeconvConfig(iters=iters, seed=n))
     line = trace.reference.line_values
-    per_row = np.array([l1_distance(y, line) for y in trace.ys])
+    per_row = np.array([np.abs(y - line).sum() for y in trace.ys])
     assert np.array_equal(trace.d.view(np.int64), per_row.view(np.int64))
 
 
 def _parent_run(x, z, config):
     """``run`` as a loop of one draw per iteration from each stream: one
-    ``random_permutation`` from the run's generator, the pool draw
+    ``rng.permutation(n)`` from the run's generator, the pool draw
     ``picks.integers(0, t * n, n)`` from its second child, and fresh
     smoothing and the step's draws from its first child, with a fresh
     array per step.  The byte oracle of the blocked draws."""
@@ -336,7 +335,7 @@ def _parent_run(x, z, config):
         else:
             oldy = ys[t - 1]
 
-        rperm = random_permutation(n, rng)
+        rperm = rng.permutation(n)
 
         if fresh:
             x_eff, w_noise, z_eff = variations.smooth(sortx, sortz, sm, draws)
@@ -442,7 +441,7 @@ def test_blocked_permutations_equal_successive_draws(n):
     count = max(1, _D_CHUNK // n) + 1
     blocked_rng, single_rng = make_rng(n), make_rng(n)
     rows = list(_permutations(n, count, blocked_rng))
-    singles = [random_permutation(n, single_rng) for _ in range(count)]
+    singles = [single_rng.permutation(n) for _ in range(count)]
     assert len(rows) == count
     for row, single in zip(rows, singles):
         assert row.dtype == single.dtype
@@ -457,7 +456,7 @@ def test_spawn_leaves_the_parent_stream_unchanged():
     state = rng.bit_generator.state
     rng.spawn(1)
     assert rng.bit_generator.state == state
-    assert np.array_equal(random_permutation(100, rng), random_permutation(100, twin))
+    assert np.array_equal(rng.permutation(100), twin.permutation(100))
 
 
 @pytest.mark.parametrize("n", [1, 3, 100, 1000])
@@ -579,6 +578,8 @@ def test_run_treats_overflowing_moments_as_a_degenerate_reference():
         warnings.simplefilter("error")
         trace = run(x, z, DeconvConfig(iters=5))
     assert trace.reference is None and trace.d is None
+    assert type(trace.reference_error) is InvalidInputError
+    assert trace.reference_error.__traceback__ is None
     assert np.all(np.isfinite(trace.ys))
 
 
@@ -671,14 +672,18 @@ def test_every_iterate_is_a_permuted_difference_on_integer_inputs():
 def test_run_reports_d_only_when_the_reference_exists():
     x1, z0, _ = make_experiment("normal", 4)
     trace = run(x1, z0, DeconvConfig(iters=5, seed=4))
-    assert trace.reference is not None
+    assert trace.reference is not None and trace.reference_error is None
     assert trace.d.shape == (6,) and np.all(trace.d >= 0)
 
     v = np.sort(make_rng(4).normal(size=50))
     degenerate = run(v, v, DeconvConfig(iters=5, seed=4))
     assert degenerate.reference is None
+    assert isinstance(degenerate.reference_error, DegenerateReferenceError)
     assert degenerate.d is None
     assert degenerate.mean_distance() is None
+
+    single = run([1.0], [2.0], DeconvConfig(iters=5, seed=4))
+    assert single.reference is None and single.reference_error is None
 
 
 def test_run_pool_average_matches_manual_mean():

@@ -77,14 +77,18 @@ def test_every_module_level_name_is_used():
 
 
 # Public module-level functions that no src code but their own definition
-# refers to, each kept for a reason.  Every other public function must be
-# reached from the package itself, not only from the tests.
+# refers to, and public methods and properties of src classes that no src
+# code reads, each kept for a reason.  Every other public function, method
+# and property must be reached from the package itself, not only from the
+# tests.
 SRC_UNREFERENCED = {
     # The paper's two deliberately bad baselines, compared in criterion 3.
     "engine.naive_sorted_difference",
     "engine.naive_random_difference",
-    # One region's exact matrix, read by the census oracle tests.
-    "smallcase.transition_matrix",
+}
+SRC_UNREAD_METHODS = {
+    # Read only by perfbench; goes with item 11's record type.
+    "engine.IterationTrace.steps",
 }
 
 
@@ -116,6 +120,21 @@ def src_references(trees: dict[str, ast.Module]) -> set[str]:
     return refs
 
 
+def attribute_reads(trees: dict[str, ast.Module]) -> set[str]:
+    """Every name src code reads as an attribute (``obj.name``), outside
+    the method of that name.  The class of ``obj`` is not known, so a read
+    of the name on any object counts."""
+    reads = set()
+    for tree in trees.values():
+        for top in tree.body:
+            for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
+                names = {n.attr for n in ast.walk(scope) if isinstance(n, ast.Attribute)}
+                if isinstance(scope, ast.FunctionDef) and scope is not top:
+                    names.discard(scope.name)  # a method reading itself
+                reads.update(names)
+    return reads
+
+
 def test_every_public_function_is_referenced_by_src():
     trees = {path.stem: _parse(path) for path in PACKAGE}
     public = {
@@ -127,3 +146,18 @@ def test_every_public_function_is_referenced_by_src():
     unreferenced = public - src_references(trees)
     assert sorted(unreferenced - SRC_UNREFERENCED) == []
     assert sorted(SRC_UNREFERENCED - unreferenced) == []  # no stale entry
+
+    # Methods and properties (a property is a decorated method).
+    reads = attribute_reads(trees)
+    unread = {
+        f"{stem}.{cls.name}.{node.name}"
+        for stem, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in reads
+    }
+    assert sorted(unread - SRC_UNREAD_METHODS) == []
+    assert sorted(SRC_UNREAD_METHODS - unread) == []  # no stale entry

@@ -15,7 +15,6 @@ from deconvsim.metrics import (
     _normal_scores,
     distance_index,
     exponential_quantile,
-    l1_distance,
     normal_quantile,
     plotting_positions,
     reference_normal_line,
@@ -191,16 +190,23 @@ def test_distance_index_absolute_sum():
 
 
 def test_l1_distance_is_a_metric():
+    # d is the L1 distance from the reference line's values.
+    def l1(u, v):
+        return distance_index(u, NormalReferenceLine(mu=0.0, sigma=1.0, line_values=v))
+
     rng = make_rng(4)
     u, v, w = rng.normal(size=(3, 20))
-    assert l1_distance(u, v) >= 0
-    assert l1_distance(u, u) == 0
-    assert l1_distance(u, v) == l1_distance(v, u)
-    assert l1_distance(u, w) <= l1_distance(u, v) + l1_distance(v, w) + 1e-12
+    assert l1(u, v) >= 0
+    assert l1(u, u) == 0
+    assert l1(u, v) == l1(v, u)
+    assert l1(u, w) <= l1(u, v) + l1(v, w) + 1e-12
     # joint translation leaves it unchanged
-    assert l1_distance(u + 5.0, v + 5.0) == pytest.approx(l1_distance(u, v))
-    with pytest.raises(InvalidInputError):
-        l1_distance(u, u[:-1])
+    assert l1(u + 5.0, v + 5.0) == pytest.approx(l1(u, v))
+    with pytest.raises(InvalidInputError, match="equal length"):
+        l1(u, u[:-1])
+    with pytest.raises(InvalidInputError, match="equal length"):
+        l1(u[:-1], u)
+    assert np.array_equal(l1(np.stack([u, v, w]), v), [l1(u, v), 0.0, l1(w, v)])
 
 
 def test_qq_data_single_point():

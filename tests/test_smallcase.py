@@ -16,18 +16,23 @@ from deconvsim.smallcase import (
     N_STATES,
     PERMS,
     X_CONFIG_BOUNDARIES,
-    CanonicalInstance,
+    _matrix,
     _solve_linear,
+    _transition_counts,
     cut_values,
     enumerate_regions,
     full_census,
     is_point_mass,
     stationary_distribution,
-    transition_matrix,
 )
 
 F = Fraction
 SIXTH = F(1, 6)
+
+
+def transition_matrix(x, a, b):
+    """The exact matrix of region (x, a, b), as the census builds it."""
+    return _matrix(_transition_counts(x, a, b))
 
 
 def test_cut_values_collapse_for_one_quarter():
@@ -47,25 +52,6 @@ def test_cut_values_rejects_floats_and_out_of_range():
     for bad in (F(0), F(1, 2), F(3, 4)):
         with pytest.raises(InvalidInputError):
             cut_values(bad)
-
-
-def test_canonical_instance_validation():
-    inst = CanonicalInstance(F(1, 4), F(1, 3), F(2))
-    assert inst.sortx == (F(0), F(1, 4), F(1))
-    assert inst.sortz == (F(-1, 3), F(0), F(2))
-    with pytest.raises(InvalidInputError):
-        CanonicalInstance(0.25, F(1), F(1))
-    with pytest.raises(InvalidInputError):
-        CanonicalInstance(F(2, 3), F(1), F(1))
-    with pytest.raises(InvalidInputError):
-        CanonicalInstance(F(1, 4), F(0), F(1))
-
-
-def test_state_vector_alignment():
-    inst = CanonicalInstance(F(1, 4), F(1), F(3))
-    identity = PERMS[0]
-    assert inst.state_vector(identity) == (F(-1), F(-1, 4), F(2))
-    assert inst.state_vector((2, 1, 0)) == (F(3), F(-1, 4), F(-2))
 
 
 def test_enumerate_regions_counts_and_interiority():
@@ -103,13 +89,13 @@ def test_enumerate_regions_rejects_boundary_x():
 
 def test_transition_matrix_far_region_is_uniform():
     # With a, b, a+b beyond every cut value the new state is uniform.
-    p = transition_matrix(CanonicalInstance(F(1, 4), F(5, 2), F(5, 2)))
+    p = transition_matrix(F(1, 4), F(5, 2), F(5, 2))
     assert all(entry == SIXTH for row in p for entry in row)
 
 
 def test_transition_matrix_rows_are_sixths_summing_to_one():
     for a, b in enumerate_regions(F(10, 120))[:25]:
-        p = transition_matrix(CanonicalInstance(F(10, 120), a, b))
+        p = transition_matrix(F(10, 120), a, b)
         for row in p:
             assert sum(row) == 1
             assert all(v.denominator in (1, 2, 3, 6) for v in row)
@@ -120,9 +106,9 @@ def test_transition_matrix_raises_on_cut_lines():
     x = F(10, 120)
     assert F(1) in cut_values(x)
     with pytest.raises(CutLineError):
-        transition_matrix(CanonicalInstance(x, F(1), F(7, 13)))
+        transition_matrix(x, F(1), F(7, 13))
     with pytest.raises(CutLineError):
-        transition_matrix(CanonicalInstance(x, F(3, 7), F(4, 7)))  # a + b = 1
+        transition_matrix(x, F(3, 7), F(4, 7))  # a + b = 1
 
 
 def test_matrix_is_constant_within_a_region():
@@ -137,10 +123,8 @@ def test_matrix_is_constant_within_a_region():
             b,
         )
         delta = gap / 3
-        nudged = CanonicalInstance(x, a + delta, b - delta / 2)
-        assert transition_matrix(nudged) == transition_matrix(
-            CanonicalInstance(x, a, b)
-        )
+        nudged = transition_matrix(x, a + delta, b - delta / 2)
+        assert nudged == transition_matrix(x, a, b)
 
 
 def test_stationary_of_uniform_matrix_is_uniform():
@@ -160,7 +144,7 @@ def test_stationary_with_one_absorbing_state_is_a_point_mass():
 def test_stationary_satisfies_balance_exactly_across_regions():
     x = F(10, 120)
     for a, b in enumerate_regions(x)[::8]:
-        p = transition_matrix(CanonicalInstance(x, a, b))
+        p = transition_matrix(x, a, b)
         pi = stationary_distribution(p)
         assert sum(pi) == 1
         for j in range(6):
@@ -331,7 +315,7 @@ def test_matrix_is_constant_on_random_points_of_every_cell(census):
         home = _signature(entry.a, entry.b, cuts)
         for a, b in _points_in_cell(entry.a, entry.b, cuts, rand, 2):
             assert _signature(a, b, cuts) == home
-            assert transition_matrix(CanonicalInstance(entry.x, a, b)) == entry.matrix
+            assert transition_matrix(entry.x, a, b) == entry.matrix
 
 
 def test_random_quadrant_points_fall_in_enumerated_cells():
@@ -435,16 +419,18 @@ def fraction_exact_ranks(values: tuple[Fraction, ...]) -> tuple[int, ...]:
     return tuple(r)
 
 
-def fraction_transition_matrix(inst: CanonicalInstance) -> Matrix:
-    """6x6 exact transition matrix of the permutation walk at inst.
+def fraction_transition_matrix(x: Fraction, a: Fraction, b: Fraction) -> Matrix:
+    """6x6 exact transition matrix of the permutation walk at
+    sortx = (0, x, 1), sortz = (-a, 0, b).
 
     P[s][t] counts, out of the 6 equally likely reorderings of state
     s's y vector, those whose rank vector is t's permutation.
     """
-    sx = inst.sortx
+    sx = (F(0), x, F(1))
+    sz = (-a, F(0), b)
     rows = []
     for pi in PERMS:
-        y = inst.state_vector(pi)
+        y = tuple(sz[pi[i]] - sx[i] for i in range(3))
         counts = [0] * N_STATES
         for rperm in PERMS:
             w = tuple(sx[i] + y[rperm[i]] for i in range(3))
@@ -605,9 +591,8 @@ def test_every_census_cell_matches_the_fraction_implementation(census):
     # another cell's matrix and fail here.
     solved = {}
     for entry in census.entries:
-        inst = CanonicalInstance(entry.x, entry.a, entry.b)
-        assert entry.matrix == fraction_transition_matrix(inst)
-        assert transition_matrix(inst) == entry.matrix
+        assert entry.matrix == fraction_transition_matrix(entry.x, entry.a, entry.b)
+        assert transition_matrix(entry.x, entry.a, entry.b) == entry.matrix
         if entry.matrix not in solved:
             solved[entry.matrix] = fraction_stationary_distribution(entry.matrix)
             assert stationary_distribution(entry.matrix) == solved[entry.matrix]
@@ -655,17 +640,16 @@ def test_every_cut_line_raises_in_both_implementations():
     for x in CANONICAL_X:
         for c in sorted(cut_values(x)):
             for a, b in ((c, off), (off, c), (c / 3, c - c / 3)):
-                inst = CanonicalInstance(x, a, b)
                 with pytest.raises(CutLineError):
-                    fraction_transition_matrix(inst)
+                    fraction_transition_matrix(x, a, b)
                 with pytest.raises(CutLineError):
-                    transition_matrix(inst)
+                    transition_matrix(x, a, b)
 
 
 def test_integer_ranks_give_sixths_out_of_six_rperms():
-    inst = CanonicalInstance(F(27, 120), F(5, 7), F(11, 9))
-    p = transition_matrix(inst)
-    assert p == fraction_transition_matrix(inst)
+    x, a, b = F(27, 120), F(5, 7), F(11, 9)
+    p = transition_matrix(x, a, b)
+    assert p == fraction_transition_matrix(x, a, b)
     assert len(p) == N_STATES
     assert all(sum(row) == 1 for row in p)
 
