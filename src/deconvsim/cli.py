@@ -68,9 +68,10 @@ def parse_equalize(text: str) -> EqualizeStrategy:
         if not arg:
             raise ConfigError("bootstrap needs a target length, e.g. bootstrap:100")
         try:
-            return EqualizeStrategy.bootstrap(int(arg))
+            target = int(arg)
         except ValueError:
             raise ConfigError(f"bad bootstrap target {arg!r}") from None
+        return EqualizeStrategy.bootstrap(target)
     raise ConfigError(f"unknown equalize strategy {text!r}")
 
 

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import variations
 from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint, _repair
 from .config import DeconvConfig
 from .core import TieRule, _sort_order, as_sample, make_rng
 from .errors import DegenerateReferenceError, InvalidInputError
 from .metrics import NormalReferenceLine, distance_index, reference_normal_line
-from .variations import PoolingKind, equalize_lengths
+from .variations import PoolingKind, equalize_lengths, smooth
 
 # Elements per distance_index call when run computes d, and per block of
 # permutations or pool picks: bounds each temporary (512 KB) while keeping
@@ -49,7 +48,7 @@ class IterationRecord:
     violations: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class IterationTrace:
     """Everything a run produced.
 
@@ -59,6 +58,13 @@ class IterationTrace:
     holds what fitting it raised (DegenerateReferenceError when
     var(z) <= var(x), InvalidInputError when a mean or variance overflows
     float64), or None when n < 2 and no fit was tried.
+
+    Rows ``burn_in + 1 ..`` of ``ys`` (``burn_in`` is
+    ``config.pool.burn_in``), the iterations beyond the burn-in, feed both
+    ``pooled`` and ``mean_distance``.  ``pooled`` is their elementwise
+    mean under AVERAGE, a flat copy of them under CONCAT and
+    CONCAT_AND_DRAW, and None without pooling.  The trace is frozen (its
+    arrays stay writable) and compares by identity.
     """
 
     config: DeconvConfig
@@ -86,8 +92,8 @@ class IterationTrace:
         return self.all_records[1:]
 
     def mean_distance(self) -> float | None:
-        """Mean of d over iterations beyond the pooling burn-in; None if
-        d is undefined or no iteration is left."""
+        """Mean of d over the iterations beyond the burn-in; None if d is
+        undefined or no iteration is left."""
         if self.d is None:
             return None
         kept = self.d[self.config.pool.burn_in + 1 :]
@@ -253,7 +259,7 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     eta_once = None
     if sm.active and not fresh:
         # One-shot noise is added at the unsorted equalized positions.
-        x_eq, eta_once, z_eq = variations.smooth(x_eq, z_eq, sm, rng)
+        x_eq, eta_once, z_eq = smooth(x_eq, z_eq, sm, rng)
 
     sortx = np.sort(x_eq)
     sortz = np.sort(z_eq)
@@ -285,7 +291,7 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
             oldy = ys[t - 1]
 
         if fresh:
-            x_eff, w_noise, z_eff = variations.smooth(sortx, sortz, sm, draws)
+            x_eff, w_noise, z_eff = smooth(sortx, sortz, sm, draws)
         else:
             x_eff, w_noise, z_eff = sortx, eta_once, sortz
 
@@ -307,7 +313,14 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
         d = np.empty(config.iters + 1)
         for i, rows in _blocks(n, d.size):
             d[i : i + rows] = distance_index(ys[i : i + rows], reference)
-    trace = IterationTrace(
+    # Iterations beyond the burn-in: the rows mean_distance averages too.
+    kept = ys[config.pool.burn_in + 1 :]
+    pooled = None
+    if pool_mode is PoolingKind.AVERAGE:
+        pooled = kept.mean(axis=0)
+    elif pool_mode is not PoolingKind.NONE:
+        pooled = kept.flatten()
+    return IterationTrace(
         config=config,
         sortx=sortx,
         sortz=sortz,
@@ -316,9 +329,5 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
         violations=violations,
         reference=reference,
         reference_error=reference_error,
+        pooled=pooled,
     )
-    if pool_mode is PoolingKind.AVERAGE:
-        trace.pooled = variations.pool_average(ys[1:], config.pool.burn_in)
-    elif pool_mode in (PoolingKind.CONCAT, PoolingKind.CONCAT_AND_DRAW):
-        trace.pooled = variations.pool_concat(ys[1:], config.pool.burn_in)
-    return trace

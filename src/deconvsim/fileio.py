@@ -256,7 +256,7 @@ def read_sample(path) -> np.ndarray:
                     raise InvalidInputError(
                         f"{path}:{lineno}: not a decimal value: {text!r}"
                     ) from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
     if not values:
         raise InvalidInputError(f"{path}: no data lines")

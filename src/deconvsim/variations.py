@@ -1,8 +1,8 @@
-"""Sample-size equalization, Gaussian smoothing, bootstrap, and pooling.
+"""Sample-size equalization, Gaussian smoothing, bootstrap, and pooling settings.
 
 These are the optional knobs around the core iteration: making x and z the
 same length when they are not, perturbing the data to smooth a lattice,
-resampling, and combining iterates into a single pooled estimate.
+and resampling.  ``PoolingMode`` says how ``run`` pools the iterates.
 """
 
 from __future__ import annotations
@@ -209,29 +209,3 @@ def smooth(
     if spec.zeta_sd > 0:
         z = np.sort(z + rng.normal(0.0, spec.zeta_sd, z.size))
     return x, eta, z
-
-
-def pool_average(ys, burn_in: int) -> np.ndarray:
-    """Elementwise mean of the sorted iterates after burn_in.
-
-    Row ``ys[t]`` is the sorted estimate of iteration t+1, so iterations
-    strictly beyond burn_in are ``ys[burn_in:]``.  The mean of ascending
-    vectors is ascending.
-    """
-    return _post_burn_in(ys, burn_in).mean(axis=0)
-
-
-def pool_concat(ys, burn_in: int) -> np.ndarray:
-    """The iterates after burn_in, flattened into one vector."""
-    return _post_burn_in(ys, burn_in).flatten()
-
-
-def _post_burn_in(ys, burn_in: int) -> np.ndarray:
-    ys = np.asarray(ys, dtype=np.float64)
-    if burn_in < 0:
-        raise InvalidInputError("burn-in must be >= 0")
-    if burn_in >= len(ys):
-        raise InvalidInputError(
-            f"burn-in {burn_in} leaves no iterations out of {len(ys)}"
-        )
-    return ys[burn_in:]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from deconvsim.cli import main, parse_equalize, parse_rational, parse_support
-from deconvsim.errors import ConfigError
+from deconvsim.errors import ConfigError, InvalidInputError
 from deconvsim.fileio import read_sample
 from deconvsim.variations import EqualizeKind
 
@@ -43,6 +43,10 @@ def test_parse_equalize():
     assert strategy.kind is EqualizeKind.BOOTSTRAP and strategy.target == 64
     for bad in ("bootstrap", "bootstrap:x", "mirror"):
         with pytest.raises(ConfigError):
+            parse_equalize(bad)
+    # The constructor's own message, not the int() parse error.
+    for bad in ("bootstrap:0", "bootstrap:-3"):
+        with pytest.raises(InvalidInputError, match="target >= 1"):
             parse_equalize(bad)
 
 
@@ -214,6 +218,7 @@ def test_run_with_boundary_policy(tmp_path, capsys):
         {"--smooth-xi": "1e200", "--smooth-zeta": "1e200"},
         {"--equalize": "bootstrap:4611686018427387904"},
         {"--equalize": f"bootstrap:{10**19}"},
+        {"--equalize": "bootstrap:0"},
     ],
 )
 def test_run_bad_flags_exit_2(tmp_path, capsys, mutation):
@@ -394,6 +399,23 @@ def test_qq_missing_file_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "q.csv")])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["run", "qq"])
+def test_a_sample_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1.0\n\xff2.0\n")
+    ok = tmp_path / "ok.txt"
+    ok.write_text("1\n2\n3\n")
+    if command == "run":
+        argv = ["run", "--x", str(bad), "--z", str(ok), "--out", str(tmp_path / "t.csv")]
+    else:
+        argv = ["qq", "--in", str(bad), "--dist", "standard-normal",
+                "--out", str(tmp_path / "q.csv")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and str(bad) in captured.err
 
 
 def test_help_exits_zero(capsys):

@@ -1,5 +1,6 @@
 """The core iteration, the naive baselines, and the run driver."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -360,7 +361,12 @@ def _parent_run(x, z, config):
         rows = max(1, _D_CHUNK // n)
         for i in range(0, d.size, rows):
             d[i : i + rows] = distance_index(ys[i : i + rows], reference)
-    trace = IterationTrace(
+    pooled = None
+    if pool_mode is PoolingKind.AVERAGE:
+        pooled = np.mean(ys[1:][config.pool.burn_in :], axis=0)
+    elif pool_mode in (PoolingKind.CONCAT, PoolingKind.CONCAT_AND_DRAW):
+        pooled = ys[1:][config.pool.burn_in :].flatten()
+    return IterationTrace(
         config=config,
         sortx=sortx,
         sortz=sortz,
@@ -368,12 +374,8 @@ def _parent_run(x, z, config):
         d=d,
         violations=violations,
         reference=reference,
+        pooled=pooled,
     )
-    if pool_mode is PoolingKind.AVERAGE:
-        trace.pooled = variations.pool_average(ys[1:], config.pool.burn_in)
-    elif pool_mode in (PoolingKind.CONCAT, PoolingKind.CONCAT_AND_DRAW):
-        trace.pooled = variations.pool_concat(ys[1:], config.pool.burn_in)
-    return trace
 
 
 def _run_or_error(run_fn, x, z, config):
@@ -631,6 +633,16 @@ def test_run_records_every_iteration_plus_the_initial_row():
     assert trace.pooled is None
 
 
+def test_trace_is_frozen_and_compares_by_identity():
+    a = run([0, 1, 2], [0, 2, 5], DeconvConfig(iters=2))
+    b = run([0, 1, 2], [0, 2, 5], DeconvConfig(iters=2))
+    assert a == a and a != b  # no elementwise array comparison
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.pooled = a.ys[-1]
+    a.ys[-1, 0] = -1.0  # the arrays stay writable
+    assert a.ys[-1, 0] == -1.0
+
+
 def test_run_zero_iterations_keeps_only_the_initial_estimate():
     x1, z0, _ = make_experiment("normal", 1)
     trace = run(x1, z0, DeconvConfig(iters=0, seed=1))
@@ -688,13 +700,16 @@ def test_run_reports_d_only_when_the_reference_exists():
 
 def test_run_pool_average_matches_manual_mean():
     x1, z0, _ = make_experiment("normal", 5)
-    config = DeconvConfig(
-        iters=20, seed=5, pool=PoolingMode(PoolingKind.AVERAGE, burn_in=4)
-    )
-    trace = run(x1, z0, config)
-    post = trace.ys[5:]  # iterations 5..20, beyond the burn-in of 4
-    assert np.array_equal(trace.pooled, np.mean(post, axis=0))
-    assert np.all(np.diff(trace.pooled) >= 0)
+    for burn_in in (4, 19):
+        config = DeconvConfig(
+            iters=20, seed=5, pool=PoolingMode(PoolingKind.AVERAGE, burn_in=burn_in)
+        )
+        trace = run(x1, z0, config)
+        post = trace.ys[burn_in + 1 :]  # the iterations beyond the burn-in
+        assert np.array_equal(trace.pooled, np.mean(post, axis=0))
+        assert np.all(np.diff(trace.pooled) >= 0)
+    # burn_in = 19 of 20 leaves one iterate, which pools to itself bit for bit.
+    assert _same_bits(trace.pooled, trace.ys[20])
 
 
 def test_run_pool_concat_length():
@@ -704,6 +719,8 @@ def test_run_pool_concat_length():
     )
     trace = run(x1, z0, config)
     assert trace.pooled.size == (20 - 4) * 100
+    assert _same_bits(trace.pooled, trace.ys[5:].reshape(-1))
+    assert not np.shares_memory(trace.pooled, trace.ys)  # a copy, not a view
 
 
 def test_run_concat_and_draw_feeds_from_the_pool():

@@ -8,7 +8,7 @@ import pytest
 
 from deconvsim import EqualizeStrategy, PoolingMode, SmoothingSpec, make_rng
 from deconvsim.errors import ConfigError, InvalidInputError
-from deconvsim.variations import equalize_lengths, pool_average, pool_concat, smooth
+from deconvsim.variations import equalize_lengths, smooth
 
 
 @pytest.mark.parametrize("field", ["xi_sd", "eta_sd", "zeta_sd"])
@@ -193,41 +193,3 @@ def test_smoothing_inactive_when_all_zero():
 def test_pooling_burn_in_must_be_nonnegative():
     with pytest.raises(InvalidInputError):
         PoolingMode(burn_in=-1)
-
-
-def test_pool_average_single_iterate_is_itself():
-    ys = [np.array([0.0, 2.0])]
-    assert np.array_equal(pool_average(ys, 0), ys[0])
-
-
-def test_pool_average_elementwise_mean():
-    ys = [np.array([0.0, 2.0]), np.array([2.0, 4.0])]
-    assert np.array_equal(pool_average(ys, 0), [1.0, 3.0])
-
-
-def test_pool_average_respects_burn_in_and_stays_ascending():
-    ys = [np.array([9.0, 10.0]), np.array([0.0, 2.0]), np.array([2.0, 4.0])]
-    out = pool_average(ys, 1)
-    assert np.array_equal(out, [1.0, 3.0])
-    assert np.all(np.diff(out) >= 0)
-
-
-def test_pool_concat_multiset_and_length():
-    ys = [np.array([0.0, 2.0]), np.array([1.0, 3.0])]
-    out = pool_concat(ys, 0)
-    assert sorted(out) == [0.0, 1.0, 2.0, 3.0]
-    assert out.size == 4
-    assert np.mean(out) == pytest.approx(np.mean([y.mean() for y in ys]))
-
-
-@pytest.mark.parametrize("pool", [pool_average, pool_concat])
-def test_pooling_rejects_burn_in_eating_everything(pool):
-    ys = [np.array([0.0]), np.array([1.0])]
-    with pytest.raises(InvalidInputError):
-        pool(ys, 2)
-
-
-@pytest.mark.parametrize("pool", [pool_average, pool_concat])
-def test_pooling_rejects_a_negative_burn_in(pool):
-    with pytest.raises(InvalidInputError, match="burn-in must be >= 0"):
-        pool([np.array([0.0]), np.array([1.0])], -1)
