@@ -4,7 +4,9 @@ Everything downstream is built on these operations plus a single
 seedable RNG family (numpy's PCG64 via ``numpy.random.default_rng``).
 Sort orders are 0-based: ``_sort_order(v, ...)`` lists
 the indices of v in ascending order of value, so
-``v[_sort_order(v, ...)] == np.sort(v)`` exactly.
+``v[_sort_order(v, ...)] == np.sort(v)`` exactly.  Under the default
+tie rule the order is that of a stable argsort; from n = 1024 on it
+comes from one SIMD sort of packed (value, index) int64 keys.
 """
 
 from __future__ import annotations
@@ -15,9 +17,13 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 
-# From this length on, FIRST_OCCURRENCE ranking tries NumPy's default (SIMD)
-# argsort first; below it the tie check costs more than the faster sort saves.
+# From this length on, FIRST_OCCURRENCE ranking sorts packed (value, index)
+# int64 keys with NumPy's SIMD sort; below it the stable argsort is faster.
 _FAST_ARGSORT_MIN = 1024
+# The magnitude bits of a float64 seen as an int64.
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+# Swap passes over broadly colliding keys before the stable sort takes over.
+_SWAP_PASSES = 6
 
 
 class TieRule(Enum):
@@ -68,19 +74,69 @@ def _sort_order(
     generator when tie_rule is RANDOM (``run`` checks what they come from).
 
     FIRST_OCCURRENCE gives the order of a stable sort.  From n = 1024 on,
-    the default argsort is tried first: without ties its order is the only
-    ascending one; if the sorted values hold an equal adjacent pair, the
-    stable sort is run instead.  Tied input thus pays for both sorts.
+    one int64 key per element is sorted in place: the order-preserving
+    integer image of ``v + 0.0`` (so -0.0 and 0.0 tie), its low
+    ``b = (n - 1).bit_length()`` bits replaced by the element's index.  The
+    low bits of the sorted keys are the order, except that a group of keys
+    with equal high bits comes out in index order.  That is right for exact
+    ties, so lattice data need no second sort.  A group whose values differ
+    is re-sorted by value: a few groups with one stable sort of their
+    members, broad collisions with swaps of adjacent descending pairs and,
+    for what a few passes leave, a stable sort of the gathered values.
     """
     if tie_rule is TieRule.RANDOM:
         return np.lexsort((rng.random(v.size), v))
     # The argsort method, not np.argsort: the same sort without the
     # function dispatch, which costs as much as the sort at n = 100.
-    if v.size < _FAST_ARGSORT_MIN:
+    n = v.size
+    if n < _FAST_ARGSORT_MIN:
         return v.argsort(kind="stable")
-    order = v.argsort()
+    b = (n - 1).bit_length()
+    low = (1 << b) - 1
+    key = (v + 0.0).view(np.int64)
+    # Flip the magnitude bits of negative values: signed int64 order is
+    # then float order.
+    flip = key >> 63
+    flip &= _MAGNITUDE
+    key ^= flip
+    del flip
+    key &= ~low
+    key |= np.arange(n)
+    key.sort()
+    order = key & low
+    key >>= b
+    collides = key[1:] == key[:-1]
+    del key
+    collisions = np.count_nonzero(collides)
+    if collisions == 0:
+        return order
+    # Groups are ordered by value and each is in index order, so one
+    # stable sort by value of the members of every colliding group gives
+    # the stable order; exact ties keep their places.  Up to n / 64
+    # collisions their index arrays stay small next to a full gather.
+    if collisions <= n >> 6:
+        member = np.zeros(n, dtype=bool)
+        member[1:] = collides
+        member[:-1] |= collides
+        slots = np.flatnonzero(member)
+        idx = order[slots]
+        order[slots] = idx[v[idx].argsort(kind="stable")]
+        return order
+    # Broad collisions: gather the values once.  Exact ties only (lattice
+    # data) leave them ascending.  Otherwise the descents lie inside
+    # groups; a few passes of swaps of adjacent descending pairs sort small
+    # groups (a swap never passes an equal value, so it is stable), and
+    # the stable sort of the nearly sorted rest finishes larger ones.
+    del collides
     s = v[order]
-    if np.any(s[1:] == s[:-1]):
-        order = v.argsort(kind="stable")
-    return order
-
+    for _ in range(_SWAP_PASSES):
+        down = s[1:] < s[:-1]
+        if not down.any():
+            return order
+        # The first pair of each descending run: the swapped pairs are disjoint.
+        down[1:] &= ~down[:-1]
+        i = np.flatnonzero(down)
+        j = i + 1
+        order[i], order[j] = order[j], order[i]
+        s[i], s[j] = s[j], s[i]
+    return order[s.argsort(kind="stable")]

@@ -36,6 +36,7 @@ of the computed distances (below 1e-14), so no rounding decides a case.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 
@@ -260,7 +261,19 @@ def read_sample(path) -> np.ndarray:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
     if not values:
         raise InvalidInputError(f"{path}: no data lines")
-    return as_sample(values)
+    try:
+        return as_sample(values)
+    except InvalidInputError:
+        # float() reads inf, nan and 1e999.  Name the first such line; the
+        # file is read again only on failure, so success costs no more.
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if text and not text.startswith("#") and not math.isfinite(float(text)):
+                    raise InvalidInputError(
+                        f"{path}:{lineno}: not a finite value: {text!r}"
+                    ) from None
+        raise
 
 
 def write_sample(path, values, header: str | None = None) -> None:

@@ -283,6 +283,7 @@ def is_point_mass(dist: Distribution) -> bool:
 def full_census(x_values=CANONICAL_X) -> RegionCensus:
     """Sweep the given x values (default: the six canonical ones),
     solving every region exactly.  Deterministic, no randomness.
+    Raises InvalidInputError for an x given twice, in any spelling.
 
     Every x in one interval between configuration-change values gives
     the canonical x's matrices, each with one recurrent class, so
@@ -292,8 +293,12 @@ def full_census(x_values=CANONICAL_X) -> RegionCensus:
     """
     solved: dict[Counts, tuple[Matrix, Distribution]] = {}
     entries = []
+    seen: set[Fraction] = set()
     for x in x_values:
         x = _as_fraction(x)
+        if x in seen:
+            raise InvalidInputError(f"x = {x} is given more than once")
+        seen.add(x)
         for a, b in enumerate_regions(x):
             counts = _transition_counts(x, a, b)
             if counts not in solved:

@@ -374,6 +374,10 @@ def test_analyze3_rejects_bad_x_values(tmp_path, capsys):
     assert main(["analyze3", "--out", out, "--x-values", "zzz"]) == 2
     assert main(["analyze3", "--out", out, "--x-values", "1/5"]) == 2
     capsys.readouterr()
+    # One x twice, also in another spelling, would count its regions twice.
+    for repeated in ("10/120,10/120", "10/120,20/240"):
+        assert main(["analyze3", "--out", out, "--x-values", repeated]) == 2
+        assert capsys.readouterr().err == "error: x = 1/12 is given more than once\n"
     assert main(["analyze3", "--out", out, "--x-values", ","]) == 2
     assert capsys.readouterr().err == "error: --x-values is empty\n"
     assert not (tmp_path / "c.csv").exists()
@@ -416,6 +420,24 @@ def test_a_sample_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and str(bad) in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "qq"])
+@pytest.mark.parametrize("text", ["inf", "nan", "1e999", "-Infinity"])
+def test_a_non_finite_sample_line_exits_2_naming_the_file(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"# comment\n1.0\n\n{text}\n2.0\n")
+    ok = tmp_path / "ok.txt"
+    ok.write_text("1\n2\n3\n")
+    if command == "run":
+        argv = ["run", "--x", str(ok), "--z", str(bad), "--out", str(tmp_path / "t.csv")]
+    else:
+        argv = ["qq", "--in", str(bad), "--dist", "standard-normal",
+                "--out", str(tmp_path / "q.csv")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {bad}:4: not a finite value: {text!r}\n"
 
 
 def test_help_exits_zero(capsys):

@@ -1,5 +1,7 @@
 """Vector primitives: sample validation, sort orders, the rng family."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import ranks
 from deconvsim import TieRule, make_rng
-from deconvsim.core import as_sample
+from deconvsim.core import _sort_order, as_sample
 from deconvsim.errors import ConfigError, InvalidInputError
 
 finite_vectors = st.lists(
@@ -70,13 +72,80 @@ def test_sort_rank_identity_with_ties(v):
 @pytest.mark.parametrize("n", [1023, 1024, 10_000])
 def test_ranks_of_tied_values_match_a_stable_sort(n):
     # Integer values with many ties, on both sides of the length at which
-    # _sort_order switches to the default argsort and falls back on ties.
+    # _sort_order switches from the stable argsort to packed int64 keys.
     v = make_rng(n).integers(0, 50, size=n).astype(np.float64)
     expected = np.empty(n, dtype=np.intp)
     expected[np.argsort(v, kind="stable")] = np.arange(n)
     assert np.array_equal(ranks(v), expected)
     # The default argsort alone would order these ties differently.
     assert not np.array_equal(np.argsort(v), np.argsort(v, kind="stable"))
+
+
+def _near_duplicate_pairs(rng, n, share):
+    # A share of the values gets a partner 1e-15 above it: a few ulps apart,
+    # so both land in one key group with different values.
+    v = rng.normal(size=n)
+    k = int(n * share) // 2
+    i = rng.choice(n, 2 * k, replace=False)
+    v[i[k:]] = v[i[:k]] + 1e-15
+    return v
+
+
+def _ulp_runs(rng, n):
+    # Runs of 16 neighbouring floats in random index order: groups too large
+    # for the adjacent swaps, left to the stable sort.
+    v = np.empty((n // 16 + 1, 16))
+    v[:, 0] = rng.normal(size=v.shape[0])
+    for j in range(1, 16):
+        v[:, j] = np.nextafter(v[:, j - 1], np.inf)
+    v = v.reshape(-1)[:n]
+    rng.shuffle(v)
+    return v
+
+
+SORT_ORDER_INPUTS = {
+    "continuous": lambda rng, n: rng.normal(size=n),
+    "lattice": lambda rng, n: (rng.poisson(3, n) + rng.poisson(2, n)).astype(np.float64),
+    "signed zeros and ones": lambda rng, n: rng.choice([0.0, -0.0, 1.0, -1.0], n),
+    "signed zeros, tiniest and ones": lambda rng, n: rng.choice(
+        [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0], n
+    ),
+    "times 1e-300": lambda rng, n: rng.normal(size=n) * 1e-300,
+    "times 1e300": lambda rng, n: rng.normal(size=n) * 1e300,
+    "one decimal": lambda rng, n: np.round(rng.normal(size=n), 1),
+    "a few near-duplicate pairs": lambda rng, n: _near_duplicate_pairs(rng, n, 0.02),
+    "near-duplicate pairs only": lambda rng, n: _near_duplicate_pairs(rng, n, 1.0),
+    "runs of neighbouring floats": _ulp_runs,
+}
+
+
+@pytest.mark.parametrize("n", [1024, 1025, 2048, 2049, 10_000, 200_000])
+@pytest.mark.parametrize("kind", sorted(SORT_ORDER_INPUTS))
+def test_sort_order_is_the_stable_argsort(kind, n):
+    # 1024 is the cut-over to packed keys; at 1025 and 2049 the index takes
+    # one more bit of the key.  The engine's rank-form oracle and the
+    # conftest ranks helper call _sort_order themselves, so only these
+    # tests compare it with the stable sort.
+    v = SORT_ORDER_INPUTS[kind](np.random.default_rng(n), n)
+    order = _sort_order(v, TieRule.FIRST_OCCURRENCE, None)
+    assert np.array_equal(order, np.argsort(v, kind="stable"))
+
+
+@pytest.mark.parametrize("kind, bound", [("continuous", 2.25), ("lattice", 3.1)])
+def test_sort_order_peak_memory(kind, bound):
+    # Peak in n-vectors of 8 bytes: the order, the key and a boolean mask,
+    # with no second sort on lattice data.
+    n = 200_000
+    v = SORT_ORDER_INPUTS[kind](np.random.default_rng(7), n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _sort_order(v, TieRule.FIRST_OCCURRENCE, None)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * v.nbytes
 
 
 def test_sort_rank_identity_on_large_tie_free_input():

@@ -394,6 +394,12 @@ def test_every_x_of_an_interval_gives_the_canonical_matrices(census):
             assert got == expected, x
 
 
+@pytest.mark.parametrize("xs", [["10/120", "10/120"], ["10/120", F(1, 12)], [F(1, 12), "20/240"]])
+def test_full_census_rejects_an_x_given_twice(xs):
+    with pytest.raises(InvalidInputError, match="1/12 is given more than once"):
+        full_census(xs)
+
+
 # The Fraction implementation that the integer-rank matrix and the
 # per-matrix stationary memo replaced, kept verbatim (names prefixed
 # with "fraction") as the oracle the census must keep matching.
