@@ -22,8 +22,6 @@ from .errors import ConfigError, InvalidInputError
 _FAST_ARGSORT_MIN = 1024
 # The magnitude bits of a float64 seen as an int64.
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
-# Swap passes over broadly colliding keys before the stable sort takes over.
-_SWAP_PASSES = 6
 
 
 class TieRule(Enum):
@@ -79,10 +77,9 @@ def _sort_order(
     ``b = (n - 1).bit_length()`` bits replaced by the element's index.  The
     low bits of the sorted keys are the order, except that a group of keys
     with equal high bits comes out in index order.  That is right for exact
-    ties, so lattice data need no second sort.  A group whose values differ
-    is re-sorted by value: a few groups with one stable sort of their
-    members, broad collisions with swaps of adjacent descending pairs and,
-    for what a few passes leave, a stable sort of the gathered values.
+    ties, so lattice data need no second sort.  When a group merged
+    different values, the values are gathered in key order and given a
+    stable sort, which finds them nearly sorted.
     """
     if tie_rule is TieRule.RANDOM:
         return np.lexsort((rng.random(v.size), v))
@@ -105,38 +102,15 @@ def _sort_order(
     key.sort()
     order = key & low
     key >>= b
-    collides = key[1:] == key[:-1]
+    if not (key[1:] == key[:-1]).any():
+        return order
     del key
-    collisions = np.count_nonzero(collides)
-    if collisions == 0:
-        return order
-    # Groups are ordered by value and each is in index order, so one
-    # stable sort by value of the members of every colliding group gives
-    # the stable order; exact ties keep their places.  Up to n / 64
-    # collisions their index arrays stay small next to a full gather.
-    if collisions <= n >> 6:
-        member = np.zeros(n, dtype=bool)
-        member[1:] = collides
-        member[:-1] |= collides
-        slots = np.flatnonzero(member)
-        idx = order[slots]
-        order[slots] = idx[v[idx].argsort(kind="stable")]
-        return order
-    # Broad collisions: gather the values once.  Exact ties only (lattice
-    # data) leave them ascending.  Otherwise the descents lie inside
-    # groups; a few passes of swaps of adjacent descending pairs sort small
-    # groups (a swap never passes an equal value, so it is stable), and
-    # the stable sort of the nearly sorted rest finishes larger ones.
-    del collides
+    # Keys with equal high bits form a group.  Groups are ordered by value
+    # and each is in index order, which is right for exact ties: lattice
+    # data leave the gathered values ascending.  A group that merged
+    # different values leaves a descent, and a stable sort of the nearly
+    # sorted values gives the stable order.
     s = v[order]
-    for _ in range(_SWAP_PASSES):
-        down = s[1:] < s[:-1]
-        if not down.any():
-            return order
-        # The first pair of each descending run: the swapped pairs are disjoint.
-        down[1:] &= ~down[:-1]
-        i = np.flatnonzero(down)
-        j = i + 1
-        order[i], order[j] = order[j], order[i]
-        s[i], s[j] = s[j], s[i]
+    if (s[1:] >= s[:-1]).all():
+        return order
     return order[s.argsort(kind="stable")]

@@ -36,9 +36,9 @@ of the computed distances (below 1e-14), so no rounding decides a case.
 
 from __future__ import annotations
 
-import math
 import os
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -241,16 +241,22 @@ def fmt_rational(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _data_lines(fh):
+    """(line number, stripped text) of each line that is neither blank
+    nor a '#' comment."""
+    for lineno, line in enumerate(fh, start=1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            yield lineno, text
+
+
 def read_sample(path) -> np.ndarray:
     """Read newline-delimited decimals; '#' comment lines and blank
     lines are ignored."""
     values = []
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
+            for lineno, text in _data_lines(fh):
                 try:
                     values.append(float(text))
                 except ValueError:
@@ -264,16 +270,13 @@ def read_sample(path) -> np.ndarray:
     try:
         return as_sample(values)
     except InvalidInputError:
-        # float() reads inf, nan and 1e999.  Name the first such line; the
-        # file is read again only on failure, so success costs no more.
+        # float() reads inf, nan and 1e999, the one failure left here.
+        # Name the first such line; the file is read again only on
+        # failure, so success costs no more.
+        first = int(np.isfinite(values).argmin())
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if text and not text.startswith("#") and not math.isfinite(float(text)):
-                    raise InvalidInputError(
-                        f"{path}:{lineno}: not a finite value: {text!r}"
-                    ) from None
-        raise
+            lineno, text = next(islice(_data_lines(fh), first, None))
+        raise InvalidInputError(f"{path}:{lineno}: not a finite value: {text!r}") from None
 
 
 def write_sample(path, values, header: str | None = None) -> None:

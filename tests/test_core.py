@@ -92,8 +92,8 @@ def _near_duplicate_pairs(rng, n, share):
 
 
 def _ulp_runs(rng, n):
-    # Runs of 16 neighbouring floats in random index order: groups too large
-    # for the adjacent swaps, left to the stable sort.
+    # Runs of 16 neighbouring floats in random index order: key groups that
+    # merge many different values, not just pairs.
     v = np.empty((n // 16 + 1, 16))
     v[:, 0] = rng.normal(size=v.shape[0])
     for j in range(1, 16):
