@@ -150,7 +150,9 @@ def _repair(
 
     size = hi - lo
     if size == 0:
-        raise _no_donors(policy)
+        raise InfeasibleAdjustmentError(
+            f"policy {policy.value!r} needs at least one in-support value"
+        )
 
     if policy is AdjustPolicy.RESAMPLE:
         picks = v[lo:hi][rng.integers(0, size, count)]
@@ -171,8 +173,3 @@ def _repair(
     v[:] = v[lo:hi].repeat(counts)
     return count
 
-
-def _no_donors(policy: AdjustPolicy) -> InfeasibleAdjustmentError:
-    return InfeasibleAdjustmentError(
-        f"policy {policy.value!r} needs at least one in-support value"
-    )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from fractions import Fraction
 
 import numpy as np
 
@@ -73,13 +72,6 @@ def parse_equalize(text: str) -> EqualizeStrategy:
             raise ConfigError(f"bad bootstrap target {arg!r}") from None
         return EqualizeStrategy.bootstrap(target)
     raise ConfigError(f"unknown equalize strategy {text!r}")
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"malformed rational {text!r}") from None
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -198,12 +190,12 @@ def cmd_simulate(ns: argparse.Namespace, argv: list[str]) -> int:
 
 
 def cmd_analyze3(ns: argparse.Namespace, argv: list[str]) -> int:
+    xs = CANONICAL_X
     if ns.x_values:
-        xs = [parse_rational(tok) for tok in ns.x_values.split(",") if tok.strip()]
+        # full_census parses each token as an exact rational.
+        xs = [tok for tok in map(str.strip, ns.x_values.split(",")) if tok]
         if not xs:
             raise ConfigError("--x-values is empty")
-    else:
-        xs = list(CANONICAL_X)
     census = full_census(xs)
     header = make_header("-", argv)
     write_census_csv(ns.out, census, header)

@@ -29,7 +29,7 @@ from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint, _repair
 from .config import DeconvConfig
 from .core import TieRule, _sort_order, as_sample, make_rng
 from .errors import DegenerateReferenceError, InvalidInputError
-from .metrics import NormalReferenceLine, distance_index, reference_normal_line
+from .metrics import distance_index, reference_normal_line
 from .variations import PoolingKind, equalize_lengths, smooth
 
 # Elements per distance_index call when run computes d, and per block of
@@ -53,11 +53,13 @@ class IterationTrace:
     """Everything a run produced.
 
     Row 0 of ``ys`` (shape ``(T+1, n)``), ``d`` and ``violations`` (shape
-    ``(T+1,)``) is the initial estimate and row t is iteration t.  ``d`` is
-    None when the normal reference is degenerate; ``reference_error`` then
-    holds what fitting it raised (DegenerateReferenceError when
-    var(z) <= var(x), InvalidInputError when a mean or variance overflows
-    float64), or None when n < 2 and no fit was tried.
+    ``(T+1,)``) is the initial estimate and row t is iteration t.
+    ``reference`` is the fitted normal reference line, one value per
+    position of a row.  It and ``d`` are None when the reference is
+    degenerate; ``reference_error`` then holds what fitting it raised
+    (DegenerateReferenceError when var(z) <= var(x), InvalidInputError
+    when a mean or variance overflows float64), or None when n < 2 and no
+    fit was tried.
 
     Rows ``burn_in + 1 ..`` of ``ys`` (``burn_in`` is
     ``config.pool.burn_in``), the iterations beyond the burn-in, feed both
@@ -73,7 +75,7 @@ class IterationTrace:
     ys: np.ndarray
     d: np.ndarray | None
     violations: np.ndarray
-    reference: NormalReferenceLine | None = None
+    reference: np.ndarray | None = None
     reference_error: DegenerateReferenceError | InvalidInputError | None = None
     pooled: np.ndarray | None = None
 
@@ -235,6 +237,10 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     the values of, and leaves each generator in the state of, one draw
     per iteration.  Each step writes its estimate straight into its row
     of the trace.
+
+    Besides rejecting bad samples, raises InvalidInputError when the
+    working vector could overflow float64, when the trace does not fit in
+    memory, or when the pooled average overflows.
     """
     rng = make_rng(config.seed)
     draws = rng.spawn(1)[0]
@@ -247,7 +253,7 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     reference = reference_error = None
     if n >= 2:
         try:
-            reference = reference_normal_line(x_eq, z_eq, n)
+            reference = reference_normal_line(x_eq, z_eq)
         except (DegenerateReferenceError, InvalidInputError) as exc:
             # var(z) <= var(x), or a mean or variance overflows float64
             # (the only InvalidInputError on validated samples of n >= 2).
@@ -317,7 +323,14 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     kept = ys[config.pool.burn_in + 1 :]
     pooled = None
     if pool_mode is PoolingKind.AVERAGE:
-        pooled = kept.mean(axis=0)
+        # The iterates are finite, but their sum can still overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            pooled = kept.mean(axis=0)
+        if not np.isfinite(pooled).all():
+            raise InvalidInputError(
+                "values too large: the pooled average of the iterations beyond "
+                "the burn-in overflows float64"
+            )
     elif pool_mode is not PoolingKind.NONE:
         pooled = kept.flatten()
     return IterationTrace(

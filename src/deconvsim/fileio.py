@@ -279,16 +279,15 @@ def read_sample(path) -> np.ndarray:
         raise InvalidInputError(f"{path}:{lineno}: not a finite value: {text!r}") from None
 
 
-def write_sample(path, values, header: str | None = None) -> None:
+def write_sample(path, values, header: str) -> None:
     values = as_sample(values)
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
+        fh.write(f"# {header}\n")
         for i in range(0, values.size, _BLOCK):
             fh.write(_repr_join(values[i : i + _BLOCK], "\n") + "\n")
 
 
-def write_trace_csv(path, trace, header: str | None = None) -> None:
+def write_trace_csv(path, trace, header: str) -> None:
     """Rows are the initial estimate (iter 0) then each iteration;
     d is "NA" whenever the normal reference is unavailable."""
     ys = trace.ys
@@ -300,8 +299,7 @@ def write_trace_csv(path, trace, header: str | None = None) -> None:
     # row in blocks.
     step = max(1, _BLOCK // n)
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
+        fh.write(f"# {header}\n")
         fh.write(",".join(cols) + "\n")
         for r in range(0, len(ys), step):
             if n <= _BLOCK:
@@ -311,23 +309,21 @@ def write_trace_csv(path, trace, header: str | None = None) -> None:
             fh.write("".join(f"{h}{line}\n" for h, line in zip(heads[r : r + step], lines)))
 
 
-def write_qq_csv(path, qq: QQData, header: str | None = None) -> None:
+def write_qq_csv(path, qq: QQData, header: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
+        fh.write(f"# {header}\n")
         fh.write("theoretical,sample\n")
         pairs = np.column_stack((qq.theoretical, qq.sample)).reshape(-1)
         for i in range(0, pairs.size, _BLOCK):
             fh.write(_repr_join(pairs[i : i + _BLOCK], ",\n") + "\n")
 
 
-def write_census_csv(path, census: RegionCensus, header: str | None = None) -> None:
+def write_census_csv(path, census: RegionCensus, header: str) -> None:
     """One row per region: exact x, representative (a, b), the 36 matrix
     entries and the 6 limiting probabilities, all as "p/q"."""
     cols = "x_num,x_den,a_num,a_den,b_num,b_den,matrix,stationary"
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
+        fh.write(f"# {header}\n")
         fh.write(cols + "\n")
         for e in census.entries:
             matrix = ";".join(fmt_rational(v) for row in e.matrix for v in row)
@@ -340,30 +336,24 @@ def write_census_csv(path, census: RegionCensus, header: str | None = None) -> N
             )
 
 
-def census_summary_lines(census: RegionCensus) -> list[str]:
+def write_census_summary(path, census: RegionCensus, header: str) -> None:
     xs = sorted({e.x for e in census.entries})
     per_x = ";".join(f"{fmt_rational(x)}:{census.regions_for(x)}" for x in xs)
     top_dist, top_count = census.top_distribution()
     hist = census.histogram()
     hist_text = ";".join(f"{mult}:{count}" for mult, count in sorted(hist.items()))
-    return [
-        f"total_regions,{census.total_regions}",
-        f"regions_per_x,{per_x}",
-        f"distinct_stationary,{census.distinct_count}",
-        f"distinct_stationary_unlabeled,{census.distinct_unlabeled_count}",
-        f"top_multiplicity,{top_count}",
-        f"top_is_point_mass,{str(is_point_mass(top_dist)).lower()}",
-        f"singletons,{census.singleton_count()}",
-        f"multiplicity_histogram,{hist_text}",
-    ]
-
-
-def write_census_summary(path, census: RegionCensus, header: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for line in census_summary_lines(census):
-            fh.write(line + "\n")
+        fh.write(
+            f"# {header}\n"
+            f"total_regions,{census.total_regions}\n"
+            f"regions_per_x,{per_x}\n"
+            f"distinct_stationary,{census.distinct_count}\n"
+            f"distinct_stationary_unlabeled,{census.distinct_unlabeled_count}\n"
+            f"top_multiplicity,{top_count}\n"
+            f"top_is_point_mass,{str(is_point_mass(top_dist)).lower()}\n"
+            f"singletons,{census.singleton_count()}\n"
+            f"multiplicity_histogram,{hist_text}\n"
+        )
 
 
 def summary_path_for(out_path) -> str:

@@ -6,9 +6,9 @@ The reference line is the normal distribution with mean
 plotting positions ``p_i = (i - 0.5)/n``; the distance index of a sorted
 estimate is the sum of absolute vertical deviations from that line.
 
-The quantile functions take a probability or an array of them, so the
-reference line and QQ coordinates are computed in one call over all
-plotting positions.  Normal quantiles are ``statistics.NormalDist().inv_cdf``
+The quantile functions map a flat 1-D array of probabilities to one, so
+the reference line and QQ coordinates take one call over all plotting
+positions.  Normal quantiles are ``statistics.NormalDist().inv_cdf``
 (Wichura's AS 241, within about 1e-15 relative of the exact value), and
 exponential ones ``-math.log1p(-p)`` through libm, as NumPy's log1p kernel
 is not bit-equal to it; each element is bit-identical to the scalar call.
@@ -44,37 +44,24 @@ def _libm(fn, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def normal_quantile(p: float | np.ndarray) -> float | np.ndarray:
-    """Inverse standard normal CDF.
-
-    p is a probability or an array of them; a scalar gives a float and an
-    array gives an array of its shape.  0 maps to -inf and 1 to +inf; a NaN
-    or any value outside [0, 1] raises InvalidInputError.  Subnormal p are
-    as accurate as the rest (see the module docstring).
-    """
-    a = np.asarray(p, dtype=np.float64)
-    flat = a.reshape(-1)
-    if not np.all((flat >= 0.0) & (flat <= 1.0)):
-        raise InvalidInputError("quantile probability must lie in [0, 1]")
-    out = np.where(flat == 0.0, -np.inf, np.inf)
-    inner = (flat > 0.0) & (flat < 1.0)
-    out[inner] = _libm(NormalDist().inv_cdf, flat[inner])
-    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
+def normal_quantile(p) -> np.ndarray:
+    """Inverse standard normal CDF of each probability in p, read as a flat
+    1-D array.  A NaN or any value outside (0, 1) raises InvalidInputError;
+    subnormal p are as accurate as the rest (see the module docstring)."""
+    a = np.asarray(p, dtype=np.float64).reshape(-1)
+    if not np.all((a > 0.0) & (a < 1.0)):
+        raise InvalidInputError("quantile probability must lie in (0, 1)")
+    return _libm(NormalDist().inv_cdf, a)
 
 
-def exponential_quantile(p: float | np.ndarray) -> float | np.ndarray:
-    """Inverse standard exponential CDF: -ln(1 - p).
-
-    p is a probability or an array of them; a scalar gives a float and an
-    array gives an array of its shape.  A NaN or any value outside [0, 1)
-    raises InvalidInputError.
-    """
-    a = np.asarray(p, dtype=np.float64)
-    flat = a.reshape(-1)
-    if not np.all((flat >= 0.0) & (flat < 1.0)):
+def exponential_quantile(p) -> np.ndarray:
+    """Inverse standard exponential CDF, -ln(1 - p), of each probability in
+    p, read as a flat 1-D array.  A NaN or any value outside [0, 1) raises
+    InvalidInputError."""
+    a = np.asarray(p, dtype=np.float64).reshape(-1)
+    if not np.all((a >= 0.0) & (a < 1.0)):
         raise InvalidInputError("quantile probability must lie in [0, 1)")
-    out = -_libm(math.log1p, -flat)
-    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
+    return -_libm(math.log1p, -a)
 
 
 def plotting_positions(n: int) -> np.ndarray:
@@ -93,15 +80,6 @@ _QUANTILE_FN = {
     TheoreticalDist.STANDARD_NORMAL: normal_quantile,
     TheoreticalDist.STANDARD_EXPONENTIAL: exponential_quantile,
 }
-
-
-@dataclass(frozen=True)
-class NormalReferenceLine:
-    """Normal QQ reference fitted from the two observed samples."""
-
-    mu: float
-    sigma: float
-    line_values: np.ndarray  # ascending, one per plotting position
 
 
 @dataclass(frozen=True)
@@ -147,8 +125,9 @@ def _normal_scores(n: int) -> np.ndarray:
     return scores
 
 
-def reference_normal_line(x, z, n: int) -> NormalReferenceLine:
-    """Fit the reference line from samples x and z at n plotting positions.
+def reference_normal_line(x, z) -> np.ndarray:
+    """The reference line fitted from samples x and z: ascending, one
+    value per plotting position of x.
 
     Raises DegenerateReferenceError when var(z) <= var(x), in which case
     the distance index is undefined, and InvalidInputError when a mean or
@@ -160,24 +139,20 @@ def reference_normal_line(x, z, n: int) -> NormalReferenceLine:
         raise DegenerateReferenceError(
             f"var(z)={var_z:g} does not exceed var(x)={var_x:g}"
         )
-    mu = mean_z - mean_x
-    sigma = math.sqrt(var_z - var_x)
-    return NormalReferenceLine(mu=mu, sigma=sigma, line_values=mu + sigma * _normal_scores(n))
+    return (mean_z - mean_x) + math.sqrt(var_z - var_x) * _normal_scores(np.size(x))
 
 
-def distance_index(sorted_y, ref: NormalReferenceLine) -> float | np.ndarray:
-    """Distance index d: sum of absolute deviations from the reference line,
-    of one sorted estimate or of each row of a stack of them (shape
-    ``(k, n)``), each sum bit-identical to that of the row alone.
-    Raises InvalidInputError unless the rows match the line's length."""
-    line = ref.line_values
-    u = np.asarray(sorted_y, dtype=np.float64)
-    if u.shape[-1:] != line.shape:
-        raise InvalidInputError("vectors must have equal length")
+def distance_index(rows, line: np.ndarray) -> np.ndarray:
+    """Distance index d of each row of a ``(k, n)`` stack of sorted
+    estimates: the sum of its absolute deviations from the reference
+    line, bit-identical to that of the row alone.  Raises
+    InvalidInputError unless rows is 2-D with rows of the line's length."""
+    u = np.asarray(rows, dtype=np.float64)
+    if u.ndim != 2 or u.shape[1:] != line.shape:
+        raise InvalidInputError("rows must form a (k, n) stack of equal length to the line")
     diff = u - line
     np.abs(diff, out=diff)
-    total = diff.sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return diff.sum(axis=1)
 
 
 def qq_data(sample, dist: TheoreticalDist) -> QQData:

@@ -59,7 +59,8 @@ def _as_fraction(value) -> Fraction:
         raise InvalidInputError("exact rational required, got float")
     try:
         return Fraction(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        # ArithmeticError: "1/0", or an infinite Decimal.
         raise InvalidInputError(f"not a rational: {value!r}") from exc
 
 

@@ -8,12 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deconvsim.cli import main, parse_equalize, parse_rational, parse_support
+from deconvsim.cli import main, parse_equalize, parse_support
 from deconvsim.errors import ConfigError, InvalidInputError
 from deconvsim.fileio import read_sample
 from deconvsim.variations import EqualizeKind
-
-from fractions import Fraction
 
 
 def _simulate(tmp_path, experiment="normal", seed=7):
@@ -48,14 +46,6 @@ def test_parse_equalize():
     for bad in ("bootstrap:0", "bootstrap:-3"):
         with pytest.raises(InvalidInputError, match="target >= 1"):
             parse_equalize(bad)
-
-
-def test_parse_rational():
-    assert parse_rational("10/120") == Fraction(1, 12)
-    with pytest.raises(ConfigError):
-        parse_rational("1/0")
-    with pytest.raises(ConfigError):
-        parse_rational("abc")
 
 
 def test_simulate_experiment_writes_three_files(tmp_path, capsys):
@@ -290,6 +280,25 @@ def test_run_overflowing_working_vector_exits_2(tmp_path, capsys, adjust):
     assert not out.exists()
 
 
+def test_run_overflowing_pooled_average_exits_2(tmp_path, capsys):
+    # Every iterate is finite, but 96 of them near 4e307 sum past float max.
+    x_path = _write_values(tmp_path / "x.txt", [0.0, 1.0, 2.0])
+    z_path = _write_values(tmp_path / "z.txt", [3e307, 4e307, 5e307])
+    out, pooled = tmp_path / "t.csv", tmp_path / "p.txt"
+    code = main(
+        ["run", "--x", x_path, "--z", z_path, "--out", str(out), "--pool", "average",
+         "--pooled-out", str(pooled)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "error: values too large: the pooled average of the iterations beyond "
+        "the burn-in overflows float64\n"
+    )
+    assert captured.out == ""
+    assert not out.exists() and not pooled.exists()
+
+
 def test_run_overflowing_moments_print_na(tmp_path, capsys):
     x_path = _write_values(tmp_path / "x.txt", [0.0, 1e155, 2e155])
     z_path = _write_values(tmp_path / "z.txt", [0.0, 2e155, 4e155])
@@ -380,6 +389,8 @@ def test_analyze3_rejects_bad_x_values(tmp_path, capsys):
         assert capsys.readouterr().err == "error: x = 1/12 is given more than once\n"
     assert main(["analyze3", "--out", out, "--x-values", ","]) == 2
     assert capsys.readouterr().err == "error: --x-values is empty\n"
+    assert main(["analyze3", "--out", out, "--x-values", "10/120, 1/0"]) == 2
+    assert capsys.readouterr().err == "error: not a rational: '1/0'\n"
     assert not (tmp_path / "c.csv").exists()
 
 

@@ -276,8 +276,7 @@ def test_run_d_is_the_per_row_distance_bit_for_bit(iters, n):
     x = g.normal(0.0, 1.0, n)
     z = 1.0 + 2.0 * g.permutation(x)  # var(z) = 4 var(x): d is defined
     trace = run(x, z, DeconvConfig(iters=iters, seed=n))
-    line = trace.reference.line_values
-    per_row = np.array([np.abs(y - line).sum() for y in trace.ys])
+    per_row = np.array([np.abs(y - trace.reference).sum() for y in trace.ys])
     assert np.array_equal(trace.d.view(np.int64), per_row.view(np.int64))
 
 
@@ -298,7 +297,7 @@ def _parent_run(x, z, config):
     reference = None
     if n >= 2:
         try:
-            reference = reference_normal_line(x_eq, z_eq, n)
+            reference = reference_normal_line(x_eq, z_eq)
         except (DegenerateReferenceError, InvalidInputError):
             # var(z) <= var(x), or a mean or variance overflows float64
             # (the only InvalidInputError on validated samples of n >= 2).
@@ -569,6 +568,21 @@ def test_run_rejects_a_support_bound_that_overflows_the_working_vector():
         iters=5, adjust=AdjustPolicy.CLAMP, support=SupportConstraint(1e300, np.inf)
     )
     assert np.all(run([0.0, 1e307], [0.0, 1.0], lower).ys[1:] == 1e300)
+
+
+def test_run_rejects_a_pooled_average_that_overflows():
+    # The working vector stays finite, but the sum of the 96 kept iterates,
+    # each value near 4e307, does not.  The error names the cause, and no
+    # NumPy warning escapes.
+    x, z = [0.0, 1.0, 2.0], [3e307, 4e307, 5e307]
+    average = PoolingMode(PoolingKind.AVERAGE, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="pooled average .* overflows float64"):
+            run(x, z, DeconvConfig(iters=100, pool=average))
+        # Three kept iterates still sum to a finite value.
+        pooled = run(x, z, DeconvConfig(iters=7, pool=average)).pooled
+    assert np.all(np.isfinite(pooled))
 
 
 def test_run_treats_overflowing_moments_as_a_degenerate_reference():

@@ -52,10 +52,10 @@ def test_fmt_float_round_trips_exactly(tmp_path):
     # Writers print each value as repr of a Python float: shortest exact text.
     values = [0.1, -0.0, 1e-300, 2.0 / 3.0, 12345.678901234567]
     path = tmp_path / "floats.txt"
-    write_sample(path, np.array(values))
+    write_sample(path, np.array(values), header="hdr")
     lines = path.read_text().splitlines()
-    assert lines == [repr(v) for v in values]
-    assert np.array([float(s) for s in lines]).tobytes() == np.array(values).tobytes()
+    assert lines == ["# hdr"] + [repr(v) for v in values]
+    assert np.array([float(s) for s in lines[1:]]).tobytes() == np.array(values).tobytes()
 
 
 def test_read_sample_skips_comments_and_blank_lines(tmp_path):
@@ -113,8 +113,9 @@ def test_trace_csv_writes_na_for_missing_d(tmp_path):
     v = np.sort(make_rng(0).normal(size=20))
     trace = run(v, v, DeconvConfig(iters=2, seed=0))
     path = tmp_path / "degenerate.csv"
-    write_trace_csv(path, trace)
-    rows = path.read_text().splitlines()[1:]
+    write_trace_csv(path, trace, header="hdr")
+    rows = path.read_text().splitlines()[2:]
+    assert len(rows) == 3
     assert all(r.split(",")[1] == "NA" for r in rows)
 
 
@@ -286,14 +287,15 @@ def test_trace_csv_matches_one_repr_per_float(tmp_path, n, rows, with_d):
 def test_sample_and_qq_writers_match_repr_across_blocks(tmp_path):
     values = _mixed_trace(2 * _BLOCK + 1, 1).ys[0]
     path = tmp_path / "sample.txt"
-    write_sample(path, values)
-    assert _first_difference(path.read_text(), "".join(repr(v) + "\n" for v in values.tolist())) is None
+    write_sample(path, values, header="hdr")
+    want = "# hdr\n" + "".join(repr(v) + "\n" for v in values.tolist())
+    assert _first_difference(path.read_text(), want) is None
 
     qq = qq_data(np.sort(values[: _BLOCK + 1]), TheoreticalDist.STANDARD_NORMAL)
     path = tmp_path / "qq.csv"
-    write_qq_csv(path, qq)
+    write_qq_csv(path, qq, header="hdr")
     pairs = zip(qq.theoretical.tolist(), qq.sample.tolist())
-    want = "theoretical,sample\n" + "".join(f"{t!r},{s!r}\n" for t, s in pairs)
+    want = "# hdr\ntheoretical,sample\n" + "".join(f"{t!r},{s!r}\n" for t, s in pairs)
     assert _first_difference(path.read_text(), want) is None
 
 
@@ -312,7 +314,7 @@ def test_cli_shaped_trace_rarely_falls_back_to_repr(tmp_path, monkeypatch):
         return builtins.repr(v)
 
     monkeypatch.setattr(fileio, "repr", counting_repr, raising=False)
-    write_trace_csv(tmp_path / "trace.csv", trace)
+    write_trace_csv(tmp_path / "trace.csv", trace, header="hdr")
     assert 0 < trace.ys.size and calls < 0.01 * trace.ys.size
 
 
@@ -334,7 +336,7 @@ def test_write_trace_csv_memory_is_bounded_by_a_row(tmp_path):
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        write_trace_csv(tmp_path / "trace.csv", trace)
+        write_trace_csv(tmp_path / "trace.csv", trace, header="hdr")
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

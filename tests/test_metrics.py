@@ -11,7 +11,6 @@ from deconvsim import TheoreticalDist, make_rng, qq_data
 from conftest import INVERSE_NORMAL_TABLE
 from deconvsim.errors import DegenerateReferenceError, InvalidInputError
 from deconvsim.metrics import (
-    NormalReferenceLine,
     _normal_scores,
     distance_index,
     exponential_quantile,
@@ -23,7 +22,8 @@ from deconvsim.metrics import (
 
 
 def test_normal_quantile_against_frozen_high_precision_values():
-    worst = max(abs(normal_quantile(p) - v) for p, v in INVERSE_NORMAL_TABLE)
+    ps, expected = map(np.array, zip(*INVERSE_NORMAL_TABLE))
+    worst = np.abs(normal_quantile(ps) - expected).max()
     assert worst <= 1e-8
 
 
@@ -31,24 +31,27 @@ def test_normal_quantile_against_scipy():
     from scipy.special import ndtri
 
     grid = np.linspace(1e-6, 1 - 1e-6, 2001)
-    worst = max(abs(normal_quantile(p) - ndtri(p)) for p in grid)
+    worst = np.abs(normal_quantile(grid) - ndtri(grid)).max()
     assert worst <= 1e-8
 
 
 def test_normal_quantile_limits_and_domain():
-    assert normal_quantile(0.0) == -math.inf
-    assert normal_quantile(1.0) == math.inf
-    for bad in (-0.1, 1.1):
-        with pytest.raises(InvalidInputError):
-            normal_quantile(bad)
+    # The domain is the open interval (0, 1): plotting positions never
+    # reach either end.
+    tiny, below_one = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+    assert np.all(np.isfinite(normal_quantile(np.array([tiny, below_one]))))
+    above_one = np.nextafter(1.0, 2.0)
+    for bad in (0.0, 1.0, -0.1, 1.1, -1e-300, above_one, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match=r"\(0, 1\)"):
+            normal_quantile(np.array([0.5, bad]))
 
 
 def test_normal_quantile_is_odd_and_monotone():
     ps = np.linspace(0.001, 0.999, 199)
-    values = [normal_quantile(p) for p in ps]
-    assert all(a < b for a, b in zip(values, values[1:]))
-    for p in (0.01, 0.2, 0.4):
-        assert normal_quantile(p) == pytest.approx(-normal_quantile(1 - p), abs=1e-12)
+    values = normal_quantile(ps)
+    assert np.all(values[:-1] < values[1:])
+    ps = np.array([0.01, 0.2, 0.4])
+    assert normal_quantile(ps) == pytest.approx(-normal_quantile(1 - ps), abs=1e-12)
 
 
 def _bits(a):
@@ -94,19 +97,14 @@ def test_normal_quantile_is_accurate_to_a_few_ulps():
 
 
 def test_quantile_functions_take_scalars_and_arrays():
+    # Any input is read as a flat 1-D array: a 0-d p gives one element.
     for fn in (normal_quantile, exponential_quantile):
         for scalar in (0.3, np.float64(0.3), np.array(0.3)):
-            assert type(fn(scalar)) is float
+            out = fn(scalar)
+            assert out.shape == (1,)
+            assert out.tobytes() == fn(np.array([0.3])).tobytes()
         grid = np.array([[0.1, 0.2], [0.3, 0.4]])
-        out = fn(grid)
-        assert out.shape == (2, 2)
-        assert out.tolist() == [[fn(v) for v in row] for row in grid.tolist()]
-    limits = normal_quantile(np.array([0.0, 0.5, 1.0]))
-    assert limits.tolist() == [-math.inf, 0.0, math.inf]
-    above_one = np.nextafter(1.0, 2.0)
-    for bad in ([0.5, math.nan], [0.5, -1e-300], [0.5, above_one], [math.inf]):
-        with pytest.raises(InvalidInputError):
-            normal_quantile(np.array(bad))
+        assert fn(grid).tobytes() == fn(grid.reshape(-1)).tobytes()
     for bad in ([0.5, math.nan], [0.5, -0.1], [0.5, 1.0]):
         with pytest.raises(InvalidInputError):
             exponential_quantile(np.array(bad))
@@ -119,11 +117,11 @@ def test_exponential_quantile_is_bit_identical_to_log1p():
 
 
 def test_exponential_quantile():
-    assert exponential_quantile(0.5) == pytest.approx(math.log(2))
-    assert exponential_quantile(0.0) == 0.0
+    assert exponential_quantile(np.array([0.5, 0.0])) == pytest.approx([math.log(2), 0.0])
+    assert exponential_quantile(np.array([0.0]))[0] == 0.0
     for bad in (-0.01, 1.0):
         with pytest.raises(InvalidInputError):
-            exponential_quantile(bad)
+            exponential_quantile(np.array([bad]))
 
 
 def test_plotting_positions():
@@ -136,20 +134,17 @@ def test_plotting_positions():
 def test_reference_line_unit_sigma_three_points():
     x = [-1.0, 0.0, 1.0]  # mean 0, variance 1
     z = [-math.sqrt(2), 0.0, math.sqrt(2)]  # mean 0, variance 2
-    ref = reference_normal_line(x, z, 3)
-    assert ref.mu == pytest.approx(0.0)
-    assert ref.sigma == pytest.approx(1.0)
-    assert np.allclose(
-        ref.line_values, [-0.9674215661017011, 0.0, 0.9674215661017013], atol=1e-9
-    )
+    # mu = 0 and sigma = 1, so the line is the standard normal scores.
+    line = reference_normal_line(x, z)
+    assert np.allclose(line, [-0.9674215661017011, 0.0, 0.9674215661017013], atol=1e-9)
 
 
 def test_reference_line_scales_affinely():
     x = [-1.0, 0.0, 1.0]
-    narrow = reference_normal_line(x, [-2.0, 0.0, 2.0], 5)  # sigma = sqrt(3)
-    wide = reference_normal_line(x, [-4.0, 0.0, 4.0], 5)  # sigma = sqrt(15)
-    ratio = wide.sigma / narrow.sigma
-    assert np.allclose(wide.line_values, narrow.line_values * ratio)
+    narrow = reference_normal_line(x, [-2.0, 0.0, 2.0])  # sigma = sqrt(3)
+    wide = reference_normal_line(x, [-4.0, 0.0, 4.0])  # sigma = sqrt(15)
+    assert narrow.shape == wide.shape == (3,)
+    assert np.allclose(wide, narrow * math.sqrt(5.0))
 
 
 def test_reference_line_is_bit_identical_across_cached_sizes():
@@ -157,14 +152,16 @@ def test_reference_line_is_bit_identical_across_cached_sizes():
     g = np.random.default_rng(4)
     for n in (100, 37, 100):
         x, z = g.normal(0.0, 1.0, n), g.normal(1.0, 2.0, n)
-        ref = reference_normal_line(x, z, n)
-        expected = ref.mu + ref.sigma * normal_quantile(plotting_positions(n))
-        assert ref.line_values.tobytes() == expected.tobytes(), n
-        assert ref.line_values.flags.writeable, n
+        line = reference_normal_line(x, z)
+        (mean_x, var_x), (mean_z, var_z) = sample_moments(x), sample_moments(z)
+        mu, sigma = mean_z - mean_x, math.sqrt(var_z - var_x)
+        expected = mu + sigma * normal_quantile(plotting_positions(n))
+        assert line.tobytes() == expected.tobytes(), n
+        assert line.flags.writeable, n
 
 
 def test_cached_normal_scores_are_read_only():
-    reference_normal_line([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], 3)
+    reference_normal_line([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0])
     scores = _normal_scores(3)
     assert scores.tobytes() == normal_quantile(plotting_positions(3)).tobytes()
     with pytest.raises(ValueError):
@@ -174,25 +171,29 @@ def test_cached_normal_scores_are_read_only():
 def test_reference_line_degenerate_when_z_no_wider_than_x():
     v = [-1.0, 0.0, 1.0]
     with pytest.raises(DegenerateReferenceError):
-        reference_normal_line(v, v, 3)
+        reference_normal_line(v, v)
     with pytest.raises(DegenerateReferenceError):
-        reference_normal_line([-2.0, 0.0, 2.0], v, 3)
+        reference_normal_line([-2.0, 0.0, 2.0], v)
 
 
 def test_distance_index_zero_on_exact_fit():
-    ref = reference_normal_line([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], 3)
-    assert distance_index(ref.line_values, ref) == 0.0
+    line = reference_normal_line([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0])
+    assert distance_index(line[None, :], line).tolist() == [0.0]
 
 
 def test_distance_index_absolute_sum():
-    ref = NormalReferenceLine(mu=0.0, sigma=1.0, line_values=np.zeros(2))
-    assert distance_index(np.array([-1.0, 2.0]), ref) == 3.0
+    line = np.zeros(2)
+    assert distance_index(np.array([[-1.0, 2.0], [0.5, 0.0]]), line).tolist() == [3.0, 0.5]
+    # Only a (k, n) stack of rows: a single 1-D row is rejected too.
+    for rows in (np.array([-1.0, 2.0]), np.array(3.0), np.zeros((1, 1, 2))):
+        with pytest.raises(InvalidInputError, match=r"\(k, n\) stack"):
+            distance_index(rows, line)
 
 
 def test_l1_distance_is_a_metric():
     # d is the L1 distance from the reference line's values.
     def l1(u, v):
-        return distance_index(u, NormalReferenceLine(mu=0.0, sigma=1.0, line_values=v))
+        return distance_index(u[None, :], v)[0]
 
     rng = make_rng(4)
     u, v, w = rng.normal(size=(3, 20))
@@ -206,7 +207,7 @@ def test_l1_distance_is_a_metric():
         l1(u, u[:-1])
     with pytest.raises(InvalidInputError, match="equal length"):
         l1(u[:-1], u)
-    assert np.array_equal(l1(np.stack([u, v, w]), v), [l1(u, v), 0.0, l1(w, v)])
+    assert np.array_equal(distance_index(np.stack([u, v, w]), v), [l1(u, v), 0.0, l1(w, v)])
 
 
 def test_qq_data_single_point():
@@ -270,4 +271,4 @@ def test_sample_moments_reports_overflow_without_a_warning(v):
         with pytest.raises(InvalidInputError, match="overflow"):
             sample_moments(v)
         with pytest.raises(InvalidInputError, match="overflow"):
-            reference_normal_line(v, v, len(v))
+            reference_normal_line(v, v)

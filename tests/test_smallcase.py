@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import re
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -398,6 +400,15 @@ def test_every_x_of_an_interval_gives_the_canonical_matrices(census):
 def test_full_census_rejects_an_x_given_twice(xs):
     with pytest.raises(InvalidInputError, match="1/12 is given more than once"):
         full_census(xs)
+
+
+def test_full_census_rejects_a_non_rational_x():
+    # Fraction raises ZeroDivisionError for "1/0" and OverflowError for an
+    # infinite Decimal; each must come out as the library's own error.
+    for bad in ("1/0", Decimal("Infinity"), Decimal("NaN"), "abc", " "):
+        with pytest.raises(InvalidInputError, match=re.escape(f"not a rational: {bad!r}")):
+            full_census(["10/120", bad])
+    assert full_census([" 10/120 ", Decimal("0.3")]).total_regions > 0
 
 
 # The Fraction implementation that the integer-rank matrix and the
