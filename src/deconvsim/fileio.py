@@ -46,7 +46,7 @@ from . import __version__
 from .core import as_sample
 from .errors import InvalidInputError
 from .metrics import QQData
-from .smallcase import RegionCensus, is_point_mass
+from .smallcase import SIXTHS, RegionCensus, is_point_mass
 
 # Values per _repr_join call: bounds the call's temporaries (a few MB).
 _BLOCK = 1 << 14
@@ -241,6 +241,10 @@ def fmt_rational(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# Text of the census's shared matrix entries, keyed by object identity.
+_SIXTH_TEXT = {id(v): fmt_rational(v) for v in SIXTHS}
+
+
 def _data_lines(fh):
     """(line number, stripped text) of each line that is neither blank
     nor a '#' comment."""
@@ -320,24 +324,26 @@ def write_qq_csv(path, qq: QQData, header: str) -> None:
 
 def write_census_csv(path, census: RegionCensus, header: str) -> None:
     """One row per region: exact x, representative (a, b), the 36 matrix
-    entries and the 6 limiting probabilities, all as "p/q"."""
-    cols = "x_num,x_den,a_num,a_den,b_num,b_den,matrix,stationary"
+    entries and the 6 limiting probabilities, all as "p/q".  Each matrix
+    and distribution that regions share is formatted once."""
+    text: dict[int, str] = {}  # a shared matrix's or distribution's text, by identity
+    rows = [f"# {header}\n", "x_num,x_den,a_num,a_den,b_num,b_den,matrix,stationary\n"]
+    for e in census.entries:
+        if id(e.matrix) not in text:
+            values = (v for row in e.matrix for v in row)
+            text[id(e.matrix)] = ";".join(_SIXTH_TEXT.get(id(v)) or fmt_rational(v) for v in values)
+        if id(e.stationary) not in text:
+            text[id(e.stationary)] = ";".join(map(fmt_rational, e.stationary))
+        rows.append(
+            f"{e.x.numerator},{e.x.denominator},{e.a.numerator},{e.a.denominator},"
+            f"{e.b.numerator},{e.b.denominator},{text[id(e.matrix)]},{text[id(e.stationary)]}\n"
+        )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        fh.write(cols + "\n")
-        for e in census.entries:
-            matrix = ";".join(fmt_rational(v) for row in e.matrix for v in row)
-            stationary = ";".join(fmt_rational(v) for v in e.stationary)
-            fh.write(
-                f"{e.x.numerator},{e.x.denominator},"
-                f"{e.a.numerator},{e.a.denominator},"
-                f"{e.b.numerator},{e.b.denominator},"
-                f"{matrix},{stationary}\n"
-            )
+        fh.write("".join(rows))
 
 
 def write_census_summary(path, census: RegionCensus, header: str) -> None:
-    xs = sorted({e.x for e in census.entries})
+    xs = sorted(census.regions_per_x)
     per_x = ";".join(f"{fmt_rational(x)}:{census.regions_for(x)}" for x in xs)
     top_dist, top_count = census.top_distribution()
     hist = census.histogram()

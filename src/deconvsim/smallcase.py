@@ -8,10 +8,11 @@ constant in (a, b): it only changes when a, b, or a + b crosses one of
 nine cut values determined by x.  This module enumerates the resulting
 regions of the positive quadrant, builds each region's 6x6 transition
 matrix, and solves for its unique stationary distribution, all exact
-(no floats anywhere).  Ranks are compared on Python integers: x, a and
-b are scaled by their common denominator, which keeps every order and
-every tie.  Linear systems are solved by fraction-free elimination on
-integers, and results are Fractions.
+(no floats anywhere).  With x = p/q, every cut, region representative
+and rank comparison works on integers in units of 1/(4q); ranks of all
+regions of one x are counted in one NumPy pass (int64 while the values
+fit, Python ints otherwise).  The stationary laws are found by
+fraction-free elimination on integers; only output values are Fractions.
 
 The census (``full_census``) sweeps six canonical x values, one from
 each interval between consecutive configuration-change points, and
@@ -28,17 +29,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .errors import CutLineError, InvalidInputError
 
 # All 6 permutations of (0, 1, 2) in lexicographic order; the state
 # labels of the chain.
 PERMS: tuple[tuple[int, ...], ...] = tuple(itertools.permutations(range(3)))
-_PERM_INDEX = {p: i for i, p in enumerate(PERMS)}
 
 N_STATES = len(PERMS)
 
 # Every transition probability is a count out of the 6 rperms.
-_SIXTHS = tuple(Fraction(c, 6) for c in range(7))
+SIXTHS = tuple(Fraction(c, 6) for c in range(7))
 
 # x values where the cut-value configuration changes; region
 # enumeration is only defined strictly between consecutive ones.
@@ -85,20 +87,22 @@ def enumerate_regions(x) -> list[tuple[Fraction, Fraction]]:
     Construction: the cuts tile the quadrant into axis-aligned
     rectangles (the unbounded tail is truncated at max cut + 1); each
     rectangle is split into bands by the diagonals crossing its
-    interior, and one rational midpoint is built per band.
+    interior, and one rational midpoint is built per band.  With x = p/q
+    every cut, band sum, midpoint and representative is an integer in
+    units of 1/(4q), so the construction runs on those integers.
     """
     x = _as_fraction(x)
     if x in X_CONFIG_BOUNDARIES:
         raise InvalidInputError(
             f"{x} is a configuration-change value; pick x strictly between them"
         )
-    cuts = sorted(cut_values(x))
-    top = cuts[-1] + 1
-    breakpoints = [Fraction(0), *cuts, top]
+    one = 4 * x.denominator
+    cuts = sorted(int(c * one) for c in cut_values(x))
+    top = cuts[-1] + one
+    breakpoints = [0, *cuts, top]
     intervals = list(zip(breakpoints, breakpoints[1:]))
 
-    half = Fraction(1, 2)
-    reps: list[tuple[Fraction, Fraction]] = []
+    reps: list[tuple[int, int]] = []
     for alo, ahi in intervals:
         for blo, bhi in intervals:
             lo_sum = alo + blo
@@ -106,10 +110,10 @@ def enumerate_regions(x) -> list[tuple[Fraction, Fraction]]:
             crossing = [c for c in cuts if lo_sum < c < hi_sum]
             bounds = [lo_sum, *crossing, hi_sum]
             for s_lo, s_hi in zip(bounds, bounds[1:]):
-                s_mid = (s_lo + s_hi) * half
+                s_mid = (s_lo + s_hi) // 2
                 a_lo = max(alo, s_mid - bhi)
                 a_hi = min(ahi, s_mid - blo)
-                a = (a_lo + a_hi) * half
+                a = (a_lo + a_hi) // 2
                 b = s_mid - a
                 assert alo < a < ahi and blo < b < bhi
                 reps.append((a, b))
@@ -118,66 +122,51 @@ def enumerate_regions(x) -> list[tuple[Fraction, Fraction]]:
     for a, b in reps:
         # Representatives must avoid every line of the arrangement.
         assert a not in cut_set and b not in cut_set and (a + b) not in cut_set
-    return reps
-
-
-def _exact_ranks(w: tuple[int, int, int]) -> tuple[int, int, int]:
-    # 0-based ranks of three values; any tie means the instance sits on
-    # a cut line and has no well-defined matrix.
-    w0, w1, w2 = w
-    if w0 == w1 or w0 == w2 or w1 == w2:
-        raise CutLineError("tie in rank computation: the point lies on a cut line")
-    return ((w0 > w1) + (w0 > w2), (w1 > w0) + (w1 > w2), (w2 > w0) + (w2 > w1))
+    return [(Fraction(a, one), Fraction(b, one)) for a, b in reps]
 
 
 Counts = tuple[tuple[int, ...], ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 Distribution = tuple[Fraction, ...]
 
+# w[pi, rperm, i] = sortx[i] - sortx[rperm[i]] + sortz[pi[rperm[i]]].
+_RPERM = np.array(PERMS)
+_Z_INDEX = _RPERM[:, _RPERM]
+# State of the rank vector with (w0 > w1, w0 > w2, w1 > w2) as 4/2/1 bits.
+_ORDER_STATE = np.zeros(8, dtype=np.intp)
+_ORDER_STATE[[4 * (r0 > r1) + 2 * (r0 > r2) + (r1 > r2) for r0, r1, r2 in PERMS]] = range(N_STATES)
 
-def _transition_counts(x: Fraction, a: Fraction, b: Fraction) -> Counts:
-    """6 P as integers, P the exact transition matrix at sortx = (0, x, 1),
-    sortz = (-a, 0, b): P[s][t] counts, out of the 6 reorderings of state
-    s's y vector, those whose rank vector is t's permutation.
 
-    x, a and b are Fractions with 0 < x < 1/2 and a, b > 0, unchecked
-    (``enumerate_regions`` gives such a and b); a point on a cut line
-    raises CutLineError.  Ranks are invariant under positive scaling, so
-    sortx and sortz are scaled by the common denominator of x, a and b
-    and compared as ints.
+def _transition_counts(xs: int, one: int, a, b) -> list[Counts]:
+    """6 P as integers at each point k, P the exact transition matrix at
+    sortx = (0, xs, one), sortz = (-a[k], 0, b[k]): P[s][t] counts, out of
+    the 6 reorderings of state s's y vector, those whose rank vector is t's
+    permutation.  Ranks ignore positive scaling, so x = xs / one, a and b
+    come as ints on one scale, with 0 < xs < one / 2 and a, b > 0
+    unchecked; a tie (a point on a cut line) raises CutLineError.
     """
-    scale = math.lcm(x.denominator, a.denominator, b.denominator)
-    sx = (0, x.numerator * (scale // x.denominator), scale)
-    sz = (
-        -a.numerator * (scale // a.denominator),
-        0,
-        b.numerator * (scale // b.denominator),
-    )
-    rows = []
-    for pi in PERMS:
-        y = [sz[pi[i]] - sx[i] for i in range(3)]
-        counts = [0] * N_STATES
-        for rperm in PERMS:
-            w = (sx[0] + y[rperm[0]], sx[1] + y[rperm[1]], sx[2] + y[rperm[2]])
-            counts[_PERM_INDEX[_exact_ranks(w)]] += 1
-        rows.append(tuple(counts))
-    return tuple(rows)
+    dtype = np.int64 if max(one, *a, *b) < 2**61 else object
+    sx = np.array([0, xs, one], dtype=dtype)
+    sz = np.array([(-ak, 0, bk) for ak, bk in zip(a, b)], dtype=dtype)
+    w = sz[:, _Z_INDEX] + (sx - sx[_RPERM])
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+    if ((w0 == w1) | (w0 == w2) | (w1 == w2)).any():
+        raise CutLineError("tie in rank computation: the point lies on a cut line")
+    state = _ORDER_STATE[4 * (w0 > w1) + 2 * (w0 > w2) + (w1 > w2)]
+    counts = (state[..., None] == np.arange(N_STATES)).sum(axis=2)
+    return [tuple(map(tuple, c)) for c in counts.tolist()]
 
 
 def _matrix(counts: Counts) -> Matrix:
-    return tuple(tuple(_SIXTHS[c] for c in row) for row in counts)
+    return tuple(tuple(SIXTHS[c] for c in row) for row in counts)
 
 
-def _solve_linear(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    # Fraction-free Gauss-Jordan elimination (Bareiss 1968): each row is
-    # scaled to integers, every division by the previous pivot is exact,
-    # and every diagonal entry ends as the same determinant.
-    n = len(a)
-    m = []
-    for row, r in zip(a, rhs):
-        row = [*row, r]
-        scale = math.lcm(*(v.denominator for v in row))
-        m.append([v.numerator * (scale // v.denominator) for v in row])
+def _solve_linear(m: list[list[int]]) -> list[Fraction]:
+    # Fraction-free Gauss-Jordan elimination (Bareiss 1968) on the
+    # augmented integer rows [A | rhs]: every division by the previous
+    # pivot is exact, and every diagonal entry ends as the same determinant.
+    n = len(m)
+    m = [list(row) for row in m]
     prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
@@ -202,14 +191,16 @@ def stationary_distribution(p: Matrix) -> Distribution:
     follows) and a row of ones.  With one recurrent class it has exactly
     one solution, zero on the transient states: the limiting occupation
     law from any start, periodic or not.  With two or more recurrent
-    classes it is singular and InvalidInputError is raised.
+    classes it is singular and InvalidInputError is raised.  It is solved
+    in integers, on P times the common denominator of its entries.
     """
     n = len(p)
-    a = [[p[i][j] - 1 if i == j else p[i][j] for i in range(n)] for j in range(n - 1)]
-    a.append([Fraction(1)] * n)
-    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    scale = math.lcm(*(v.denominator for row in p for v in row))
+    q = [[v.numerator * (scale // v.denominator) for v in row] for row in p]
+    m = [[q[i][j] - scale * (i == j) for i in range(n)] + [0] for j in range(n - 1)]
+    m.append([1] * (n + 1))
     try:
-        return tuple(_solve_linear(a, rhs))
+        return tuple(_solve_linear(m))
     except InvalidInputError:
         raise InvalidInputError(
             "the chain has more than one recurrent class, "
@@ -226,6 +217,17 @@ class CensusEntry:
     stationary: Distribution
 
 
+def _tally(values) -> Counter:
+    # Counter(values) hashing each shared object once: tally by identity,
+    # then merge equal values, keeping first-occurrence order.
+    values = list(values)
+    first = dict(zip(map(id, values), values))
+    merged = Counter()
+    for key, count in Counter(map(id, values)).items():
+        merged[first[key]] += count
+    return merged
+
+
 @dataclass(frozen=True)
 class RegionCensus:
     """All regions across the canonical x sweep plus distinctness tables.
@@ -240,14 +242,18 @@ class RegionCensus:
     def total_regions(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def regions_per_x(self) -> Counter:
+        """Map x -> its number of regions, in first-occurrence order."""
+        return _tally(e.x for e in self.entries)
+
     def regions_for(self, x) -> int:
-        x = _as_fraction(x)
-        return sum(1 for e in self.entries if e.x == x)
+        return self.regions_per_x[_as_fraction(x)]
 
     @cached_property
     def multiplicity(self) -> Counter:
         """Occurrences of each distinct distribution, labels fixed."""
-        return Counter(e.stationary for e in self.entries)
+        return _tally(e.stationary for e in self.entries)
 
     @property
     def distinct_count(self) -> int:
@@ -284,7 +290,7 @@ def is_point_mass(dist: Distribution) -> bool:
 def full_census(x_values=CANONICAL_X) -> RegionCensus:
     """Sweep the given x values (default: the six canonical ones),
     solving every region exactly.  Deterministic, no randomness.
-    Raises InvalidInputError for an x given twice, in any spelling.
+    Raises InvalidInputError for no x, or an x given twice in any spelling.
 
     Every x in one interval between configuration-change values gives
     the canonical x's matrices, each with one recurrent class, so
@@ -300,11 +306,15 @@ def full_census(x_values=CANONICAL_X) -> RegionCensus:
         if x in seen:
             raise InvalidInputError(f"x = {x} is given more than once")
         seen.add(x)
-        for a, b in enumerate_regions(x):
-            counts = _transition_counts(x, a, b)
+        reps = enumerate_regions(x)
+        # Ranks on integers: every representative is a multiple of 1/one.
+        one = 4 * x.denominator
+        scaled = ([v.numerator * (one // v.denominator) for v in vs] for vs in zip(*reps))
+        for (a, b), counts in zip(reps, _transition_counts(4 * x.numerator, one, *scaled)):
             if counts not in solved:
                 p = _matrix(counts)
                 solved[counts] = (p, stationary_distribution(p))
-            p, pi = solved[counts]
-            entries.append(CensusEntry(x=x, a=a, b=b, matrix=p, stationary=pi))
+            entries.append(CensusEntry(x, a, b, *solved[counts]))
+    if not entries:
+        raise InvalidInputError("no x values given")
     return RegionCensus(tuple(entries))

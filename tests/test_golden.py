@@ -124,6 +124,25 @@ OTHER_CASES = {
         ["census.csv", "census.summary.txt"],
         "59adc48f8bf61c46e146f8f014a415cb31b613442c1ac26cc604e5f3b2f29329",
     ),
+    # The full default census: 924 regions over the six canonical x.
+    "analyze3-canonical": (
+        ["analyze3", "--out", "census.csv"],
+        ["census.csv", "census.summary.txt"],
+        "2cb45d931ea8549d8220dd57f0d8bacd8bb0d34ab4c97d6fb89b5fb7afab887b",
+    ),
+    # An x whose scaled values overflow int64, so ranks are compared on
+    # Python ints.
+    "analyze3-huge-denominator": (
+        [
+            "analyze3",
+            "--out",
+            "census.csv",
+            "--x-values",
+            "1000000000000000000000000000001/12000000000000000000000000000000,22/120",
+        ],
+        ["census.csv", "census.summary.txt"],
+        "13ff2b2a5ef1573a611da21de9220ddaccd47332c761d738f8a734f517f157ea",
+    ),
 }
 
 

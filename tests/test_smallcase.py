@@ -1,6 +1,7 @@
 """Exact three-point analysis: cut values, regions, matrices, limits."""
 
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -18,6 +19,7 @@ from deconvsim.smallcase import (
     N_STATES,
     PERMS,
     X_CONFIG_BOUNDARIES,
+    _as_fraction,
     _matrix,
     _solve_linear,
     _transition_counts,
@@ -33,8 +35,11 @@ SIXTH = F(1, 6)
 
 
 def transition_matrix(x, a, b):
-    """The exact matrix of region (x, a, b), as the census builds it."""
-    return _matrix(_transition_counts(x, a, b))
+    """The exact matrix of region (x, a, b), as the census builds it:
+    x, a and b scaled to integers by their common denominator."""
+    scale = math.lcm(x.denominator, a.denominator, b.denominator)
+    [counts] = _transition_counts(int(x * scale), scale, [int(a * scale)], [int(b * scale)])
+    return _matrix(counts)
 
 
 def test_cut_values_collapse_for_one_quarter():
@@ -402,6 +407,13 @@ def test_full_census_rejects_an_x_given_twice(xs):
         full_census(xs)
 
 
+def test_full_census_rejects_no_x():
+    # An empty census has no top distribution for the summary to report.
+    for xs in ([], (), iter([])):
+        with pytest.raises(InvalidInputError, match="no x values given"):
+            full_census(xs)
+
+
 def test_full_census_rejects_a_non_rational_x():
     # Fraction raises ZeroDivisionError for "1/0" and OverflowError for an
     # infinite Decimal; each must come out as the library's own error.
@@ -411,13 +423,58 @@ def test_full_census_rejects_a_non_rational_x():
     assert full_census([" 10/120 ", Decimal("0.3")]).total_regions > 0
 
 
-# The Fraction implementation that the integer-rank matrix and the
-# per-matrix stationary memo replaced, kept verbatim (names prefixed
-# with "fraction") as the oracle the census must keep matching.
+# The Fraction implementation that the integer enumeration, the
+# integer-rank matrix and the per-matrix stationary memo replaced, kept
+# verbatim (names prefixed with "fraction") as the oracle the census
+# must keep matching.
 
 _PERM_INDEX = {p: i for i, p in enumerate(PERMS)}
 Matrix = tuple[tuple[Fraction, ...], ...]
 Distribution = tuple[Fraction, ...]
+
+
+def fraction_enumerate_regions(x) -> list[tuple[Fraction, Fraction]]:
+    """One exact interior representative (a, b) per cell of the
+    arrangement of lines a = c, b = c, a + b = c over the cut values,
+    within the open positive quadrant.
+
+    Construction: the cuts tile the quadrant into axis-aligned
+    rectangles (the unbounded tail is truncated at max cut + 1); each
+    rectangle is split into bands by the diagonals crossing its
+    interior, and one rational midpoint is built per band.
+    """
+    x = _as_fraction(x)
+    if x in X_CONFIG_BOUNDARIES:
+        raise InvalidInputError(
+            f"{x} is a configuration-change value; pick x strictly between them"
+        )
+    cuts = sorted(cut_values(x))
+    top = cuts[-1] + 1
+    breakpoints = [Fraction(0), *cuts, top]
+    intervals = list(zip(breakpoints, breakpoints[1:]))
+
+    half = Fraction(1, 2)
+    reps: list[tuple[Fraction, Fraction]] = []
+    for alo, ahi in intervals:
+        for blo, bhi in intervals:
+            lo_sum = alo + blo
+            hi_sum = ahi + bhi
+            crossing = [c for c in cuts if lo_sum < c < hi_sum]
+            bounds = [lo_sum, *crossing, hi_sum]
+            for s_lo, s_hi in zip(bounds, bounds[1:]):
+                s_mid = (s_lo + s_hi) * half
+                a_lo = max(alo, s_mid - bhi)
+                a_hi = min(ahi, s_mid - blo)
+                a = (a_lo + a_hi) * half
+                b = s_mid - a
+                assert alo < a < ahi and blo < b < bhi
+                reps.append((a, b))
+
+    cut_set = set(cuts)
+    for a, b in reps:
+        # Representatives must avoid every line of the arrangement.
+        assert a not in cut_set and b not in cut_set and (a + b) not in cut_set
+    return reps
 
 
 def fraction_exact_ranks(values: tuple[Fraction, ...]) -> tuple[int, ...]:
@@ -663,6 +720,31 @@ def test_every_cut_line_raises_in_both_implementations():
                     transition_matrix(x, a, b)
 
 
+HUGE_DENOMINATOR_X = F(10**30 + 1, 12 * 10**30)
+
+
+def test_integer_enumeration_matches_the_fraction_implementation():
+    # Canonical x, 8 random rationals in each interval between
+    # configuration-change values, and an x whose scaled values
+    # overflow int64: same representatives, values and order.
+    rand = random.Random(20261021)
+    edges = (F(0), *X_CONFIG_BOUNDARIES, F(1, 2))
+    xs = [*CANONICAL_X, HUGE_DENOMINATOR_X]
+    for lo, hi in zip(edges, edges[1:]):
+        for _ in range(8):
+            d = rand.randint(2, 10**12)
+            xs.append(lo + (hi - lo) * F(rand.randint(1, d - 1), d))
+    for x in xs:
+        assert enumerate_regions(x) == fraction_enumerate_regions(x), x
+
+
+def test_huge_denominator_census_matches_the_fraction_implementation():
+    census = full_census([HUGE_DENOMINATOR_X])
+    assert census.total_regions == 154 and census.distinct_count == 117
+    for entry in census.entries:
+        assert entry.matrix == fraction_transition_matrix(entry.x, entry.a, entry.b)
+
+
 def test_integer_ranks_give_sixths_out_of_six_rperms():
     x, a, b = F(27, 120), F(5, 7), F(11, 9)
     p = transition_matrix(x, a, b)
@@ -702,12 +784,16 @@ def test_fraction_free_solve_matches_the_fraction_elimination():
             for _ in range(n)
         ]
         rhs = [F(rand.randint(-6, 6), rand.choice((1, 2, 5))) for _ in range(n)]
+        # _solve_linear takes [a | rhs] with each row scaled to integers.
+        rows = [[*row, r] for row, r in zip(a, rhs)]
+        scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
+        m = [[int(v * scale) for v in row] for row, scale in zip(rows, scales)]
         try:
             expected = fraction_solve_linear(a, rhs)
         except InvalidInputError:
             with pytest.raises(InvalidInputError):
-                _solve_linear(a, rhs)
+                _solve_linear(m)
             continue
-        assert _solve_linear(a, rhs) == expected
+        assert _solve_linear(m) == expected
         solved += 1
     assert solved > 700
