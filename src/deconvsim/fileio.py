@@ -46,7 +46,7 @@ from . import __version__
 from .core import as_sample
 from .errors import InvalidInputError
 from .metrics import QQData
-from .smallcase import SIXTHS, RegionCensus, is_point_mass
+from .smallcase import RegionCensus, is_point_mass
 
 # Values per _repr_join call: bounds the call's temporaries (a few MB).
 _BLOCK = 1 << 14
@@ -241,10 +241,6 @@ def fmt_rational(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-# Text of the census's shared matrix entries, keyed by object identity.
-_SIXTH_TEXT = {id(v): fmt_rational(v) for v in SIXTHS}
-
-
 def _data_lines(fh):
     """(line number, stripped text) of each line that is neither blank
     nor a '#' comment."""
@@ -330,8 +326,7 @@ def write_census_csv(path, census: RegionCensus, header: str) -> None:
     rows = [f"# {header}\n", "x_num,x_den,a_num,a_den,b_num,b_den,matrix,stationary\n"]
     for e in census.entries:
         if id(e.matrix) not in text:
-            values = (v for row in e.matrix for v in row)
-            text[id(e.matrix)] = ";".join(_SIXTH_TEXT.get(id(v)) or fmt_rational(v) for v in values)
+            text[id(e.matrix)] = ";".join(fmt_rational(v) for row in e.matrix for v in row)
         if id(e.stationary) not in text:
             text[id(e.stationary)] = ";".join(map(fmt_rational, e.stationary))
         rows.append(
@@ -343,7 +338,7 @@ def write_census_csv(path, census: RegionCensus, header: str) -> None:
 
 
 def write_census_summary(path, census: RegionCensus, header: str) -> None:
-    xs = sorted(census.regions_per_x)
+    xs = sorted({e.x for e in census.entries})
     per_x = ";".join(f"{fmt_rational(x)}:{census.regions_for(x)}" for x in xs)
     top_dist, top_count = census.top_distribution()
     hist = census.histogram()

@@ -40,7 +40,7 @@ PERMS: tuple[tuple[int, ...], ...] = tuple(itertools.permutations(range(3)))
 N_STATES = len(PERMS)
 
 # Every transition probability is a count out of the 6 rperms.
-SIXTHS = tuple(Fraction(c, 6) for c in range(7))
+_SIXTHS = tuple(Fraction(c, 6) for c in range(7))
 
 # x values where the cut-value configuration changes; region
 # enumeration is only defined strictly between consecutive ones.
@@ -158,7 +158,7 @@ def _transition_counts(xs: int, one: int, a, b) -> list[Counts]:
 
 
 def _matrix(counts: Counts) -> Matrix:
-    return tuple(tuple(SIXTHS[c] for c in row) for row in counts)
+    return tuple(tuple(_SIXTHS[c] for c in row) for row in counts)
 
 
 def _solve_linear(m: list[list[int]]) -> list[Fraction]:
@@ -217,17 +217,6 @@ class CensusEntry:
     stationary: Distribution
 
 
-def _tally(values) -> Counter:
-    # Counter(values) hashing each shared object once: tally by identity,
-    # then merge equal values, keeping first-occurrence order.
-    values = list(values)
-    first = dict(zip(map(id, values), values))
-    merged = Counter()
-    for key, count in Counter(map(id, values)).items():
-        merged[first[key]] += count
-    return merged
-
-
 @dataclass(frozen=True)
 class RegionCensus:
     """All regions across the canonical x sweep plus distinctness tables.
@@ -243,17 +232,22 @@ class RegionCensus:
         return len(self.entries)
 
     @cached_property
-    def regions_per_x(self) -> Counter:
-        """Map x -> its number of regions, in first-occurrence order."""
-        return _tally(e.x for e in self.entries)
+    def _per_x(self) -> Counter:
+        return Counter(e.x for e in self.entries)
 
     def regions_for(self, x) -> int:
-        return self.regions_per_x[_as_fraction(x)]
+        return self._per_x[_as_fraction(x)]
 
     @cached_property
     def multiplicity(self) -> Counter:
         """Occurrences of each distinct distribution, labels fixed."""
-        return _tally(e.stationary for e in self.entries)
+        # Regions with equal matrices share one distribution object: tally
+        # the objects, then merge equal values in first-occurrence order.
+        first = {id(e.stationary): e.stationary for e in self.entries}
+        merged = Counter()
+        for key, count in Counter(id(e.stationary) for e in self.entries).items():
+            merged[first[key]] += count
+        return merged
 
     @property
     def distinct_count(self) -> int:
