@@ -111,6 +111,18 @@ RUN_CASES = {
         ["--x", "exp-z0.txt", "--z", "exp-x1.txt"] + OUT,
         "65aa43d88253c5da6f0a24a58c3587cf9c63158185e94e3a29ce97b3ca3be0a4",
     ),
+    # n = 4096: the packed-key sort order (n >= 1024) over a whole run, and
+    # trace rows that the float kernel writes several to a block.
+    "abs-half-line-4096": (
+        ["--x", "big-x-sample.txt", "--z", "big-z-sample.txt", "--iters", "10"] + OUT
+        + ["--adjust", "abs", "--support", "0:inf", "--pool", "average"] + POOLED,
+        "0a4d141fe46b046ef21b8eb10f6480b3c973bf818105b429fd565ce9351822e2",
+    ),
+    "first-occurrence-lattice-4096": (
+        ["--x", "biglat-x.txt", "--z", "biglat-z.txt", "--iters", "10"] + OUT
+        + ["--tie-rule", "first-occurrence"],
+        "8afa5b694e309c0e051cadf81e7ed7aa64ecd114fb374c5a3fd4c07bf027e431",
+    ),
 }
 
 OTHER_CASES = {
@@ -159,12 +171,16 @@ def make_inputs() -> None:
     for argv in (
         ["simulate", "--experiment", "exponential", "--seed", "7", "--out-prefix", "exp-"],
         ["simulate", "--dist", "normal:0,1", "--n", "60", "--seed", "3", "--out-prefix", "short-"],
+        ["simulate", "--dist", "exponential:1", "--n", "4096", "--seed", "11", "--out-prefix", "big-x-"],
+        ["simulate", "--dist", "exponential:2", "--n", "4096", "--seed", "12", "--out-prefix", "big-z-"],
     ):
         code, text = _invoke(argv)
         assert code == 0, text
     # Small-integer samples: the working vector w is full of ties.
     Path("lat-x.txt").write_text("".join(f"{i % 3}\n" for i in range(40)))
     Path("lat-z.txt").write_text("".join(f"{i % 3 + i * 7 % 4}\n" for i in range(40)))
+    Path("biglat-x.txt").write_text("".join(f"{i % 3}\n" for i in range(4096)))
+    Path("biglat-z.txt").write_text("".join(f"{i % 3 + i * 7 % 4}\n" for i in range(4096)))
 
 
 def digest(argv: list[str], outputs: list[str]) -> str:
