@@ -59,34 +59,61 @@ _IPOW10 = 10 ** np.arange(18, dtype=np.int64)
 # Half-ulp distances closer than this (in units of X) go to repr.
 _BAND = 1e-6
 
-# ASCII digit words: _QUAD[k] is the text of k in 4 digits, zero padded,
-# and _DOT3[k] that of k in 3 digits followed by the point.
+# Text is assembled from 4-byte words, each 4 ASCII bytes read as one
+# uint32, and NUL bytes are dropped at the end.  _WORDS holds every word
+# the kernel writes, in sections: _QUAD[k] is k in 4 digits, zero padded;
+# at _TRIM the same without trailing zeros (but "0" for 0000); at _NUL
+# the empty word; at _LEAD 4 digits without leading zeros (empty for
+# 0000); at _DOT 3 digits then the point; at _DOT_LEAD the same without
+# leading zeros before the units digit.
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _QUAD = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).view(np.uint32).reshape(-1)
 _DOT3 = np.stack(
     np.meshgrid(*[_DIGITS] * 3, np.uint8([ord(".")]), indexing="ij"), axis=-1
 ).view(np.uint32).reshape(-1)
-# Characters of each 4-digit group up to its last nonzero digit; far
-# below zero for 0000, which therefore never ends a fraction.
-_k = np.arange(10_000)
-_QUAD_LEN = np.select([_k % 10 > 0, _k % 100 > 0, _k % 1000 > 0, _k > 0], [4, 3, 2, 1], -99)
-del _k
+
+
+def _blanked(words: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """words with each byte where keep is False set to NUL."""
+    return (words.view(np.uint8).reshape(-1, 4) * keep).view(np.uint32).reshape(-1)
+
+
+_nz = _QUAD.view(np.uint8).reshape(-1, 4) != ord("0")
+_trimmed = _blanked(_QUAD, np.logical_or.accumulate(_nz[:, ::-1], axis=1)[:, ::-1])
+_trimmed[0] = _blanked(_QUAD[:1], np.array([True, False, False, False]))[0]
+_nz = _DOT3.view(np.uint8).reshape(-1, 4) != ord("0")
+_nz[:, 2:] = True  # the units digit and the point stay
+_WORDS = np.concatenate(
+    [
+        _QUAD,
+        _trimmed,
+        np.zeros(1, dtype=np.uint32),
+        _blanked(_QUAD, np.logical_or.accumulate(_QUAD.view(np.uint8).reshape(-1, 4) != ord("0"), axis=1)),
+        _DOT3,
+        _blanked(_DOT3, np.logical_or.accumulate(_nz, axis=1)),
+    ]
+)
+_TRIM, _NUL, _LEAD, _DOT = 10_000, 20_000, 20_001, 30_001
+_DOT_LEAD = _DOT + 1000
+del _nz, _trimmed
 
 
 def _groups4(m: np.ndarray, count: int) -> list[np.ndarray]:
-    """The last count base-10000 digits of the int64 array m, most
+    """The base-10000 digits of the int64 array m < 10000**count, most
     significant first."""
     out = []
-    for _ in range(count):
+    for _ in range(count - 1):
         q = m // 10_000
         out.append(m - q * 10_000)
         m = q
+    out.append(m)
     return out[::-1]
 
 
-def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _shortest_digits(a: np.ndarray, exp2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shortest round-trip digits of each a in [1e-4, 1e16) whose mantissa
-    is not a power of two (see the module docstring).
+    is not a power of two (see the module docstring); exp2 is the binary
+    exponent of a, as ``np.frexp`` gives it.
 
     Returns (digits, dec, exact): the digits as a 17-digit int64, padded
     with zeros on the right; dec with 10**dec <= a < 10**(dec + 1); and
@@ -100,26 +127,30 @@ def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     def scaled(dec):
         # Dekker's two-product: a * 10**q == hi + lo exactly.
         q = 16 - dec
-        hi = a * _POW10[q]
-        bh, bl = _POW10_HI[q], _POW10_LO[q]
-        return q, hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+        p = np.take(_POW10, q)
+        hi = a * p
+        bh, bl = np.take(_POW10_HI, q), np.take(_POW10_LO, q)
+        return p, hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
 
-    # log10 may put a value next to a power of ten one decade off.
+    # log10 may put a value next to a power of ten one decade off.  hi is
+    # X rounded, so X can leave [1e16, 1e17) only if hi reaches a bound.
     dec = np.floor(np.log10(a)).astype(np.int64)
-    q, hi, lo = scaled(dec)
-    shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64)
-    shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    if shift.any():
-        dec += shift
-        q, hi, lo = scaled(dec)
-    del ah, al, shift
+    p, hi, lo = scaled(dec)
+    if ((hi >= 1e17) | (hi <= 1e16)).any():
+        shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64)
+        shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+        if shift.any():
+            dec += shift
+            p, hi, lo = scaled(dec)
+        del shift
+    del ah, al
 
     rounded = np.rint(lo)
     m17 = hi.astype(np.int64) + rounded.astype(np.int64)
     r = lo - rounded  # X - m17, exact
     del hi, lo, rounded
-    half_ulp = np.ldexp(_POW10[q], np.frexp(a)[1] - 54)
-    del q
+    half_ulp = np.ldexp(p, exp2 - 54)
+    del p
 
     def candidate(step):
         """m17 rounded to a multiple of step, ties to even, and its
@@ -145,15 +176,16 @@ def _digit_groups(digits: np.ndarray, dec: np.ndarray) -> tuple[np.ndarray, list
     the integer part, and the first 20 digits after the point as five
     base-10000 digits (int16), most significant first."""
     point = dec + 1  # digits before the point: |v| = 0.d1d2... * 10**point
-    shift = _IPOW10[17 - np.maximum(point, 0)]
+    shift = np.take(_IPOW10, 17 - np.maximum(point, 0))
     ipart = digits // shift
     frac = digits - ipart * shift  # the 17 - point digits after the point
     # The fraction left-aligned in 20 digits, split as 8 + 12 digits.
     s = point + 3
     u = np.minimum(s, 12)
-    top = frac // _IPOW10[12 - u]
-    bottom = (frac - top * _IPOW10[12 - u]) * _IPOW10[u]
-    top *= _IPOW10[s - u]
+    p = np.take(_IPOW10, 12 - u)
+    top = frac // p
+    bottom = (frac - top * p) * np.take(_IPOW10, u)
+    top *= np.take(_IPOW10, s - u)
     return ipart, [g.astype(np.int16) for g in _groups4(top, 2) + _groups4(bottom, 3)]
 
 
@@ -163,72 +195,77 @@ def _repr_join(values, seps: str = ",") -> str:
     ``seps[i % len(seps)]``: a comma then a newline gives two CSV columns.
     Each separator is a single ASCII character.
 
-    Each value's text is laid out in a row of a byte canvas: the integer
-    digits end at column 18, the point is column 19 and the fraction
-    digits start at column 20, all written as 4-byte words.  One boolean
-    mask then picks every row's text and separator in order.  Values the
-    fast path does not take are formatted by repr into their rows.
+    Each value's text is laid out in a row of a byte canvas, in words
+    from _WORDS: the integer digits end at column 18, the point is column
+    19 and the fraction digits start at column 20, with leading and
+    trailing zeros as NUL bytes.  The first column of a row holds the
+    separator that follows the value before.  Values the fast path does
+    not take are formatted by repr into their rows.  The canvas read row
+    by row without its NUL bytes is the text.
     """
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     k = v.size
     if k == 0:
         return ""
     a = np.abs(v)
-    fast = (a >= 1e-4) & (a < 1e16) & (np.frexp(a)[0] != 0.5)
-    np.copyto(a, 1.5, where=~fast)  # any value the fast path takes
-    digits, dec, exact = _shortest_digits(a)
-    del a
+    mant, exp2 = np.frexp(a)
+    fast = (a >= 1e-4) & (a < 1e16) & (mant != 0.5)
+    del mant
+    slow = ~fast
+    np.copyto(a, 1.5, where=slow)  # any value the fast path takes
+    np.copyto(exp2, 1, where=slow)  # and its exponent
+    del slow
+    digits, dec, exact = _shortest_digits(a, exp2)
+    del a, exp2
     good = fast & exact
     ipart, fraction = _digit_groups(digits, dec)
     del digits
-    nfrac = np.ones(k, dtype=np.int64)
-    for g, f in enumerate(fraction):
-        np.maximum(nfrac, 4 * g + _QUAD_LEN[f], out=nfrac)
-
-    neg = v < 0
-    start = 17 - np.maximum(dec, 0) + ~neg  # first column
-    del dec
-    end = 20 + nfrac  # the separator's column
-    del nfrac
-    c0 = 4 * (start[good].min() // 4) if good.any() else 0
     back = np.flatnonzero(~good)
     texts = list(map(repr, v[back].tolist()))
-    start[back] = c0
-    end[back] = c0 + np.array(list(map(len, texts)), dtype=np.int64)
-    start -= c0
-    end -= c0
-    # Only the words some row uses: columns c0 onwards.
-    w0 = c0 // 4
-    width = 4 * (end.max() // 4 + 1)
+    minus = np.flatnonzero(good & (v < 0))
+    del good
+    # Words w0 .. w0 + nw - 1: from the one holding the column before any
+    # row's text, where the separator goes, to the last fraction digit of
+    # any row (16 - dec of them at most), or past the longest repr text.
+    w0 = (17 - max(int(dec.max()), 0) - (minus.size > 0)) // 4
+    nf = min(5, (19 - int(dec.min())) // 4)  # fraction words
+    nw = max(5 + nf - w0, max(map(len, texts), default=0) // 4 + 1)
 
-    canvas = np.empty((k, width), dtype=np.uint8)
+    canvas = np.empty((k, 4 * nw), dtype=np.uint8)
     words = canvas.view(np.uint32)
-    head = ipart // 1000
-    head_groups = _groups4(head, 4) if w0 < 4 else []
-    for g in range(w0, w0 + width // 4):
-        if g < 4:
-            words[:, g - w0] = _QUAD[head_groups[g]]
-        elif g == 4:
-            words[:, g - w0] = _DOT3[ipart - 1000 * head]
-        elif g < 10:
-            words[:, g - w0] = _QUAD[fraction[g - 5]]
-    del ipart, head, head_groups, fraction
-    flat = canvas.reshape(-1)
-    rows = np.arange(0, k * width, width)
-    minus = np.flatnonzero(good & neg)
-    flat[rows[minus] + start[minus]] = ord("-")
+    if w0 == 4:  # every integer part is below 100
+        words[:, 0] = np.take(_WORDS, ipart + _DOT_LEAD)
+    else:
+        lead = np.ones(k, dtype=bool)  # the integer digits so far are all zero
+        head = ipart // 1000
+        for g, h in enumerate(_groups4(head, 4)):
+            if g >= w0:
+                words[:, g - w0] = np.take(_WORDS, h + _LEAD * lead)
+            lead &= h == 0
+        words[:, 4 - w0] = np.take(_WORDS, ipart - 1000 * head + (_DOT + 1000 * lead))
+        del lead, head
+    del ipart
+    tail = np.ones(k, dtype=bool)  # the fraction groups after this one are all zero
+    for j in range(nf - 1, -1, -1):
+        f = fraction[j]
+        state = tail.astype(np.int16)  # 1: drop trailing zeros
+        if j:
+            tail &= f == 0
+            state += tail  # 2: all zeros from here on
+        words[:, 5 + j - w0] = np.take(_WORDS, f + _TRIM * state)
+    words[:, 5 + nf - w0 :] = 0
+    del tail, state, fraction
     if back.size:
-        canvas[back] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    rows += end
-    sep = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
-    flat[rows] = np.tile(sep, -(-k // sep.size))[:k]
-    del rows
-    cols = np.arange(width)
-    spans = ((cols >= cols[:, None, None]) & (cols <= cols[:, None])).reshape(-1, width)
-    start *= width
-    start += end
-    keep = np.take(spans, start, axis=0)
-    return canvas[keep][:-1].tobytes().decode("ascii")
+        canvas[back, 1:] = np.array(texts, dtype=f"S{4 * nw - 1}").view(np.uint8).reshape(back.size, -1)
+    flat = canvas.reshape(-1)
+    flat[minus * (4 * nw) + (17 - 4 * w0 - np.maximum(dec[minus], 0))] = ord("-")
+    if len(seps) == 1:
+        canvas[1:, 0] = ord(seps)
+    else:
+        sep = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
+        canvas[1:, 0] = np.tile(sep, -(-k // sep.size))[: k - 1]
+    canvas[0, 0] = 0
+    return canvas.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def make_header(seed, argv) -> str:
