@@ -289,10 +289,10 @@ def _data_lines(fh):
 
 def read_sample(path) -> np.ndarray:
     """Read newline-delimited decimals; '#' comment lines and blank
-    lines are ignored."""
+    lines are ignored, and so is a UTF-8 byte-order mark."""
     values = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, text in _data_lines(fh):
                 try:
                     values.append(float(text))
@@ -311,7 +311,7 @@ def read_sample(path) -> np.ndarray:
         # Name the first such line; the file is read again only on
         # failure, so success costs no more.
         first = int(np.isfinite(values).argmin())
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lineno, text = next(islice(_data_lines(fh), first, None))
         raise InvalidInputError(f"{path}:{lineno}: not a finite value: {text!r}") from None
 

@@ -938,3 +938,43 @@ def test_run_conserves_the_mean_near_1e12_within_half_an_ulp(x, z, seed):
     for y in trace.ys:
         drift = abs(sum(map(Fraction, y.tolist())) / n - target)
         assert drift <= Fraction(np.spacing(np.abs(y).max())) / 2
+
+
+@pytest.mark.parametrize("n", [100, 3000])
+@pytest.mark.parametrize("policy", list(AdjustPolicy))
+@pytest.mark.parametrize("tie_rule", list(TieRule))
+@pytest.mark.parametrize(
+    "pool", [PoolingKind.NONE, PoolingKind.AVERAGE, PoolingKind.CONCAT_AND_DRAW]
+)
+def test_run_scales_exactly_by_a_power_of_two(n, policy, tie_rule, pool):
+    # Without smoothing a run adds, subtracts, compares, reflects at a
+    # bound, copies and averages, and each rounding commutes with scaling
+    # by 2**k while no value overflows or turns subnormal.  So scaling x,
+    # z and the support bounds by 2**k scales ys and pooled byte for byte
+    # and keeps every violation count, at n = 3000 on the packed-key sort.
+    rng = np.random.default_rng(n)
+    i = np.arange(n)
+    samples = {
+        "continuous": (rng.normal(0.0, 1.0, n), rng.normal(2.0, 1.5, n)),
+        "lattice": ((i % 3).astype(float), (i % 3 + i * 7 % 4).astype(float)),
+    }
+    for name, (x, z) in samples.items():
+        traces = {}
+        for k in (0, -3, 5):
+            support = UNBOUNDED
+            if policy is not AdjustPolicy.NONE:
+                support = SupportConstraint(math.ldexp(-0.5, k), math.ldexp(4.0, k))
+            config = DeconvConfig(
+                iters=10, adjust=policy, support=support, tie_rule=tie_rule,
+                pool=PoolingMode(pool), seed=5,
+            )
+            traces[k] = run(np.ldexp(x, k), np.ldexp(z, k), config)
+        base = traces[0]
+        for k in (-3, 5):
+            trace = traces[k]
+            assert trace.ys.tobytes() == np.ldexp(base.ys, k).tobytes(), (name, k)
+            assert np.array_equal(trace.violations, base.violations), (name, k)
+            if pool is PoolingKind.NONE:
+                assert trace.pooled is None and base.pooled is None
+            else:
+                assert trace.pooled.tobytes() == np.ldexp(base.pooled, k).tobytes(), (name, k)

@@ -71,6 +71,28 @@ def test_read_sample_reports_the_offending_line(tmp_path):
         read_sample(path)
 
 
+@pytest.mark.parametrize("text", ["1.5\n2.5\n", "# header\n1.5\n2.5\n"])
+def test_read_sample_accepts_a_utf8_byte_order_mark(tmp_path, text):
+    # Notepad and Excel start a UTF-8 export with one.
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert np.array_equal(read_sample(path), [1.5, 2.5])
+
+
+def test_read_sample_names_a_non_finite_line_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf1.5\ninf\n")
+    with pytest.raises(InvalidInputError, match=r"bom.txt:2: not a finite value: 'inf'"):
+        read_sample(path)
+
+
+def test_read_sample_still_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1.0\n\xff2.0\n")
+    with pytest.raises(InvalidInputError, match="cannot read .*latin1.txt: 'utf-8' codec can't decode"):
+        read_sample(path)
+
+
 def test_read_sample_errors(tmp_path):
     with pytest.raises(InvalidInputError):
         read_sample(tmp_path / "missing.txt")
@@ -316,6 +338,57 @@ def test_cli_shaped_trace_rarely_falls_back_to_repr(tmp_path, monkeypatch):
     monkeypatch.setattr(fileio, "repr", counting_repr, raising=False)
     write_trace_csv(tmp_path / "trace.csv", trace, header="hdr")
     assert 0 < trace.ys.size and calls < 0.01 * trace.ys.size
+
+
+def _significant_digits(v: float) -> int:
+    """Digits in the shortest text of a positional repr."""
+    return len(repr(abs(v)).replace(".", "").strip("0"))
+
+
+def _kernel_classes(per_class=1000):
+    """{(decade, sign, length class): values}: for each decade 1e-4 ..
+    1e15, both signs, and shortest texts of at most 15, exactly 16 and
+    exactly 17 significant digits.  Mantissas that are a power of two go
+    to repr by design and are left out."""
+    rng = np.random.default_rng(22)
+    classes = {}
+    for e in range(-4, 16):
+        # At most 15 digits: a decimal of 1..15 digits in the decade.
+        ndigits = rng.integers(1, 16, per_class)
+        mants = (rng.random(per_class) * 9 + 1) * 10.0 ** (ndigits - 1)
+        short = [float(f"{int(m)}e{e - d + 1}") for m, d in zip(mants, ndigits.tolist())]
+        # Random doubles in the decade: mostly 16 or 17 digits.
+        wide = ((rng.random(8 * per_class) * 9 + 1) * 10.0**e).tolist()
+        by_length = {"<=15": short, "16": [], "17": []}
+        for v in wide:
+            by_length.get(str(_significant_digits(v)), []).append(v)
+        for length, values in by_length.items():
+            values = np.array(values[:per_class])
+            values = values[(np.frexp(values)[0] != 0.5) & (values >= 10.0**e) & (values < 10.0 ** (e + 1))]
+            assert values.size > 0.9 * per_class, (e, length, values.size)
+            for sign in (1.0, -1.0):
+                classes[e, sign, length] = sign * values
+    return classes
+
+
+def test_every_decade_sign_and_length_class_takes_the_fast_path(monkeypatch):
+    # A kernel that sent a whole class to repr would stay correct and pass
+    # the sweeps above; here each class must match repr with fewer than
+    # 0.1 % of its values formatted by repr.
+    calls = 0
+
+    def counting_repr(v):
+        nonlocal calls
+        calls += 1
+        return builtins.repr(v)
+
+    monkeypatch.setattr(fileio, "repr", counting_repr, raising=False)
+    for key, values in _kernel_classes().items():
+        calls = 0
+        got = _repr_join(values)
+        fallbacks = calls
+        assert got == ",".join(builtins.repr(v) for v in values.tolist()), key
+        assert fallbacks < 0.001 * values.size, (key, fallbacks)
 
 
 def test_write_trace_csv_memory_is_bounded_by_a_row(tmp_path):
