@@ -25,6 +25,13 @@ whose mantissa is not a power of two, the kernel works like this:
   15-digit decimal can read back (DBL_DIG is 15), so the 15-digit
   candidate without its trailing zeros is the shortest text; among
   several 16-digit ones ``repr`` takes the nearest, ties to even.
+* The text is assembled in a byte canvas with one row per value, from
+  4-byte words of 4 digits, or 3 digits and the point, with the point
+  of every row in one column.  The words come from one table whose
+  sections write the leading zeros of the integer part and the trailing
+  zeros of the fraction as NUL bytes.  A row's first column holds the
+  separator that follows the value before.  The canvas read in order,
+  its NUL bytes deleted by one ``bytes.translate``, is the joined text.
 
 ``repr`` itself formats the rest: zeros, NaN and infinities, values
 outside [1e-4, 1e16) (subnormals among them), mantissas that are a power
@@ -61,11 +68,11 @@ _BAND = 1e-6
 
 # Text is assembled from 4-byte words, each 4 ASCII bytes read as one
 # uint32, and NUL bytes are dropped at the end.  _WORDS holds every word
-# the kernel writes, in sections: _QUAD[k] is k in 4 digits, zero padded;
-# at _TRIM the same without trailing zeros (but "0" for 0000); at _NUL
-# the empty word; at _LEAD 4 digits without leading zeros (empty for
-# 0000); at _DOT 3 digits then the point; at _DOT_LEAD the same without
-# leading zeros before the units digit.
+# the kernel writes, in sections: from 0, k in 4 digits, zero padded;
+# from _TRIM, the same without trailing zeros ("0" for 0000); at
+# 2 * _TRIM, the empty word; from _LEAD, 4 digits without leading zeros
+# (empty for 0000); from _DOT, 3 digits then the point; from _DOT_LEAD,
+# the same without the zeros before the units digit.
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _QUAD = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).view(np.uint32).reshape(-1)
 _DOT3 = np.stack(
@@ -78,24 +85,20 @@ def _blanked(words: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return (words.view(np.uint8).reshape(-1, 4) * keep).view(np.uint32).reshape(-1)
 
 
-_nz = _QUAD.view(np.uint8).reshape(-1, 4) != ord("0")
-_trimmed = _blanked(_QUAD, np.logical_or.accumulate(_nz[:, ::-1], axis=1)[:, ::-1])
-_trimmed[0] = _blanked(_QUAD[:1], np.array([True, False, False, False]))[0]
-_nz = _DOT3.view(np.uint8).reshape(-1, 4) != ord("0")
-_nz[:, 2:] = True  # the units digit and the point stay
-_WORDS = np.concatenate(
-    [
-        _QUAD,
-        _trimmed,
-        np.zeros(1, dtype=np.uint32),
-        _blanked(_QUAD, np.logical_or.accumulate(_QUAD.view(np.uint8).reshape(-1, 4) != ord("0"), axis=1)),
-        _DOT3,
-        _blanked(_DOT3, np.logical_or.accumulate(_nz, axis=1)),
-    ]
-)
-_TRIM, _NUL, _LEAD, _DOT = 10_000, 20_000, 20_001, 30_001
-_DOT_LEAD = _DOT + 1000
-del _nz, _trimmed
+def _word_table() -> np.ndarray:
+    nonzero = _QUAD.view(np.uint8).reshape(-1, 4) != ord("0")
+    trimmed = _blanked(_QUAD, np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1])
+    trimmed[0] = _blanked(_QUAD[:1], np.array([True, False, False, False]))[0]
+    leading = _blanked(_QUAD, np.logical_or.accumulate(nonzero, axis=1))
+    nonzero = _DOT3.view(np.uint8).reshape(-1, 4) != ord("0")
+    nonzero[:, 2:] = True  # the units digit and the point stay
+    dot_leading = _blanked(_DOT3, np.logical_or.accumulate(nonzero, axis=1))
+    empty = np.zeros(1, dtype=np.uint32)
+    return np.concatenate([_QUAD, trimmed, empty, leading, _DOT3, dot_leading])
+
+
+_WORDS = _word_table()
+_TRIM, _LEAD, _DOT, _DOT_LEAD = 10_000, 20_001, 30_001, 31_001
 
 
 def _groups4(m: np.ndarray, count: int) -> list[np.ndarray]:
@@ -127,9 +130,9 @@ def _shortest_digits(a: np.ndarray, exp2: np.ndarray) -> tuple[np.ndarray, np.nd
     def scaled(dec):
         # Dekker's two-product: a * 10**q == hi + lo exactly.
         q = 16 - dec
-        p = np.take(_POW10, q)
+        p = _POW10.take(q)
         hi = a * p
-        bh, bl = np.take(_POW10_HI, q), np.take(_POW10_LO, q)
+        bh, bl = _POW10_HI.take(q), _POW10_LO.take(q)
         return p, hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
 
     # log10 may put a value next to a power of ten one decade off.  hi is
@@ -152,21 +155,28 @@ def _shortest_digits(a: np.ndarray, exp2: np.ndarray) -> tuple[np.ndarray, np.nd
     half_ulp = np.ldexp(p, exp2 - 54)
     del p
 
+    # X - quo * step = rem + r with |r| <= 1/2, an even step and an even
+    # 2 * rem, so X lies above the midpoint exactly when
+    # 2 * rem + sign(r) > step, and on it when the two are equal; adding
+    # quo & 1 then rounds a tie to even.
+    sign_r = np.sign(r).astype(np.int64)
+
     def candidate(step):
         """m17 rounded to a multiple of step, ties to even, and its
         distance to X."""
         quo = m17 // step
         rem = m17 - quo * step
-        up = (rem > step // 2) | ((rem == step // 2) & ((r > 0) | ((r == 0) & (quo & 1 == 1))))
-        m = (quo + up) * step
+        key = rem * 2 + sign_r
+        key += quo & 1
+        m = (quo + (key > step)) * step
         return m, np.abs((m17 - m) + r)
 
     m16, d16 = candidate(10)
-    exact = np.abs(d16 - half_ulp) > _BAND
-    digits = np.where(d16 < half_ulp, m16, m17)
-    del m16, d16
     m15, d15 = candidate(100)
-    exact &= (np.abs(d15 - half_ulp) > _BAND) & (m15 < 10**17)
+    del r, sign_r
+    exact = (np.abs(d16 - half_ulp) > _BAND) & (np.abs(d15 - half_ulp) > _BAND) & (m15 < 10**17)
+    digits = m17  # 17 digits always read back
+    np.copyto(digits, m16, where=d16 < half_ulp)
     np.copyto(digits, m15, where=d15 < half_ulp)
     return digits, dec, exact
 
@@ -176,16 +186,16 @@ def _digit_groups(digits: np.ndarray, dec: np.ndarray) -> tuple[np.ndarray, list
     the integer part, and the first 20 digits after the point as five
     base-10000 digits (int16), most significant first."""
     point = dec + 1  # digits before the point: |v| = 0.d1d2... * 10**point
-    shift = np.take(_IPOW10, 17 - np.maximum(point, 0))
+    shift = _IPOW10.take(17 - np.maximum(point, 0))
     ipart = digits // shift
     frac = digits - ipart * shift  # the 17 - point digits after the point
     # The fraction left-aligned in 20 digits, split as 8 + 12 digits.
     s = point + 3
     u = np.minimum(s, 12)
-    p = np.take(_IPOW10, 12 - u)
+    p = _IPOW10.take(12 - u)
     top = frac // p
-    bottom = (frac - top * p) * np.take(_IPOW10, u)
-    top *= np.take(_IPOW10, s - u)
+    bottom = (frac - top * p) * _IPOW10.take(u)
+    top *= _IPOW10.take(s - u)
     return ipart, [g.astype(np.int16) for g in _groups4(top, 2) + _groups4(bottom, 3)]
 
 
@@ -197,11 +207,14 @@ def _repr_join(values, seps: str = ",") -> str:
 
     Each value's text is laid out in a row of a byte canvas, in words
     from _WORDS: the integer digits end at column 18, the point is column
-    19 and the fraction digits start at column 20, with leading and
-    trailing zeros as NUL bytes.  The first column of a row holds the
-    separator that follows the value before.  Values the fast path does
-    not take are formatted by repr into their rows.  The canvas read row
-    by row without its NUL bytes is the text.
+    19 and the fraction digits start at column 20.  A fraction group
+    whose later groups are all zero drops its trailing zeros, one whose
+    own digits are zero too is empty, and the integer words before the
+    first nonzero digit drop their leading zeros: all as NUL bytes.  The
+    first column of a row holds the separator that follows the value
+    before, and values the fast path does not take are formatted by repr
+    into the rest of their rows.  The canvas read row by row without its
+    NUL bytes is the text.
     """
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     k = v.size
@@ -220,29 +233,29 @@ def _repr_join(values, seps: str = ",") -> str:
     good = fast & exact
     ipart, fraction = _digit_groups(digits, dec)
     del digits
-    back = np.flatnonzero(~good)
+    back = (~good).nonzero()[0]
     texts = list(map(repr, v[back].tolist()))
-    minus = np.flatnonzero(good & (v < 0))
+    minus = (good & (v < 0)).nonzero()[0]
     del good
     # Words w0 .. w0 + nw - 1: from the one holding the column before any
     # row's text, where the separator goes, to the last fraction digit of
     # any row (16 - dec of them at most), or past the longest repr text.
     w0 = (17 - max(int(dec.max()), 0) - (minus.size > 0)) // 4
-    nf = min(5, (19 - int(dec.min())) // 4)  # fraction words
+    nf = (19 - int(dec.min())) // 4  # fraction words: 5 at most, as dec >= -4
     nw = max(5 + nf - w0, max(map(len, texts), default=0) // 4 + 1)
 
     canvas = np.empty((k, 4 * nw), dtype=np.uint8)
     words = canvas.view(np.uint32)
     if w0 == 4:  # every integer part is below 100
-        words[:, 0] = np.take(_WORDS, ipart + _DOT_LEAD)
+        words[:, 0] = _WORDS.take(ipart + _DOT_LEAD)
     else:
         lead = np.ones(k, dtype=bool)  # the integer digits so far are all zero
         head = ipart // 1000
         for g, h in enumerate(_groups4(head, 4)):
             if g >= w0:
-                words[:, g - w0] = np.take(_WORDS, h + _LEAD * lead)
+                words[:, g - w0] = _WORDS.take(h + _LEAD * lead)
             lead &= h == 0
-        words[:, 4 - w0] = np.take(_WORDS, ipart - 1000 * head + (_DOT + 1000 * lead))
+        words[:, 4 - w0] = _WORDS.take(ipart - 1000 * head + (_DOT + 1000 * lead))
         del lead, head
     del ipart
     tail = np.ones(k, dtype=bool)  # the fraction groups after this one are all zero
@@ -252,7 +265,7 @@ def _repr_join(values, seps: str = ",") -> str:
         if j:
             tail &= f == 0
             state += tail  # 2: all zeros from here on
-        words[:, 5 + j - w0] = np.take(_WORDS, f + _TRIM * state)
+        words[:, 5 + j - w0] = _WORDS.take(f + _TRIM * state)
     words[:, 5 + nf - w0 :] = 0
     del tail, state, fraction
     if back.size:
