@@ -102,14 +102,14 @@ _TRIM, _LEAD, _DOT, _DOT_LEAD = 10_000, 20_001, 30_001, 31_001
 
 
 def _groups4(m: np.ndarray, count: int) -> list[np.ndarray]:
-    """The base-10000 digits of the int64 array m < 10000**count, most
-    significant first."""
+    """The base-10000 digits of the int64 array m < 10000**count, as
+    int16, most significant first."""
     out = []
     for _ in range(count - 1):
         q = m // 10_000
-        out.append(m - q * 10_000)
+        out.append((m - q * 10_000).astype(np.int16))
         m = q
-    out.append(m)
+    out.append(m.astype(np.int16))
     return out[::-1]
 
 
@@ -128,12 +128,21 @@ def _shortest_digits(a: np.ndarray, exp2: np.ndarray) -> tuple[np.ndarray, np.nd
     del c
 
     def scaled(dec):
-        # Dekker's two-product: a * 10**q == hi + lo exactly.
+        # Dekker's two-product: a * 10**q == hi + lo exactly, with lo
+        # summed as ((ah*bh - hi) + ah*bl + al*bh) + al*bl.
         q = 16 - dec
         p = _POW10.take(q)
         hi = a * p
         bh, bl = _POW10_HI.take(q), _POW10_LO.take(q)
-        return p, hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+        del q
+        lo = ah * bh
+        lo -= hi
+        lo += ah * bl
+        bh *= al
+        lo += bh
+        bl *= al
+        lo += bl
+        return p, hi, lo
 
     # log10 may put a value next to a power of ten one decade off.  hi is
     # X rounded, so X can leave [1e16, 1e17) only if hi reaches a bound.
@@ -155,29 +164,34 @@ def _shortest_digits(a: np.ndarray, exp2: np.ndarray) -> tuple[np.ndarray, np.nd
     half_ulp = np.ldexp(p, exp2 - 54)
     del p
 
-    # X - quo * step = rem + r with |r| <= 1/2, an even step and an even
-    # 2 * rem, so X lies above the midpoint exactly when
-    # 2 * rem + sign(r) > step, and on it when the two are equal; adding
-    # quo & 1 then rounds a tie to even.
+    # With rem = m17 - quo * step, X - quo * step = rem + r, |r| <= 1/2,
+    # and step and 2 * rem are even, so X lies above the midpoint exactly
+    # when 2 * rem + sign(r) > step, and on it when the two are equal;
+    # adding quo & 1 then rounds a tie to even.
     sign_r = np.sign(r).astype(np.int64)
 
     def candidate(step):
-        """m17 rounded to a multiple of step, ties to even, and its
-        distance to X."""
+        """m17 rounded to a multiple of step, ties to even; where it reads
+        back as a; and where its distance to X is clear of the half ulp."""
         quo = m17 // step
-        rem = m17 - quo * step
-        key = rem * 2 + sign_r
+        key = m17 - quo * step
+        key *= 2
+        key += sign_r
         key += quo & 1
-        m = (quo + (key > step)) * step
-        return m, np.abs((m17 - m) + r)
+        quo += key > step
+        quo *= step
+        del key
+        dist = np.abs((m17 - quo) + r)
+        dist -= half_ulp
+        return quo, dist < 0, np.abs(dist) > _BAND
 
-    m16, d16 = candidate(10)
-    m15, d15 = candidate(100)
-    del r, sign_r
-    exact = (np.abs(d16 - half_ulp) > _BAND) & (np.abs(d15 - half_ulp) > _BAND) & (m15 < 10**17)
+    m16, reads16, clear16 = candidate(10)
+    m15, reads15, clear15 = candidate(100)
+    del r, sign_r, half_ulp
+    exact = clear16 & clear15 & (m15 < 10**17)
     digits = m17  # 17 digits always read back
-    np.copyto(digits, m16, where=d16 < half_ulp)
-    np.copyto(digits, m15, where=d15 < half_ulp)
+    np.copyto(digits, m16, where=reads16)
+    np.copyto(digits, m15, where=reads15)
     return digits, dec, exact
 
 
@@ -189,14 +203,19 @@ def _digit_groups(digits: np.ndarray, dec: np.ndarray) -> tuple[np.ndarray, list
     shift = _IPOW10.take(17 - np.maximum(point, 0))
     ipart = digits // shift
     frac = digits - ipart * shift  # the 17 - point digits after the point
+    del shift
     # The fraction left-aligned in 20 digits, split as 8 + 12 digits.
     s = point + 3
+    del point
     u = np.minimum(s, 12)
     p = _IPOW10.take(12 - u)
     top = frac // p
-    bottom = (frac - top * p) * _IPOW10.take(u)
+    p *= top
+    frac -= p
+    frac *= _IPOW10.take(u)
     top *= _IPOW10.take(s - u)
-    return ipart, [g.astype(np.int16) for g in _groups4(top, 2) + _groups4(bottom, 3)]
+    del s, u, p
+    return ipart, _groups4(top, 2) + _groups4(frac, 3)
 
 
 def _repr_join(values, seps: str = ",") -> str:
@@ -244,7 +263,8 @@ def _repr_join(values, seps: str = ",") -> str:
     nf = (19 - int(dec.min())) // 4  # fraction words: 5 at most, as dec >= -4
     nw = max(5 + nf - w0, max(map(len, texts), default=0) // 4 + 1)
 
-    canvas = np.empty((k, 4 * nw), dtype=np.uint8)
+    text = bytearray(k * 4 * nw)  # all NUL
+    canvas = np.frombuffer(text, dtype=np.uint8).reshape(k, 4 * nw)
     words = canvas.view(np.uint32)
     if w0 == 4:  # every integer part is below 100
         words[:, 0] = _WORDS.take(ipart + _DOT_LEAD)
@@ -266,7 +286,6 @@ def _repr_join(values, seps: str = ",") -> str:
             tail &= f == 0
             state += tail  # 2: all zeros from here on
         words[:, 5 + j - w0] = _WORDS.take(f + _TRIM * state)
-    words[:, 5 + nf - w0 :] = 0
     del tail, state, fraction
     if back.size:
         canvas[back, 1:] = np.array(texts, dtype=f"S{4 * nw - 1}").view(np.uint8).reshape(back.size, -1)
@@ -277,8 +296,7 @@ def _repr_join(values, seps: str = ",") -> str:
     else:
         sep = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
         canvas[1:, 0] = np.tile(sep, -(-k // sep.size))[: k - 1]
-    canvas[0, 0] = 0
-    return canvas.tobytes().translate(None, b"\0").decode("ascii")
+    return text.translate(None, b"\0").decode("ascii")
 
 
 def make_header(seed, argv) -> str:
