@@ -66,19 +66,6 @@ _IPOW10 = 10 ** np.arange(18, dtype=np.int64)
 # Half-ulp distances closer than this (in units of X) go to repr.
 _BAND = 1e-6
 
-# Text is assembled from 4-byte words, each 4 ASCII bytes read as one
-# uint32, and NUL bytes are dropped at the end.  _WORDS holds every word
-# the kernel writes, in sections: from 0, k in 4 digits, zero padded;
-# from _TRIM, the same without trailing zeros ("0" for 0000); at
-# 2 * _TRIM, the empty word; from _LEAD, 4 digits without leading zeros
-# (empty for 0000); from _DOT, 3 digits then the point; from _DOT_LEAD,
-# the same without the zeros before the units digit.
-_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-_QUAD = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).view(np.uint32).reshape(-1)
-_DOT3 = np.stack(
-    np.meshgrid(*[_DIGITS] * 3, np.uint8([ord(".")]), indexing="ij"), axis=-1
-).view(np.uint32).reshape(-1)
-
 
 def _blanked(words: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """words with each byte where keep is False set to NUL."""
@@ -86,17 +73,29 @@ def _blanked(words: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def _word_table() -> np.ndarray:
-    nonzero = _QUAD.view(np.uint8).reshape(-1, 4) != ord("0")
-    trimmed = _blanked(_QUAD, np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1])
-    trimmed[0] = _blanked(_QUAD[:1], np.array([True, False, False, False]))[0]
-    leading = _blanked(_QUAD, np.logical_or.accumulate(nonzero, axis=1))
-    nonzero = _DOT3.view(np.uint8).reshape(-1, 4) != ord("0")
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quad = np.stack(np.meshgrid(*[digits] * 4, indexing="ij"), axis=-1).view(np.uint32).reshape(-1)
+    dot3 = np.stack(
+        np.meshgrid(*[digits] * 3, np.uint8([ord(".")]), indexing="ij"), axis=-1
+    ).view(np.uint32).reshape(-1)
+    nonzero = quad.view(np.uint8).reshape(-1, 4) != ord("0")
+    trimmed = _blanked(quad, np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1])
+    trimmed[0] = _blanked(quad[:1], np.array([True, False, False, False]))[0]
+    leading = _blanked(quad, np.logical_or.accumulate(nonzero, axis=1))
+    nonzero = dot3.view(np.uint8).reshape(-1, 4) != ord("0")
     nonzero[:, 2:] = True  # the units digit and the point stay
-    dot_leading = _blanked(_DOT3, np.logical_or.accumulate(nonzero, axis=1))
+    dot_leading = _blanked(dot3, np.logical_or.accumulate(nonzero, axis=1))
     empty = np.zeros(1, dtype=np.uint32)
-    return np.concatenate([_QUAD, trimmed, empty, leading, _DOT3, dot_leading])
+    return np.concatenate([quad, trimmed, empty, leading, dot3, dot_leading])
 
 
+# Text is assembled from 4-byte words, each 4 ASCII bytes read as one
+# uint32, and NUL bytes are dropped at the end.  _WORDS holds every word
+# the kernel writes, in sections: from 0, k in 4 digits, zero padded;
+# from _TRIM, the same without trailing zeros ("0" for 0000); at
+# 2 * _TRIM, the empty word; from _LEAD, 4 digits without leading zeros
+# (empty for 0000); from _DOT, 3 digits then the point; from _DOT_LEAD,
+# the same without the zeros before the units digit.
 _WORDS = _word_table()
 _TRIM, _LEAD, _DOT, _DOT_LEAD = 10_000, 20_001, 30_001, 31_001
 
@@ -211,7 +210,7 @@ def _digit_groups(digits: np.ndarray, dec: np.ndarray) -> tuple[np.ndarray, list
     p = _IPOW10.take(12 - u)
     top = frac // p
     p *= top
-    frac -= p
+    frac -= p  # the rest, as the last 12 of the 20 digits:
     frac *= _IPOW10.take(u)
     top *= _IPOW10.take(s - u)
     del s, u, p
@@ -288,7 +287,8 @@ def _repr_join(values, seps: str = ",") -> str:
         words[:, 5 + j - w0] = _WORDS.take(f + _TRIM * state)
     del tail, state, fraction
     if back.size:
-        canvas[back, 1:] = np.array(texts, dtype=f"S{4 * nw - 1}").view(np.uint8).reshape(back.size, -1)
+        padded = np.array(texts, dtype=f"S{4 * nw - 1}")  # NUL-padded
+        canvas[back, 1:] = padded.view(np.uint8).reshape(back.size, -1)
     flat = canvas.reshape(-1)
     flat[minus * (4 * nw) + (17 - 4 * w0 - np.maximum(dec[minus], 0))] = ord("-")
     if len(seps) == 1:

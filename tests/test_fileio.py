@@ -89,7 +89,8 @@ def test_read_sample_names_a_non_finite_line_after_a_byte_order_mark(tmp_path):
 def test_read_sample_still_rejects_text_that_is_not_utf8(tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"1.0\n\xff2.0\n")
-    with pytest.raises(InvalidInputError, match="cannot read .*latin1.txt: 'utf-8' codec can't decode"):
+    message = "cannot read .*latin1.txt: 'utf-8' codec can't decode"
+    with pytest.raises(InvalidInputError, match=message):
         read_sample(path)
 
 
@@ -364,7 +365,8 @@ def _kernel_classes(per_class=1000):
             by_length.get(str(_significant_digits(v)), []).append(v)
         for length, values in by_length.items():
             values = np.array(values[:per_class])
-            values = values[(np.frexp(values)[0] != 0.5) & (values >= 10.0**e) & (values < 10.0 ** (e + 1))]
+            in_decade = (values >= 10.0**e) & (values < 10.0 ** (e + 1))
+            values = values[in_decade & (np.frexp(values)[0] != 0.5)]
             assert values.size > 0.9 * per_class, (e, length, values.size)
             for sign in (1.0, -1.0):
                 classes[e, sign, length] = sign * values
