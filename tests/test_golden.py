@@ -17,6 +17,7 @@ from CPython's ``statistics.NormalDist``, so either can change these bytes.
 import contextlib
 import hashlib
 import io
+import random
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,26 @@ def digest(argv: list[str], outputs: list[str]) -> str:
     return h.hexdigest()
 
 
+def write_messy_sample(path: str, count: int, mu: float, sigma: float, seed: int) -> None:
+    """A sample file of count normal values as a spreadsheet or a hand edit
+    might leave it: a UTF-8 byte-order mark, CRLF line endings, blank and
+    whitespace-only lines, indented '#' comments, values padded with spaces
+    and tabs in several decimal spellings, and no newline after the last."""
+    rand = random.Random(seed)
+    pads = ["", " ", "\t", "  \t", " \t "]
+    lines = ["# messy sample"]
+    for i in range(count):
+        roll = rand.random()
+        if roll < 0.05:
+            lines.append(rand.choice(["", "   ", "\t"]))
+        elif roll < 0.08:
+            lines.append(f"{rand.choice(pads)}# note {i}")
+        v = rand.gauss(mu, sigma)
+        text = rand.choice([repr(v), f"{v:.6e}", f"{v:.10f}"])
+        lines.append(f"{rand.choice(pads)}{text}{rand.choice(pads)}")
+    Path(path).write_bytes(("\ufeff" + "\r\n".join(lines)).encode("utf-8"))
+
+
 @pytest.fixture
 def inputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -210,3 +231,17 @@ def test_run_output_matches_golden_digest(inputs, case):
 def test_other_output_matches_golden_digest(inputs, case):
     argv, outputs, expected = OTHER_CASES[case]
     assert digest(argv, outputs) == expected
+
+
+# More lines than the reader's block, written only for this case.
+MESSY_RUN = (
+    ["--x", "messy-x.txt", "--z", "messy-z.txt", "--iters", "2", "--burn-in", "0"] + OUT,
+    "a32f7c707d5854fe6b624f2cdbd48591afc418ead54a1492efc23299e00800a1",
+)
+
+
+def test_messy_input_run_matches_golden_digest(inputs):
+    write_messy_sample("messy-x.txt", 17_000, 0.0, 1.0, seed=1)
+    write_messy_sample("messy-z.txt", 18_500, 2.0, 1.5, seed=2)
+    flags, expected = MESSY_RUN
+    assert digest(["run"] + flags, ["trace.csv"]) == expected
