@@ -25,6 +25,7 @@ from .errors import ConfigError, DeconvError, InvalidInputError
 from .fileio import (
     make_header,
     read_sample,
+    shown,
     summary_path_for,
     write_census_csv,
     write_census_summary,
@@ -163,9 +164,9 @@ def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
     print(f"mean d (iter > {burn_in}): " + ("NA" if mean_d is None else f"{mean_d:.6g}"))
     print(f"final estimate {moments}")
     print(f"pre-adjustment violations, total: {total_viol}")
-    print(f"trace: {ns.out}")
+    print(f"trace: {shown(ns.out)}")
     if ns.pooled_out:
-        print(f"pooled estimate: {ns.pooled_out}")
+        print(f"pooled estimate: {shown(ns.pooled_out)}")
     return 0
 
 
@@ -179,13 +180,13 @@ def cmd_simulate(ns: argparse.Namespace, argv: list[str]) -> int:
         write_sample(f"{prefix}x1.txt", x1, header)
         write_sample(f"{prefix}z0.txt", z0, header)
         write_sample(f"{prefix}truth.txt", truth, header)
-        print(f"wrote {prefix}x1.txt {prefix}z0.txt {prefix}truth.txt")
+        print(shown(f"wrote {prefix}x1.txt {prefix}z0.txt {prefix}truth.txt"))
         return 0
     spec = parse_dist_spec(ns.dist)
     n = 100 if ns.n is None else ns.n
     sample = generate(spec, n, make_rng(ns.seed))
     write_sample(f"{prefix}sample.txt", sample, header)
-    print(f"wrote {prefix}sample.txt")
+    print(shown(f"wrote {prefix}sample.txt"))
     return 0
 
 
@@ -210,15 +211,15 @@ def cmd_analyze3(ns: argparse.Namespace, argv: list[str]) -> int:
     hist = census.histogram()
     hist_text = " ".join(f"{m}x{c}" for m, c in sorted(hist.items()))
     print(f"multiplicity histogram (multiplicity x how-many): {hist_text}")
-    print(f"census: {ns.out}")
-    print(f"summary: {summary_path}")
+    print(f"census: {shown(ns.out)}")
+    print(f"summary: {shown(summary_path)}")
     return 0
 
 
 def cmd_qq(ns: argparse.Namespace, argv: list[str]) -> int:
     qq = qq_data(read_sample(ns.infile), TheoreticalDist(ns.dist))
     write_qq_csv(ns.out, qq, make_header("-", argv))
-    print(f"qq data: {ns.out}")
+    print(f"qq data: {shown(ns.out)}")
     return 0
 
 

@@ -299,9 +299,16 @@ def _repr_join(values, seps: str = ",") -> str:
     return text.translate(None, b"\0").decode("ascii")
 
 
+def shown(text: str) -> str:
+    """text as it is written out: a byte of a command-line argument that
+    is not UTF-8 (such as 0xff in a file name), which Python keeps as a
+    lone surrogate, is spelled \\xff, so the text encodes as UTF-8."""
+    return os.fsencode(text).decode("utf-8", "backslashreplace")
+
+
 def make_header(seed, argv) -> str:
     """The standard comment line content for output files."""
-    args = " ".join(str(a) for a in argv) if argv else ""
+    args = " ".join(map(shown, argv))
     return f"deconvsim {__version__} seed={seed} args: {args}"
 
 
@@ -309,42 +316,57 @@ def fmt_rational(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _data_lines(fh):
-    """(line number, stripped text) of each line that is neither blank
-    nor a '#' comment."""
-    for lineno, line in enumerate(fh, start=1):
+def _data_lines(lines, start: int):
+    """(line number, stripped text) of each of lines, the file's lines
+    after its first start, that is neither blank nor a '#' comment."""
+    for lineno, line in enumerate(lines, start=start + 1):
         text = line.strip()
-        if text and not text.startswith("#"):
+        if text and text[0] != "#":
             yield lineno, text
 
 
 def read_sample(path) -> np.ndarray:
     """Read newline-delimited decimals; '#' comment lines and blank
-    lines are ignored, and so is a UTF-8 byte-order mark."""
-    values = []
+    lines are ignored, and so is a UTF-8 byte-order mark.
+
+    The file is read _BLOCK lines at a time, and each block's data lines
+    go through one ``map(float, ...)``; a block is scanned again line by
+    line only to name the line that failed.  A line that is not a decimal
+    is reported before any that float() reads as inf or nan, wherever
+    each lies in the file.
+    """
+    blocks = []
+    non_finite = None  # (line number, text) of the first inf or nan
+    start = 0  # lines before the current block
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            for lineno, text in _data_lines(fh):
+            while lines := list(islice(fh, _BLOCK)):
+                data = [t for t in map(str.strip, lines) if t and t[0] != "#"]
                 try:
-                    values.append(float(text))
+                    block = np.fromiter(map(float, data), np.float64, len(data))
                 except ValueError:
-                    raise InvalidInputError(
-                        f"{path}:{lineno}: not a decimal value: {text!r}"
-                    ) from None
+                    for lineno, text in _data_lines(lines, start):
+                        try:
+                            float(text)
+                        except ValueError:
+                            raise InvalidInputError(
+                                f"{path}:{lineno}: not a decimal value: {text!r}"
+                            ) from None
+                finite = np.isfinite(block)
+                if non_finite is None and not finite.all():
+                    first = int(finite.argmin())
+                    non_finite = next(islice(_data_lines(lines, start), first, None))
+                blocks.append(block)
+                start += len(lines)
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
-    if not values:
+    if non_finite is not None:
+        lineno, text = non_finite
+        raise InvalidInputError(f"{path}:{lineno}: not a finite value: {text!r}")
+    values = np.concatenate(blocks) if blocks else np.empty(0)
+    if not values.size:
         raise InvalidInputError(f"{path}: no data lines")
-    try:
-        return as_sample(values)
-    except InvalidInputError:
-        # float() reads inf, nan and 1e999, the one failure left here.
-        # Name the first such line; the file is read again only on
-        # failure, so success costs no more.
-        first = int(np.isfinite(values).argmin())
-        with open(path, encoding="utf-8-sig") as fh:
-            lineno, text = next(islice(_data_lines(fh), first, None))
-        raise InvalidInputError(f"{path}:{lineno}: not a finite value: {text!r}") from None
+    return values
 
 
 def write_sample(path, values, header: str) -> None:

@@ -76,12 +76,6 @@ class TheoreticalDist(Enum):
     STANDARD_EXPONENTIAL = "standard-exponential"
 
 
-_QUANTILE_FN = {
-    TheoreticalDist.STANDARD_NORMAL: normal_quantile,
-    TheoreticalDist.STANDARD_EXPONENTIAL: exponential_quantile,
-}
-
-
 @dataclass(frozen=True)
 class QQData:
     """Paired (theoretical quantile, sample order statistic) coordinates."""
@@ -118,7 +112,7 @@ def _normal_scores(n: int) -> np.ndarray:
 
     One entry: a run, and a sweep of runs at one n, fits its reference
     line at a single n, and the quantiles cost more than the rest of the
-    fit at n = 100.
+    fit at n = 100.  A normal QQ plot of a run's estimate is at that n too.
     """
     scores = normal_quantile(plotting_positions(n))
     scores.flags.writeable = False
@@ -155,9 +149,15 @@ def distance_index(rows, line: np.ndarray) -> np.ndarray:
     return diff.sum(axis=1)
 
 
+# The n theoretical quantiles of a QQ plot, in a new writable array.
+_QQ_QUANTILES = {
+    TheoreticalDist.STANDARD_NORMAL: lambda n: _normal_scores(n).copy(),
+    TheoreticalDist.STANDARD_EXPONENTIAL: lambda n: exponential_quantile(plotting_positions(n)),
+}
+
+
 def qq_data(sample, dist: TheoreticalDist) -> QQData:
     """QQ coordinates of a sample, checked as by ``as_sample`` and sorted."""
     y = as_sample(sample)
     y.sort()
-    theo = _QUANTILE_FN[dist](plotting_positions(y.size))
-    return QQData(theoretical=theo, sample=y)
+    return QQData(theoretical=_QQ_QUANTILES[dist](y.size), sample=y)

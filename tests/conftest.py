@@ -2,9 +2,10 @@
 repair oracle and a generator stand-in that enumerates every RESAMPLE
 donor draw.
 
-The exact three-point census takes about 0.03 s (2-core host; 1.8 s
-before it ranked on integers and solved each distinct matrix once), and
-many tests read it, so the suite computes it once per session.  The
+The exact three-point census takes about 0.012 s (2-core host; 1.8 s
+before it ranked on integers and solved each distinct matrix once, and
+0.03 s before it solved them all in one batched elimination), and many
+tests read it, so the suite computes it once per session.  The
 inverse-normal table was computed once with mpmath at 60 decimal digits
 and frozen here.
 """

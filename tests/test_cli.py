@@ -2,12 +2,14 @@
 
 import contextlib
 import io
+import os
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from deconvsim import __version__
 from deconvsim.cli import main, parse_equalize, parse_support
 from deconvsim.errors import ConfigError, InvalidInputError
 from deconvsim.fileio import read_sample
@@ -449,6 +451,43 @@ def test_a_non_finite_sample_line_exits_2_naming_the_file(tmp_path, capsys, comm
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"error: {bad}:4: not a finite value: {text!r}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "run", "qq", "analyze3"])
+def test_an_argument_that_is_not_utf8_is_escaped_in_every_header(tmp_path, capsys, command):
+    # Byte 0xff in a file name reaches argv as the lone surrogate U+DCFF;
+    # headers show it as the four characters \xff.
+    x, z, truth = _simulate(tmp_path, "normal", 7)
+    name = os.fsdecode(os.fsencode(tmp_path) + b"/out\xff")
+    argv, outputs, seed = {
+        "simulate": (
+            ["simulate", "--dist", "normal:0,1", "--n", "5", "--seed", "3", "--out-prefix", name],
+            [name + "sample.txt"],
+            "3",
+        ),
+        "run": (
+            ["run", "--x", x, "--z", z, "--out", name + ".csv", "--iters", "6", "--seed", "5",
+             "--pool", "average", "--pooled-out", name + ".txt"],
+            [name + ".csv", name + ".txt"],
+            "5",
+        ),
+        "qq": (
+            ["qq", "--in", truth, "--dist", "standard-normal", "--out", name + ".csv"],
+            [name + ".csv"],
+            "-",
+        ),
+        "analyze3": (
+            ["analyze3", "--out", name + ".csv", "--x-values", "10/120"],
+            [name + ".csv", name + ".summary.txt"],
+            "-",
+        ),
+    }[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    shown = " ".join(argv).replace("\udcff", "\\xff")
+    for path in outputs:
+        header = Path(path).read_bytes().split(b"\n", 1)[0]
+        assert header == f"# deconvsim {__version__} seed={seed} args: {shown}".encode("ascii")
 
 
 def test_help_exits_zero(capsys):

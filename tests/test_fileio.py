@@ -1,8 +1,11 @@
 """Reading and writing: sample files, trace/QQ/census CSVs, headers."""
 
 import builtins
+import random
+import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from deconvsim import (
     run,
 )
 from deconvsim import fileio
+from deconvsim.core import as_sample
 from deconvsim.engine import IterationTrace
 from deconvsim.errors import InvalidInputError
 from deconvsim.fileio import (
@@ -101,6 +105,155 @@ def test_read_sample_errors(tmp_path):
     empty.write_text("# only a comment\n")
     with pytest.raises(InvalidInputError):
         read_sample(empty)
+
+
+# The reader before it parsed in blocks, kept verbatim (names prefixed
+# with "line_by_line") as the oracle the block reader must keep matching:
+# one float() per line, and the finiteness check after the whole file.
+
+
+def line_by_line_data_lines(fh):
+    """(line number, stripped text) of each line that is neither blank
+    nor a '#' comment."""
+    for lineno, line in enumerate(fh, start=1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            yield lineno, text
+
+
+def line_by_line_read_sample(path) -> np.ndarray:
+    """Read newline-delimited decimals; '#' comment lines and blank
+    lines are ignored, and so is a UTF-8 byte-order mark."""
+    values = []
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, text in line_by_line_data_lines(fh):
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise InvalidInputError(
+                        f"{path}:{lineno}: not a decimal value: {text!r}"
+                    ) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from None
+    if not values:
+        raise InvalidInputError(f"{path}: no data lines")
+    try:
+        return as_sample(values)
+    except InvalidInputError:
+        # float() reads inf, nan and 1e999, the one failure left here.
+        # Name the first such line; the file is read again only on
+        # failure, so success costs no more.
+        first = int(np.isfinite(values).argmin())
+        with open(path, encoding="utf-8-sig") as fh:
+            lineno, text = next(islice(line_by_line_data_lines(fh), first, None))
+        raise InvalidInputError(f"{path}:{lineno}: not a finite value: {text!r}") from None
+
+
+def read_outcome(reader, path):
+    """The bytes of what reader reads from path, or the message it raises."""
+    try:
+        return reader(path).tobytes()
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+def messy_lines(count: int, seed: int) -> list[str]:
+    """count lines as a hand-edited sample might hold them: values padded
+    with spaces and tabs, blank lines and indented '#' comments."""
+    rand = random.Random(seed)
+    pads = ["", " ", "\t", " \t "]
+    lines = []
+    for i in range(count):
+        roll = rand.random()
+        if roll < 0.05:
+            lines.append(rand.choice(["", "  ", "\t"]))
+        elif roll < 0.08:
+            lines.append(f"{rand.choice(pads)}# note {i}")
+        else:
+            lines.append(f"{rand.choice(pads)}{rand.gauss(0, 1)!r}{rand.choice(pads)}")
+    return lines
+
+
+def write_lines(path, lines, newline="\n", bom=False):
+    path.write_bytes((("\ufeff" if bom else "") + newline.join(lines) + newline).encode())
+
+
+@pytest.mark.parametrize("index", [_BLOCK - 1, _BLOCK, _BLOCK + 57, 2 * _BLOCK + 3])
+@pytest.mark.parametrize(
+    "text, message", [("1.5.2", "not a decimal value"), ("-inf", "not a finite value"), ("nan", "not a finite value")]
+)
+def test_read_sample_names_the_true_line_in_any_block(tmp_path, index, text, message):
+    # Blank and comment lines before it, so data index and line number differ.
+    lines = messy_lines(2 * _BLOCK + 50, seed=index)
+    lines[index] = f" {text}\t"
+    path = tmp_path / "sample.txt"
+    write_lines(path, lines, "\r\n", bom=True)
+    expected = f"{path}:{index + 1}: {message}: {text!r}"
+    with pytest.raises(InvalidInputError) as caught:
+        read_sample(path)
+    assert str(caught.value) == expected
+    assert read_outcome(line_by_line_read_sample, path) == expected
+
+
+def test_read_sample_names_a_bad_decimal_before_an_earlier_non_finite_value(tmp_path):
+    # As when the whole file was parsed before the finiteness check.
+    lines = messy_lines(3 * _BLOCK, seed=5)
+    lines[10] = "inf"
+    lines[2 * _BLOCK + 5] = "1,5"
+    path = tmp_path / "sample.txt"
+    write_lines(path, lines)
+    expected = f"{path}:{2 * _BLOCK + 6}: not a decimal value: '1,5'"
+    assert read_outcome(read_sample, path) == expected
+    assert read_outcome(line_by_line_read_sample, path) == expected
+
+
+@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
+def test_read_sample_reads_files_at_the_block_edges(tmp_path, count):
+    values = np.random.default_rng(count).normal(size=count)
+    path = tmp_path / "sample.txt"
+    write_lines(path, [repr(v) for v in values.tolist()])
+    assert read_sample(path).tobytes() == values.tobytes()
+    comments = tmp_path / "comments.txt"
+    write_lines(comments, ["# only comments"] * count)
+    assert read_outcome(read_sample, comments) == f"{comments}: no data lines"
+
+
+@pytest.mark.parametrize("bom", [False, True])
+def test_read_sample_reads_every_line_ending_alike(tmp_path, bom):
+    # Universal newlines: CR-only (classic Mac) and CRLF files read as
+    # their LF twin, blank and comment lines included.
+    lines = messy_lines(2 * _BLOCK + 3, seed=7)
+    outcomes = set()
+    for name, newline in (("lf", "\n"), ("cr", "\r"), ("crlf", "\r\n")):
+        path = tmp_path / f"{name}.txt"
+        write_lines(path, lines, newline, bom)
+        got = read_sample(path)
+        assert got.tobytes() == line_by_line_read_sample(path).tobytes()
+        outcomes.add(got.tobytes())
+    assert len(outcomes) == 1
+
+
+def test_read_sample_holds_one_block_of_lines(tmp_path):
+    # The 16 blocks of lines take 18 MB as Python strings, so a reader that
+    # held them all would break the bound; this one holds one block of
+    # lines and their stripped texts, and the values read so far.
+    lines = messy_lines(16 * _BLOCK, seed=9)
+    path = tmp_path / "sample.txt"
+    write_lines(path, lines)
+    block_lines = sum(sys.getsizeof(f"{line}\n") for line in lines[:_BLOCK])
+    all_lines = sum(sys.getsizeof(f"{line}\n") for line in lines)
+    count = read_sample(path).size
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        read_sample(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * block_lines + 3 * 8 * count
+    assert 3 * block_lines + 3 * 8 * count < all_lines
 
 
 def test_fmt_rational_always_shows_the_denominator():

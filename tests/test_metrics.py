@@ -239,6 +239,18 @@ def test_qq_data_sorts_and_checks_its_sample():
     assert square.sample.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
+@pytest.mark.parametrize("n", [1, 3, 100, 10_000])
+def test_normal_qq_quantiles_are_a_writable_copy_of_the_cached_scores(n):
+    # The scores a run's reference fit caches at n; qq must not hand out
+    # the read-only cached array itself.
+    qq = qq_data(np.zeros(n), TheoreticalDist.STANDARD_NORMAL)
+    assert qq.theoretical.tobytes() == normal_quantile(plotting_positions(n)).tobytes()
+    assert qq.theoretical.flags.writeable
+    assert not np.shares_memory(qq.theoretical, _normal_scores(n))
+    qq.theoretical[0] = 7.0
+    assert _normal_scores(n)[0] != 7.0
+
+
 def test_qq_theoretical_coords_ignore_the_data():
     a = qq_data([1.0, 2.0, 3.0], TheoreticalDist.STANDARD_NORMAL)
     b = qq_data([-9.0, 0.0, 4.0], TheoreticalDist.STANDARD_NORMAL)

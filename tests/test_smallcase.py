@@ -21,13 +21,12 @@ from deconvsim.smallcase import (
     X_CONFIG_BOUNDARIES,
     _as_fraction,
     _matrix,
-    _solve_linear,
     _transition_counts,
     cut_values,
     enumerate_regions,
     full_census,
     is_point_mass,
-    stationary_distribution,
+    stationary_distributions,
 )
 
 F = Fraction
@@ -40,6 +39,19 @@ def transition_matrix(x, a, b):
     scale = math.lcm(x.denominator, a.denominator, b.denominator)
     [counts] = _transition_counts(int(x * scale), scale, [int(a * scale)], [int(b * scale)])
     return _matrix(counts)
+
+
+def counts_of(p):
+    """A matrix of rationals times the common denominator of its entries:
+    the integer counts the batched solver takes."""
+    scale = math.lcm(*(v.denominator for row in p for v in row))
+    return [[int(v * scale) for v in row] for row in p]
+
+
+def stationary_of(p):
+    """The batched solver on the one chain p, a matrix of rationals."""
+    [pi] = stationary_distributions([counts_of(p)])
+    return pi
 
 
 def test_cut_values_collapse_for_one_quarter():
@@ -136,23 +148,22 @@ def test_matrix_is_constant_within_a_region():
 
 def test_stationary_of_uniform_matrix_is_uniform():
     uniform = tuple(tuple(SIXTH for _ in range(6)) for _ in range(6))
-    assert stationary_distribution(uniform) == (SIXTH,) * 6
+    assert stationary_of(uniform) == (SIXTH,) * 6
 
 
 def test_stationary_with_one_absorbing_state_is_a_point_mass():
     to_zero = tuple(
         tuple(F(1) if j == 0 else F(0) for j in range(6)) for _ in range(6)
     )
-    dist = stationary_distribution(to_zero)
+    dist = stationary_of(to_zero)
     assert dist == (F(1), F(0), F(0), F(0), F(0), F(0))
     assert is_point_mass(dist)
 
 
 def test_stationary_satisfies_balance_exactly_across_regions():
     x = F(10, 120)
-    for a, b in enumerate_regions(x)[::8]:
-        p = transition_matrix(x, a, b)
-        pi = stationary_distribution(p)
+    ps = [transition_matrix(x, a, b) for a, b in enumerate_regions(x)[::8]]
+    for p, pi in zip(ps, stationary_distributions([counts_of(p) for p in ps]), strict=True):
         assert sum(pi) == 1
         for j in range(6):
             assert sum(pi[i] * p[i][j] for i in range(6)) == pi[j]
@@ -669,7 +680,6 @@ def test_every_census_cell_matches_the_fraction_implementation(census):
         assert transition_matrix(entry.x, entry.a, entry.b) == entry.matrix
         if entry.matrix not in solved:
             solved[entry.matrix] = fraction_stationary_distribution(entry.matrix)
-            assert stationary_distribution(entry.matrix) == solved[entry.matrix]
         assert entry.stationary == solved[entry.matrix]
     assert len(solved) == 290
 
@@ -678,7 +688,7 @@ def test_every_census_cell_matches_the_fraction_implementation(census):
 def test_stationary_matches_the_fraction_implementation_on_hand_built_chains(name):
     # Where the oracle's class decomposition finds one recurrent class the
     # laws agree; where it finds several, the oracle weights them from the
-    # uniform start and stationary_distribution refuses the chain.
+    # uniform start and the batched solver refuses the chain.
     p = HAND_BUILT_CHAINS[name]
     n = len(p)
     recurrent = [
@@ -687,23 +697,32 @@ def test_stationary_matches_the_fraction_implementation_on_hand_built_chains(nam
         if all(p[i][j] == 0 for i in cls for j in range(n) if j not in cls)
     ]
     if len(recurrent) == 1:
-        assert stationary_distribution(p) == fraction_stationary_distribution(p)
+        assert stationary_of(p) == fraction_stationary_distribution(p)
     else:
         with pytest.raises(InvalidInputError, match="recurrent class"):
-            stationary_distribution(p)
+            stationary_of(p)
 
 
 def test_stationary_handles_periodic_chains_by_occupation_share():
-    assert stationary_distribution(SIX_CYCLE) == (SIXTH,) * 6
-    assert stationary_distribution(REFLECTING_WALK) == tuple(
+    assert stationary_of(SIX_CYCLE) == (SIXTH,) * 6
+    assert stationary_of(REFLECTING_WALK) == tuple(
         F(d, 10) for d in (1, 2, 2, 2, 2, 1)
     )
 
 
 @pytest.mark.parametrize("name", sorted(SEVERAL_RECURRENT_CLASSES))
 def test_stationary_rejects_several_recurrent_classes(name):
-    with pytest.raises(InvalidInputError, match="recurrent class"):
-        stationary_distribution(SEVERAL_RECURRENT_CLASSES[name])
+    # Alone, and as one chain of a stack whose other chains are fine.
+    message = (
+        "^the chain has more than one recurrent class, "
+        "so its stationary distribution is not unique$"
+    )
+    bad = counts_of(SEVERAL_RECURRENT_CLASSES[name])
+    with pytest.raises(InvalidInputError, match=message):
+        stationary_distributions([bad])
+    stack = [counts_of(UNIFORM), counts_of(SIX_CYCLE), bad, counts_of(TO_ZERO)]
+    with pytest.raises(InvalidInputError, match=message):
+        stationary_distributions(stack)
 
 
 def test_every_cut_line_raises_in_both_implementations():
@@ -745,6 +764,19 @@ def test_huge_denominator_census_matches_the_fraction_implementation():
         assert entry.matrix == fraction_transition_matrix(entry.x, entry.a, entry.b)
 
 
+@pytest.mark.parametrize(
+    "xs", [CANONICAL_X, [HUGE_DENOMINATOR_X, F(22, 120)]], ids=["canonical", "huge-denominator"]
+)
+def test_batched_solve_of_every_census_matrix_matches_the_fraction_implementation(xs):
+    # The analyze3 goldens' censuses: every distinct matrix in one stack.
+    census = full_census(xs)
+    matrices = list(dict.fromkeys(e.matrix for e in census.entries))
+    laws = stationary_distributions([counts_of(p) for p in matrices])
+    assert laws == [fraction_stationary_distribution(p) for p in matrices]
+    law_of = dict(zip(matrices, laws))
+    assert all(e.stationary == law_of[e.matrix] for e in census.entries)
+
+
 def test_integer_ranks_give_sixths_out_of_six_rperms():
     x, a, b = F(27, 120), F(5, 7), F(11, 9)
     p = transition_matrix(x, a, b)
@@ -772,28 +804,86 @@ def test_equal_matrices_share_one_matrix_and_one_distribution(census):
     assert len({id(e.stationary) for e in census.entries}) == len(first) == 290
 
 
-def test_fraction_free_solve_matches_the_fraction_elimination():
-    # Random sparse rational systems up to 6 x 6, singular ones included.
-    rand = random.Random(20261020)
-    solved = 0
-    for _ in range(1500):
-        n = rand.randint(1, 6)
-        a = [
-            [F(rand.randint(-6, 6) * (rand.random() < 0.6), rand.choice((1, 2, 3, 6, 7)))
-             for _ in range(n)]
-            for _ in range(n)
-        ]
-        rhs = [F(rand.randint(-6, 6), rand.choice((1, 2, 5))) for _ in range(n)]
-        # _solve_linear takes [a | rhs] with each row scaled to integers.
-        rows = [[*row, r] for row, r in zip(a, rhs)]
-        scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
-        m = [[int(v * scale) for v in row] for row, scale in zip(rows, scales)]
-        try:
-            expected = fraction_solve_linear(a, rhs)
-        except InvalidInputError:
-            with pytest.raises(InvalidInputError):
-                _solve_linear(m)
-            continue
-        assert _solve_linear(m) == expected
-        solved += 1
-    assert solved > 700
+def _needs_row_swap(p) -> bool:
+    """Whether elimination on p's stationary system, the balance equations
+    of states 0..n-2 and a row of ones, meets a zero pivot in row order."""
+    n = len(p)
+    a = [[p[i][j] - (i == j) for i in range(n)] for j in range(n - 1)] + [[F(1)] * n]
+    for col in range(n):
+        if a[col][col] == 0:
+            return True
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return False
+
+
+def _random_chain(rand, n, total):
+    """An n-state chain each of whose rows splits total into one to four
+    random parts: sparse, with entries that are multiples of 1/total."""
+    rows = []
+    for _ in range(n):
+        cuts = sorted(rand.randint(0, total) for _ in range(rand.randint(0, 3)))
+        w = [0] * n
+        for lo, hi in zip([0, *cuts], [*cuts, total]):
+            w[rand.randrange(n)] += hi - lo
+        rows.append(tuple(F(v, total) for v in w))
+    return tuple(rows)
+
+
+def _recurrent_class_count(p):
+    n = len(p)
+    return sum(
+        all(p[i][j] == 0 for i in cls for j in range(n) if j not in cls)
+        for cls in fraction_communicating_classes(p)
+    )
+
+
+@pytest.mark.parametrize("total", [6, 10**12 + 39], ids=["int64", "object"])
+def test_batched_solve_matches_the_fraction_implementation_on_random_chains(total):
+    # Entries in sixths keep every stack up to 7 states within the int64
+    # bound, as in the census; with a common denominator near 10**12 the
+    # first products of the elimination overflow int64, so those stacks
+    # are solved on Python ints.
+    rand = random.Random(20261022)
+    swaps = 0
+    for n in range(1, 8):
+        chains = [_random_chain(rand, n, total) for _ in range(60)]
+        single = [p for p in chains if _recurrent_class_count(p) == 1]
+        assert len(single) >= 10
+        laws = stationary_distributions([counts_of(p) for p in single])
+        assert laws == [fraction_stationary_distribution(p) for p in single]
+        swaps += sum(map(_needs_row_swap, single))
+        for p in chains:
+            if _recurrent_class_count(p) > 1:
+                with pytest.raises(InvalidInputError, match="recurrent class"):
+                    stationary_distributions([counts_of(p)])
+    assert swaps >= 20
+
+
+def test_batched_solve_mixes_int64_and_object_sized_chains():
+    # One chain too large for int64 sends the whole stack to Python ints.
+    rand = random.Random(20261023)
+    chains = [UNIFORM, REFLECTING_WALK, _random_chain(rand, 6, 10**15 + 37), TO_ZERO]
+    chains = [p for p in chains if _recurrent_class_count(p) == 1]
+    assert len(chains) == 4
+    laws = stationary_distributions([counts_of(p) for p in chains])
+    assert laws == [fraction_stationary_distribution(p) for p in chains]
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [],
+        [[1, 2], [3, 0]],
+        [[[1, 2]]],
+        [[[0.5, 0.5], [0.5, 0.5]]],
+        [[[1, 1], [3, 0]]],
+        [[[2, -1], [0, 1]]],
+        [[[0, 0], [0, 0]]],
+    ],
+    ids=["empty", "2-d", "not-square", "floats", "unequal-rows", "negative", "zero-rows"],
+)
+def test_batched_solve_rejects_what_is_no_stack_of_chains(counts):
+    with pytest.raises(InvalidInputError, match="counts must"):
+        stationary_distributions(counts)
