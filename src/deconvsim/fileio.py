@@ -325,17 +325,31 @@ def _data_lines(lines, start: int):
             yield lineno, text
 
 
+def _bad_decimal(lines, start: int = 0):
+    """(line number, text) of the first data line of lines, the file's
+    lines after its first start, that float() rejects; None if none."""
+    for lineno, text in _data_lines(lines, start):
+        try:
+            float(text)
+        except ValueError:
+            return lineno, text
+    return None
+
+
 def read_sample(path) -> np.ndarray:
     """Read newline-delimited decimals; '#' comment lines and blank
     lines are ignored, and so is a UTF-8 byte-order mark.
 
     The file is read _BLOCK lines at a time, and each block's data lines
     go through one ``map(float, ...)``; a block is scanned again line by
-    line only to name the line that failed.  A line that is not a decimal
-    is reported before any that float() reads as inf or nan, wherever
-    each lies in the file.
+    line only to name the line that failed.  Of several faults, the one
+    named is the one a line-by-line read meets first: the first line that
+    is not a decimal or the first bytes that are not UTF-8, whichever
+    comes first in the file, and only then the first value that float()
+    reads as inf or nan.
     """
     blocks = []
+    bad = None  # (line number, text) of the first line float() rejects
     non_finite = None  # (line number, text) of the first inf or nan
     start = 0  # lines before the current block
     try:
@@ -345,21 +359,29 @@ def read_sample(path) -> np.ndarray:
                 try:
                     block = np.fromiter(map(float, data), np.float64, len(data))
                 except ValueError:
-                    for lineno, text in _data_lines(lines, start):
-                        try:
-                            float(text)
-                        except ValueError:
-                            raise InvalidInputError(
-                                f"{path}:{lineno}: not a decimal value: {text!r}"
-                            ) from None
+                    bad = _bad_decimal(lines, start)
+                    break
                 finite = np.isfinite(block)
                 if non_finite is None and not finite.all():
                     first = int(finite.argmin())
                     non_finite = next(islice(_data_lines(lines, start), first, None))
                 blocks.append(block)
                 start += len(lines)
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        # The block that failed to decode may hold a bad line before the
+        # bad bytes, and a line-by-line read would name that line.
+        try:
+            with open(path, encoding="utf-8-sig") as fh:
+                bad = _bad_decimal(fh)
+        except (OSError, UnicodeDecodeError):
+            pass
+        if bad is None:
+            raise InvalidInputError(f"cannot read {path}: {exc}") from None
+    except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
+    if bad is not None:
+        lineno, text = bad
+        raise InvalidInputError(f"{path}:{lineno}: not a decimal value: {text!r}")
     if non_finite is not None:
         lineno, text = non_finite
         raise InvalidInputError(f"{path}:{lineno}: not a finite value: {text!r}")

@@ -208,6 +208,29 @@ def test_read_sample_names_a_bad_decimal_before_an_earlier_non_finite_value(tmp_
     assert read_outcome(line_by_line_read_sample, path) == expected
 
 
+@pytest.mark.parametrize(
+    "faults",
+    [
+        {1: b"abc", 5000: b"\xff"},
+        {2: b"\xff", 5000: b"abc"},
+        {5000: b"abc", 20_000: b"\xff"},
+        {3: b"inf", 9000: b"\xfe2.5"},
+        {_BLOCK + 7: b"1\xc3"},
+    ],
+    ids=["bad-line-then-bad-byte", "bad-byte-then-bad-line", "bad-byte-in-a-later-block",
+         "inf-then-bad-byte", "bad-byte-past-the-first-block"],
+)
+def test_read_sample_names_the_fault_a_line_by_line_read_meets_first(tmp_path, faults):
+    # A block is decoded before any of its lines is parsed, so a bad line
+    # and bytes that are not UTF-8 can sit in one block.
+    lines = [b"%d.5" % i for i in range(2 * _BLOCK)]
+    for index, text in faults.items():
+        lines[index] = text
+    path = tmp_path / "sample.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert read_outcome(read_sample, path) == read_outcome(line_by_line_read_sample, path)
+
+
 @pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
 def test_read_sample_reads_files_at_the_block_edges(tmp_path, count):
     values = np.random.default_rng(count).normal(size=count)
