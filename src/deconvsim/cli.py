@@ -20,18 +20,19 @@ from .adjusters import AdjustPolicy, SupportConstraint
 from .config import DEFAULT_SEED, DeconvConfig
 from .core import TieRule, make_rng
 from .datagen import make_experiment, generate, parse_dist_spec
-from .engine import run
+from .engine import Chain
 from .errors import ConfigError, DeconvError, InvalidInputError
 from .fileio import (
     make_header,
     read_sample,
+    replacing,
     shown,
     summary_path_for,
     write_census_csv,
     write_census_summary,
     write_qq_csv,
     write_sample,
-    write_trace_csv,
+    write_trace_block,
 )
 from .metrics import TheoreticalDist, qq_data, sample_moments
 from .smallcase import CANONICAL_X, full_census
@@ -132,34 +133,46 @@ def _config_from(ns: argparse.Namespace) -> DeconvConfig:
     )
 
 
+# Float64 values per block of the trace that ``run`` writes as the chain
+# goes (2 MB): the command holds this much of the trace, not all of it,
+# unless concat pooling needs every row.
+_TRACE_BLOCK = 1 << 18
+
+
 def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
     config = _config_from(ns)
     if ns.pooled_out and config.pool.kind is PoolingKind.NONE:
         raise ConfigError("--pooled-out requires --pool other than none")
     x = read_sample(ns.x)
     z = read_sample(ns.z)
-    trace = run(x, z, config)
+    chain = Chain(x, z, config)
+    buf = chain.buffer(_TRACE_BLOCK)
     header = make_header(ns.seed, argv)
-    write_trace_csv(ns.out, trace, header)
-    if trace.reference is None:
-        if isinstance(trace.reference_error, InvalidInputError):
+    # Each block is written as the chain hands it over; the file takes
+    # the place of --out only once the run has succeeded.
+    with replacing(ns.out) as fh:
+        for start, block in chain.blocks(buf):
+            write_trace_block(fh, start, block, chain.d, chain.violations, header)
+        pooled = chain.pooled(buf)
+    if chain.reference is None:
+        if isinstance(chain.reference_error, InvalidInputError):
             reason = "a mean or variance overflows float64"
         else:
             reason = "var(z) <= var(x) or n < 2"
         warnings.warn(f"normal reference is degenerate ({reason}); d written as NA")
     if ns.pooled_out:
-        write_sample(ns.pooled_out, trace.pooled, header)
+        write_sample(ns.pooled_out, pooled, header)
 
-    mean_d = trace.mean_distance()
-    final = trace.ys[-1]
+    mean_d = chain.mean_distance()
+    final = block[-1]
     try:
         mean, var = sample_moments(final) if final.size >= 2 else (float(final[0]), 0.0)
         moments = f"mean: {mean:.6g} sd: {np.sqrt(var):.6g}"
     except InvalidInputError:  # the moments overflow float64
         moments = "mean: NA sd: NA"
-    total_viol = trace.violations[1:].sum()
+    total_viol = chain.violations[1:].sum()
     burn_in = config.pool.burn_in
-    print(f"n: {trace.sortx.size}")
+    print(f"n: {chain.n}")
     print(f"iterations: {config.iters}")
     print(f"mean d (iter > {burn_in}): " + ("NA" if mean_d is None else f"{mean_d:.6g}"))
     print(f"final estimate {moments}")

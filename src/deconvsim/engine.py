@@ -13,6 +13,13 @@ run is a random walk over those candidates.  An iterate holding both
 (they compare equal, and NumPy's sort may keep either of two equal
 values).
 
+A run has three phases, the parts of ``Chain``: prepare (equalize,
+reference fit, one-shot smoothing, reach check), chain (the step loop,
+writing iterates into a caller-owned buffer block by block) and summary
+(pooling).  ``run`` gives the chain the whole trace as one block;
+``deconvsim run`` under ``--pool none`` or ``average`` gives it a 2 MB
+block and writes each out, holding O(n) values instead of the trace.
+
 Two deliberately bad estimators are included for comparison: the sorted
 difference (far too little spread) and the fully random difference (far
 too much).
@@ -36,6 +43,9 @@ from .variations import PoolingKind, equalize_lengths, smooth
 # permutations or pool picks: bounds each temporary (512 KB) while keeping
 # the calls per run few.
 _D_CHUNK = 1 << 16
+
+# Pooling kinds whose chain can run on a buffer smaller than the trace.
+_STREAMED = (PoolingKind.NONE, PoolingKind.AVERAGE)
 
 
 @dataclass(frozen=True)
@@ -96,10 +106,7 @@ class IterationTrace:
     def mean_distance(self) -> float | None:
         """Mean of d over the iterations beyond the burn-in; None if d is
         undefined or no iteration is left."""
-        if self.d is None:
-            return None
-        kept = self.d[self.config.pool.burn_in + 1 :]
-        return float(np.mean(kept)) if kept.size else None
+        return _mean_beyond_burn_in(self.d, self.config.pool.burn_in)
 
 
 def step(
@@ -217,6 +224,173 @@ def _pool_picks(n: int, count: int, rng: np.random.Generator):
         yield from rng.integers(0, highs[:, None], (rows, n))
 
 
+def _mean_beyond_burn_in(d: np.ndarray | None, burn_in: int) -> float | None:
+    """Mean of d over the iterations beyond the burn-in; None if d is
+    undefined or no iteration is left."""
+    if d is None:
+        return None
+    kept = d[burn_in + 1 :]
+    return float(np.mean(kept)) if kept.size else None
+
+
+class Chain:
+    """One run in three phases: prepare (the constructor), chain
+    (``blocks``, run once) and summary (``pooled``).
+
+    The constructor also allocates ``violations`` and ``d``, one entry
+    per iterate; ``d``, ``reference`` and ``reference_error`` are as in
+    IterationTrace.
+    """
+
+    def __init__(self, x, z, config: DeconvConfig):
+        self.config = config
+        self._rng = make_rng(config.seed)
+        self._draws = self._rng.spawn(1)[0]
+        # equalize_lengths validates and copies x, then z.
+        x_eq, z_eq = equalize_lengths(x, z, config.equalize, self._rng)
+        self.n = x_eq.size
+
+        # The reference line is fitted to the equalized data before
+        # smoothing, so d keeps one meaning across smoothing configurations.
+        self.reference = self.reference_error = None
+        if self.n >= 2:
+            try:
+                self.reference = reference_normal_line(x_eq, z_eq)
+            except (DegenerateReferenceError, InvalidInputError) as exc:
+                # var(z) <= var(x), or a mean or variance overflows float64
+                # (the only InvalidInputError on validated samples of n >= 2).
+                # Without its traceback the error keeps no frame of this run alive.
+                self.reference_error = exc.with_traceback(None)
+
+        sm = config.smoothing
+        self._eta_once = None
+        if sm.active and not sm.fresh_each_step:
+            # One-shot noise is added at the unsorted equalized positions.
+            x_eq, self._eta_once, z_eq = smooth(x_eq, z_eq, sm, self._rng)
+        self.sortx = np.sort(x_eq)
+        self.sortz = np.sort(z_eq)
+        _check_reach(self.sortx, self.sortz, self._eta_once, config.support)
+
+        self.violations = self._empty(config.iters + 1, np.int64)
+        self.d = None if self.reference is None else self._empty(config.iters + 1)
+        self._total = None  # the running sum of a streamed AVERAGE
+
+    def _empty(self, shape, dtype=np.float64) -> np.ndarray:
+        try:
+            return np.empty(shape, dtype)
+        except (MemoryError, ValueError):  # ValueError: beyond the largest array size
+            raise InvalidInputError(
+                f"a trace of T + 1 = {self.config.iters + 1} iterates of n = {self.n} "
+                "values does not fit in memory"
+            ) from None
+
+    def buffer(self, values: int | None = None) -> np.ndarray:
+        """A new buffer of n columns for ``blocks``: about values floats,
+        at least 2 rows and at most T + 1.  It holds the whole trace when
+        values is None, under CONCAT and CONCAT_AND_DRAW (they pool every
+        row, and the latter draws from them), and at n = 1 (NumPy sums a
+        column pairwise, which a running sum does not reproduce)."""
+        rows = self.config.iters + 1
+        if values is not None and self.n >= 2 and self.config.pool.kind in _STREAMED:
+            rows = min(rows, max(2, values // self.n))
+        return self._empty((rows, self.n))
+
+    def blocks(self, buf: np.ndarray):
+        """Run the chain on buf, from ``buffer``, and yield (start, block)
+        each time buf is full and when the chain ends: block, the first
+        rows of buf, holds iterates start, start + 1, ..., whose ``d`` and
+        ``violations`` are recorded by then.  A buf shorter than the trace
+        is written over by the next block; under AVERAGE the chain then
+        keeps a running sum of the iterates beyond the burn-in."""
+        config = self.config
+        n, iters, rows = self.n, config.iters, len(buf)
+        sortx, sortz, eta_once, draws = self.sortx, self.sortz, self._eta_once, self._draws
+        sm = config.smoothing
+        fresh = sm.active and sm.fresh_each_step
+        if rows <= iters and config.pool.kind is PoolingKind.AVERAGE:
+            self._total = np.zeros(n)
+
+        buf[0] = np.sort(sortz - sortx)
+        self.violations[0] = config.support.violations(buf[0]).sum()
+        picks = None
+        if config.pool.kind is PoolingKind.CONCAT_AND_DRAW:
+            # Step t picks from the t * n values of rows 0..t-1 of the flat trace.
+            flat = buf.reshape(-1)
+            picks = _pool_picks(n, iters, self._rng.spawn(1)[0])
+        rperms = _permutations(n, iters, self._rng)
+        start = 0
+        for t in range(1, iters + 1):
+            i = t - start
+            if i == rows:
+                yield self._record(start, buf)
+                start, i = t, 0
+            if picks is not None:
+                oldy = flat[next(picks)]
+                oldy.sort()
+            else:
+                oldy = buf[i - 1]  # at i = 0, the last row of the block before
+
+            if fresh:
+                x_eff, w_noise, z_eff = smooth(sortx, sortz, sm, draws)
+            else:
+                x_eff, w_noise, z_eff = sortx, eta_once, sortz
+
+            _, self.violations[t] = step(
+                x_eff,
+                z_eff,
+                oldy,
+                next(rperms),
+                draws,
+                config.adjust,
+                config.support,
+                config.tie_rule,
+                w_noise,
+                buf[i],
+            )
+        yield self._record(start, buf[: iters + 1 - start])
+
+    def _record(self, start: int, block: np.ndarray) -> tuple[int, np.ndarray]:
+        """Record d of a block, and add its iterates beyond the burn-in
+        to the running sum, if one is kept."""
+        if self.d is not None:
+            for i, rows in _blocks(self.n, len(block)):
+                self.d[start + i : start + i + rows] = distance_index(
+                    block[i : i + rows], self.reference
+                )
+        if self._total is not None:
+            # The iterates are finite, but their sum can still overflow.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for row in block[max(0, self.config.pool.burn_in + 1 - start) :]:
+                    self._total += row
+        return start, block
+
+    def pooled(self, buf: np.ndarray) -> np.ndarray | None:
+        """The pooled estimate, as in IterationTrace, once the chain has
+        run on buf; under AVERAGE, from the running sum if the chain kept
+        one.  Raises InvalidInputError when the average overflows."""
+        pool = self.config.pool
+        kept = buf[pool.burn_in + 1 :]  # the whole trace unless streamed
+        if pool.kind is PoolingKind.NONE:
+            return None
+        if pool.kind is not PoolingKind.AVERAGE:
+            return kept.flatten()
+        if self._total is not None:
+            pooled = self._total / (self.config.iters - pool.burn_in)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                pooled = kept.mean(axis=0)
+        if not np.isfinite(pooled).all():
+            raise InvalidInputError(
+                "values too large: the pooled average of the iterations beyond "
+                "the burn-in overflows float64"
+            )
+        return pooled
+
+    def mean_distance(self) -> float | None:
+        """As in IterationTrace."""
+        return _mean_beyond_burn_in(self.d, self.config.pool.burn_in)
+
+
 def run(x, z, config: DeconvConfig) -> IterationTrace:
     """Drive a full deconvolution run.
 
@@ -235,112 +409,25 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     permutations and the pool indices are drawn in blocks of at most
     max(n, 2**16) elements, each when its first row is needed; this gives
     the values of, and leaves each generator in the state of, one draw
-    per iteration.  Each step writes its estimate straight into its row
-    of the trace.
+    per iteration.  The chain runs on the whole trace as its one buffer,
+    so each step writes its estimate straight into its row of the trace.
 
     Besides rejecting bad samples, raises InvalidInputError when the
     working vector could overflow float64, when the trace does not fit in
     memory, or when the pooled average overflows.
     """
-    rng = make_rng(config.seed)
-    draws = rng.spawn(1)[0]
-    # equalize_lengths validates and copies x, then z.
-    x_eq, z_eq = equalize_lengths(x, z, config.equalize, rng)
-    n = x_eq.size
-
-    # The reference line is fitted to the equalized data before smoothing,
-    # so d keeps one meaning across smoothing configurations.
-    reference = reference_error = None
-    if n >= 2:
-        try:
-            reference = reference_normal_line(x_eq, z_eq)
-        except (DegenerateReferenceError, InvalidInputError) as exc:
-            # var(z) <= var(x), or a mean or variance overflows float64
-            # (the only InvalidInputError on validated samples of n >= 2).
-            # Without its traceback the error keeps no frame of this run alive.
-            reference_error = exc.with_traceback(None)
-
-    sm = config.smoothing
-    fresh = sm.active and sm.fresh_each_step
-    eta_once = None
-    if sm.active and not fresh:
-        # One-shot noise is added at the unsorted equalized positions.
-        x_eq, eta_once, z_eq = smooth(x_eq, z_eq, sm, rng)
-
-    sortx = np.sort(x_eq)
-    sortz = np.sort(z_eq)
-    _check_reach(sortx, sortz, eta_once, config.support)
-
-    try:
-        ys = np.empty((config.iters + 1, n))
-    except (MemoryError, ValueError):  # ValueError: beyond the largest array size
-        raise InvalidInputError(
-            f"a trace of T + 1 = {config.iters + 1} iterates of n = {n} values "
-            "does not fit in memory"
-        ) from None
-    violations = np.empty(config.iters + 1, dtype=np.int64)
-    ys[0] = np.sort(sortz - sortx)
-    violations[0] = config.support.violations(ys[0]).sum()
-
-    pool_mode = config.pool.kind
-    picks = None
-    if pool_mode is PoolingKind.CONCAT_AND_DRAW:
-        # Step t picks from the t * n values of rows 0..t-1 of the flat trace.
-        flat = ys.reshape(-1)
-        picks = _pool_picks(n, config.iters, rng.spawn(1)[0])
-    rperms = _permutations(n, config.iters, rng)
-    for t in range(1, config.iters + 1):
-        if picks is not None:
-            oldy = flat[next(picks)]
-            oldy.sort()
-        else:
-            oldy = ys[t - 1]
-
-        if fresh:
-            x_eff, w_noise, z_eff = smooth(sortx, sortz, sm, draws)
-        else:
-            x_eff, w_noise, z_eff = sortx, eta_once, sortz
-
-        _, violations[t] = step(
-            x_eff,
-            z_eff,
-            oldy,
-            next(rperms),
-            draws,
-            config.adjust,
-            config.support,
-            config.tie_rule,
-            w_noise,
-            ys[t],
-        )
-
-    d = None
-    if reference is not None:
-        d = np.empty(config.iters + 1)
-        for i, rows in _blocks(n, d.size):
-            d[i : i + rows] = distance_index(ys[i : i + rows], reference)
-    # Iterations beyond the burn-in: the rows mean_distance averages too.
-    kept = ys[config.pool.burn_in + 1 :]
-    pooled = None
-    if pool_mode is PoolingKind.AVERAGE:
-        # The iterates are finite, but their sum can still overflow.
-        with np.errstate(over="ignore", invalid="ignore"):
-            pooled = kept.mean(axis=0)
-        if not np.isfinite(pooled).all():
-            raise InvalidInputError(
-                "values too large: the pooled average of the iterations beyond "
-                "the burn-in overflows float64"
-            )
-    elif pool_mode is not PoolingKind.NONE:
-        pooled = kept.flatten()
+    chain = Chain(x, z, config)
+    ys = chain.buffer()
+    for _ in chain.blocks(ys):
+        pass
     return IterationTrace(
         config=config,
-        sortx=sortx,
-        sortz=sortz,
+        sortx=chain.sortx,
+        sortz=chain.sortz,
         ys=ys,
-        d=d,
-        violations=violations,
-        reference=reference,
-        reference_error=reference_error,
-        pooled=pooled,
+        d=chain.d,
+        violations=chain.violations,
+        reference=chain.reference,
+        reference_error=chain.reference_error,
+        pooled=chain.pooled(ys),
     )

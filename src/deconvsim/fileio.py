@@ -44,8 +44,10 @@ of the computed distances (below 1e-14), so no rounding decides a case.
 from __future__ import annotations
 
 import os
+import stat
+from contextlib import contextmanager, suppress
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -399,26 +401,82 @@ def write_sample(path, values, header: str) -> None:
             fh.write(_repr_join(values[i : i + _BLOCK], "\n") + "\n")
 
 
-def write_trace_csv(path, trace, header: str) -> None:
-    """Rows are the initial estimate (iter 0) then each iteration;
-    d is "NA" whenever the normal reference is unavailable."""
-    ys = trace.ys
+def write_trace_block(fh, start: int, ys, d, violations, header: str) -> None:
+    """Write the rows of iterates start, start + 1, ... of a trace CSV to
+    the text file fh: ys holds their estimates, one per row, and d and
+    violations hold the distance index and violation count of every
+    iterate of the run, from iterate 0; d is None when the normal
+    reference is unavailable, and every d is then written as "NA".  At
+    start 0 the comment line (header) and the column row come first.
+    Rows are formatted whole per kernel call while they fit in _BLOCK
+    values, else one row in blocks of _BLOCK."""
     n = ys.shape[1]
-    cols = ["iter", "d", "violations"] + [f"y_{i}" for i in range(1, n + 1)]
-    ds = ["NA"] * len(ys) if trace.d is None else _repr_join(trace.d).split(",")
-    heads = [f"{t},{d},{v}," for t, (d, v) in enumerate(zip(ds, trace.violations.tolist()))]
-    # Whole rows per kernel call while they fit in one block, else one
-    # row in blocks.
-    step = max(1, _BLOCK // n)
-    with open(path, "w", encoding="utf-8") as fh:
+    if start == 0:
+        cols = ["iter", "d", "violations"] + [f"y_{i}" for i in range(1, n + 1)]
         fh.write(f"# {header}\n")
         fh.write(",".join(cols) + "\n")
-        for r in range(0, len(ys), step):
-            if n <= _BLOCK:
-                lines = _repr_join(ys[r : r + step].reshape(-1), "," * (n - 1) + "\n").split("\n")
-            else:
-                lines = [",".join(_repr_join(ys[r, i : i + _BLOCK]) for i in range(0, n, _BLOCK))]
-            fh.write("".join(f"{h}{line}\n" for h, line in zip(heads[r : r + step], lines)))
+    stop = start + len(ys)
+    ds = ["NA"] * len(ys) if d is None else _repr_join(d[start:stop]).split(",")
+    counts = violations[start:stop].tolist()
+    heads = [f"{t},{dt},{v}," for t, (dt, v) in enumerate(zip(ds, counts), start)]
+    step = max(1, _BLOCK // n)
+    for r in range(0, len(ys), step):
+        if n <= _BLOCK:
+            lines = _repr_join(ys[r : r + step].reshape(-1), "," * (n - 1) + "\n").split("\n")
+        else:
+            lines = [",".join(_repr_join(ys[r, i : i + _BLOCK]) for i in range(0, n, _BLOCK))]
+        fh.write("".join(f"{h}{line}\n" for h, line in zip(heads[r : r + step], lines)))
+
+
+def write_trace_csv(path, trace, header: str) -> None:
+    """The trace CSV of a whole trace: rows are the initial estimate
+    (iter 0) then each iteration, written as one block."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write_trace_block(fh, 0, trace.ys, trace.d, trace.violations, header)
+
+
+@contextmanager
+def replacing(path):
+    """A new text file, open for writing, that becomes path only when the
+    with block ends without an exception.
+
+    It is written next to path (next to the file a symbolic link names),
+    with the permission bits that ``open(path, "w")`` leaves, and then
+    renamed over path; on an exception it is removed, and a file already
+    at path keeps its bytes.  A path that exists but is not a regular file
+    (a device or a pipe) is written in place.  Opening fails as
+    ``open(path, "w")`` would, naming path.
+    """
+    try:
+        with open(path, "r+b") as probe:  # as open(path, "w") checks, keeping the bytes
+            mode = os.fstat(probe.fileno()).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    for i in count():
+        temp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
+        try:
+            fh = open(temp, "x", encoding="utf-8")
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(mode))
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(temp)
+        raise
 
 
 def write_qq_csv(path, qq: QQData, header: str) -> None:

@@ -24,6 +24,7 @@ regions share one matrix, so the census solves each distinct matrix once.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -256,15 +257,24 @@ class RegionCensus:
         return self._per_x[_as_fraction(x)]
 
     @cached_property
+    def _laws(self) -> list[tuple[tuple[int, ...], Distribution, int]]:
+        """(key, law, occurrences) of each distribution object, in
+        first-occurrence order.  Regions with equal matrices share one
+        object.  The key is the law's numerators over their common
+        denominator, then that denominator: equal laws, and only they,
+        share a key, and its numerators sort as the law's values do."""
+        first = {id(e.stationary): e.stationary for e in self.entries}
+        laws = []
+        for obj, count in Counter(id(e.stationary) for e in self.entries).items():
+            law = first[obj]
+            den = math.lcm(*(f.denominator for f in law))
+            laws.append(((*(f.numerator * (den // f.denominator) for f in law), den), law, count))
+        return laws
+
+    @cached_property
     def multiplicity(self) -> Counter:
         """Occurrences of each distinct distribution, labels fixed."""
-        # Regions with equal matrices share one distribution object: tally
-        # the objects, then merge equal values in first-occurrence order.
-        first = {id(e.stationary): e.stationary for e in self.entries}
-        merged = Counter()
-        for key, count in Counter(id(e.stationary) for e in self.entries).items():
-            merged[first[key]] += count
-        return merged
+        return _merged(self._laws)
 
     @property
     def distinct_count(self) -> int:
@@ -273,10 +283,12 @@ class RegionCensus:
     @cached_property
     def unlabeled_multiplicity(self) -> Counter:
         """Same, but comparing distributions as sorted value multisets."""
-        unlabeled = Counter()
-        for dist, count in self.multiplicity.items():
-            unlabeled[tuple(sorted(dist))] += count
-        return unlabeled
+        unlabeled = []
+        for (*nums, den), law, count in self._laws:
+            order = sorted(range(len(law)), key=nums.__getitem__)
+            key = (*(nums[i] for i in order), den)
+            unlabeled.append((key, tuple(law[i] for i in order), count))
+        return _merged(unlabeled)
 
     @property
     def distinct_unlabeled_count(self) -> int:
@@ -292,6 +304,18 @@ class RegionCensus:
     def histogram(self) -> Counter:
         """Map multiplicity -> number of distributions with it."""
         return Counter(self.multiplicity.values())
+
+
+def _merged(laws) -> Counter:
+    """Sum the occurrences of (key, law, occurrences) triples whose keys
+    are equal, in first-occurrence order, hashing each distinct law once."""
+    merged: dict[tuple[int, ...], list] = {}
+    for key, law, count in laws:
+        merged.setdefault(key, [law, 0])[1] += count
+    tally = Counter()
+    for law, count in merged.values():
+        tally[law] = count
+    return tally
 
 
 def is_point_mass(dist: Distribution) -> bool:

@@ -141,3 +141,15 @@ def parent_repair(
     v[low_idx] = good_sorted[np.arange(low_idx.size) % good_sorted.size]
     v[high_idx] = good_sorted[::-1][np.arange(high_idx.size) % good_sorted.size]
     return count
+
+
+def reference_trace_csv(trace, header):
+    """The trace CSV as written one repr per float."""
+    n = trace.ys.shape[1]
+    cols = ["iter", "d", "violations"] + [f"y_{i}" for i in range(1, n + 1)]
+    lines = [f"# {header}", ",".join(cols)]
+    ds = [None] * len(trace.ys) if trace.d is None else trace.d.tolist()
+    for t, (y, d, v) in enumerate(zip(trace.ys, ds, trace.violations.tolist())):
+        row = [str(t), "NA" if d is None else repr(d), str(v)] + list(map(repr, y.tolist()))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

@@ -3,17 +3,24 @@
 import contextlib
 import io
 import os
+import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from deconvsim import __version__
+from deconvsim import AdjustPolicy, DeconvConfig, PoolingKind, PoolingMode, __version__, cli, run
 from deconvsim.cli import main, parse_equalize, parse_support
-from deconvsim.errors import ConfigError, InvalidInputError
-from deconvsim.fileio import read_sample
+from deconvsim.errors import ConfigError, InfeasibleAdjustmentError, InvalidInputError
+from deconvsim.fileio import make_header, read_sample
 from deconvsim.variations import EqualizeKind
+
+from conftest import reference_trace_csv
 
 
 def _simulate(tmp_path, experiment="normal", seed=7):
@@ -299,6 +306,146 @@ def test_run_overflowing_pooled_average_exits_2(tmp_path, capsys):
     )
     assert captured.out == ""
     assert not out.exists() and not pooled.exists()
+
+    # The trace is written as the chain runs, but a file already at --out
+    # keeps its bytes, and no temporary file is left beside it.
+    out.write_bytes(b"an earlier trace\n")
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", "--x", x_path, "--z", z_path, "--out", str(out), "--pool", "average"]) == 2
+    assert "pooled average" in capsys.readouterr().err
+    assert out.read_bytes() == b"an earlier trace\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_run_failing_inside_the_chain_leaves_no_file(tmp_path, capsys):
+    # Every z - x is negative, so copy-min finds no in-support value to
+    # copy at the first step, after the trace file has been opened.
+    x_path = _write_values(tmp_path / "x.txt", [10.0, 11.0, 12.0])
+    z_path = _write_values(tmp_path / "z.txt", [0.0, 1.0, 2.0])
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "t.csv"
+    code = main(
+        ["run", "--x", x_path, "--z", z_path, "--out", str(out),
+         "--adjust", "copy-min", "--support", "0:inf"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: policy 'copy-min' needs at least one in-support value\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_run_trace_file_has_the_mode_of_open_for_writing(tmp_path, capsys):
+    x_path, z_path, _ = _simulate(tmp_path)
+    with open(tmp_path / "plain.txt", "w"):
+        pass
+    out = tmp_path / "t.csv"
+    assert main(["run", "--x", x_path, "--z", z_path, "--out", str(out), "--iters", "2"]) == 0
+    assert out.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+    # A file already there keeps its own permission bits, as open() leaves them.
+    out.chmod(0o600)
+    assert main(["run", "--x", x_path, "--z", z_path, "--out", str(out), "--iters", "2"]) == 0
+    capsys.readouterr()
+    assert out.stat().st_mode & 0o777 == 0o600
+
+
+def test_run_writes_through_a_link_and_in_place_to_a_device(tmp_path, capsys):
+    x_path, z_path, _ = _simulate(tmp_path)
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["run", "--x", x_path, "--z", z_path, "--out", str(link), "--iters", "2"]) == 0
+    assert link.is_symlink() and target.read_text().count("\n") == 5
+    assert main(["run", "--x", x_path, "--z", z_path, "--out", os.devnull, "--iters", "2"]) == 0
+    capsys.readouterr()
+
+
+def test_run_memory_does_not_grow_with_the_iterations(tmp_path):
+    # Both traces exceed the command's block (201 and 2001 rows of 16 KB);
+    # the larger would hold 32 MB if the command kept it.
+    n = 2_000
+    rng = np.random.default_rng(11)
+    x_path = _write_values(tmp_path / "x.txt", rng.normal(0.0, 1.0, n).tolist())
+    z_path = _write_values(tmp_path / "z.txt", rng.normal(2.0, 1.5, n).tolist())
+    peaks = {}
+    for iters in (200, 2_000):
+        argv = ["run", "--x", x_path, "--z", z_path, "--out", str(tmp_path / "t.csv"),
+                "--pool", "average", "--pooled-out", str(tmp_path / "p.txt"),
+                "--iters", str(iters)]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                before = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+            peaks[iters] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peaks[2_000] <= 1.1 * peaks[200]
+    assert peaks[2_000] < 2_001 * n * 8
+
+
+@pytest.mark.parametrize("pool", list(PoolingKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("policy", list(AdjustPolicy), ids=lambda p: p.value)
+@settings(max_examples=12)
+@given(
+    st.integers(1, 300),
+    st.integers(0, 40),
+    st.integers(0, 39),
+    st.sampled_from(["normal", "all-equal", "narrow-z"]),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+# At n = 1 a running sum of the pooled column differs from NumPy's
+# pairwise mean: the command keeps the whole trace there.
+@example(n=1, iters=40, burn=3, data="normal", block_rows=2, seed=5)
+def test_streamed_run_writes_what_the_library_run_returns(
+    policy, pool, n, iters, burn, data, block_rows, seed
+):
+    # A block of a few rows, so that most cases cross block boundaries.
+    rng = np.random.default_rng(seed)
+    if data == "all-equal":
+        x = z = np.full(n, rng.normal())
+    elif data == "narrow-z":  # var(z) <= var(x) in most draws: d is NA
+        x, z = rng.normal(0.0, 2.0, n), rng.normal(1.0, 0.5, n)
+    else:
+        x, z = rng.normal(0.0, 1.0, n), rng.normal(1.0, 2.0, n)
+    if pool is not PoolingKind.NONE and iters == 0:
+        pool = PoolingKind.NONE
+    burn_in = burn % max(iters, 1)
+    support = "-inf:inf" if policy is AdjustPolicy.NONE else "0:inf"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        x_path = _write_values(tmp / "x.txt", x.tolist())
+        z_path = _write_values(tmp / "z.txt", z.tolist())
+        out, pooled = tmp / "t.csv", tmp / "p.txt"
+        argv = ["run", "--x", x_path, "--z", z_path, "--out", str(out),
+                "--iters", str(iters), "--burn-in", str(burn_in), "--adjust", policy.value,
+                f"--support={support}", "--pool", pool.value, "--seed", str(seed)]
+        if pool is not PoolingKind.NONE:
+            argv += ["--pooled-out", str(pooled)]
+        printed = io.StringIO()
+        with mock.patch.object(cli, "_TRACE_BLOCK", block_rows * n), \
+                contextlib.redirect_stdout(printed), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        config = DeconvConfig(
+            iters=iters, adjust=policy, support=parse_support(support),
+            pool=PoolingMode(pool, burn_in=burn_in), seed=seed,
+        )
+        try:
+            trace = run(x, z, config)
+        except InfeasibleAdjustmentError:
+            # copy-min or resample found no in-support value: no file is left.
+            assert code == 2
+            assert sorted(p.name for p in tmp.iterdir()) == ["x.txt", "z.txt"]
+            return
+        assert code == 0
+        assert out.read_text() == reference_trace_csv(trace, make_header(seed, argv))
+        if pool is not PoolingKind.NONE:
+            assert pooled.read_text().splitlines()[1:] == list(map(repr, trace.pooled.tolist()))
+        mean_d = trace.mean_distance()
+        assert f"mean d (iter > {burn_in}): " + ("NA" if mean_d is None else f"{mean_d:.6g}") in (
+            printed.getvalue().splitlines()
+        )
 
 
 def test_run_overflowing_moments_print_na(tmp_path, capsys):

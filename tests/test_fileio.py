@@ -41,6 +41,8 @@ from deconvsim.fileio import (
 )
 from deconvsim.smallcase import full_census
 
+from conftest import reference_trace_csv
+
 
 def test_sample_round_trip(tmp_path):
     path = tmp_path / "sample.txt"
@@ -433,18 +435,6 @@ def test_repr_join_matches_repr_at_the_edges():
     assert _repr_join(np.array([])) == ""
 
 
-def _reference_trace_csv(trace, header):
-    """The trace CSV as written one repr per float."""
-    n = trace.ys.shape[1]
-    cols = ["iter", "d", "violations"] + [f"y_{i}" for i in range(1, n + 1)]
-    lines = [f"# {header}", ",".join(cols)]
-    ds = [None] * len(trace.ys) if trace.d is None else trace.d.tolist()
-    for t, (y, d, v) in enumerate(zip(trace.ys, ds, trace.violations.tolist())):
-        row = [str(t), "NA" if d is None else repr(d), str(v)] + list(map(repr, y.tolist()))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def _mixed_trace(n, rows, with_d=True):
     """A trace of arbitrary rows: normal values over many scales, plus
     values the kernel leaves to repr (zeros, tiny and huge ones)."""
@@ -480,7 +470,7 @@ def test_trace_csv_matches_one_repr_per_float(tmp_path, n, rows, with_d):
     trace = _mixed_trace(n, rows, with_d)
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace, header="hdr")
-    assert _first_difference(path.read_text(), _reference_trace_csv(trace, "hdr")) is None
+    assert _first_difference(path.read_text(), reference_trace_csv(trace, "hdr")) is None
 
 
 def test_sample_and_qq_writers_match_repr_across_blocks(tmp_path):
