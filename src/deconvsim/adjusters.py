@@ -16,6 +16,7 @@ from numbers import Real
 
 import numpy as np
 
+from .core import _uniform_indices
 from .errors import InfeasibleAdjustmentError, InvalidInputError
 from .variations import _check_type
 
@@ -86,13 +87,13 @@ def _fold(v: np.ndarray, lower: float, upper: float) -> np.ndarray:
     # fold with period 2*(upper - lower).  The steps give the bits of
     # ``lower + |v - lower|``, ``upper - |v - upper|`` and
     # ``lower + min(t, period - t)`` with ``t = mod(v - lower, period)``.
+    # A violator of one finite bound b has v < b (or v > b), and rounding
+    # is symmetric, so ``|v - b|`` is exactly ``b - v`` (or ``v - b``).
     if math.isinf(upper):
-        v -= lower
-        np.abs(v, out=v)
+        np.subtract(lower, v, out=v)
         v += lower
     elif math.isinf(lower):
         v -= upper
-        np.abs(v, out=v)
         np.subtract(upper, v, out=v)
     else:
         period = 2.0 * (upper - lower)
@@ -118,10 +119,11 @@ def _repair(
 
     The violators of the sorted vector are the prefix ``v[:lo]`` below
     the support and the suffix ``v[hi:]`` above it.  RESAMPLE replaces
-    them, prefix first, with ``v[lo:hi][rng.integers(0, hi - lo, count)]``
-    and sorts again.  Repairing v in any other order draws the same
-    integers from the same donors, so the law of the sorted result does
-    not depend on the order of v.
+    them, prefix first, with ``v[lo:hi][_uniform_indices(rng, hi - lo,
+    count)]`` (indices from one scaled ``rng.random(count)`` call, each
+    within 2**-52 of uniform) and sorts again.  Repairing v in any other
+    order draws the same indices from the same donors, so the law of the
+    sorted result does not depend on the order of v.
     """
     v.sort()
     n = v.size
@@ -155,7 +157,7 @@ def _repair(
         )
 
     if policy is AdjustPolicy.RESAMPLE:
-        picks = v[lo:hi][rng.integers(0, size, count)]
+        picks = v[lo:hi][_uniform_indices(rng, size, count)]
         v[:lo], v[hi:] = picks[:lo], picks[lo:]
         v.sort()
         return count

@@ -1,4 +1,5 @@
-"""Vector primitives: sample validation and sort orders.
+"""Vector primitives: sample validation, sort orders and uniform index
+draws.
 
 Everything downstream is built on these operations plus a single
 seedable RNG family (numpy's PCG64 via ``numpy.random.default_rng``).
@@ -46,6 +47,23 @@ def make_rng(seed: int) -> np.random.Generator:
         return np.random.default_rng(seed)
     except (TypeError, ValueError):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}") from None
+
+
+def _uniform_indices(rng: np.random.Generator, high, shape) -> np.ndarray:
+    """Indices in ``[0, high)`` of the given shape from one
+    ``rng.random(shape)`` call: ``floor(u * high)``, filled in row order.
+
+    Unchecked: high is an integer, or an integer array that broadcasts
+    to shape, each from 1 to 2**53 - 1.  Every u is a multiple of 2**-53
+    of at most ``1 - 2**-53``, so ``u * high`` rounds below high, and each
+    index has probability within 2**-52 of ``1 / high``.  One draw per
+    index and no rejection, so a ``(rows, n)`` block gives the values, and
+    leaves rng in the state, of ``rows`` successive calls.  This costs a
+    fraction of ``Generator.integers``'s per-call argument handling.
+    """
+    u = rng.random(shape)
+    u *= high
+    return u.astype(np.intp)
 
 
 def as_sample(values) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint, _repair
 from .config import DeconvConfig
-from .core import TieRule, _sort_order, as_sample, make_rng
+from .core import TieRule, _sort_order, _uniform_indices, as_sample, make_rng
 from .errors import DegenerateReferenceError, InvalidInputError
 from .metrics import distance_index, reference_normal_line
 from .variations import PoolingKind, equalize_lengths, smooth
@@ -215,13 +215,14 @@ def _permutations(n: int, count: int, rng: np.random.Generator):
 
 
 def _pool_picks(n: int, count: int, rng: np.random.Generator):
-    """Yield, for t = 1..count, the n indices ``rng.integers(0, t * n, n)``
-    from blocks drawn by one ``integers`` call with a column of bounds,
-    which NumPy fills in row order with the same draws (pinned by a test):
-    the same rows, and the same final state of rng, as successive calls."""
+    """Yield, for t = 1..count, the n indices
+    ``_uniform_indices(rng, t * n, n)`` from blocks drawn by one
+    ``_uniform_indices`` call with a column of bounds, whose one
+    ``rng.random`` call fills in row order (pinned by a test): the same
+    rows, and the same final state of rng, as successive calls."""
     for start, rows in _blocks(n, count):
         highs = np.arange(start + 1, start + rows + 1) * n
-        yield from rng.integers(0, highs[:, None], (rows, n))
+        yield from _uniform_indices(rng, highs[:, None], (rows, n))
 
 
 def _mean_beyond_burn_in(d: np.ndarray | None, burn_in: int) -> float | None:
@@ -405,7 +406,9 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     first child (``spawn``, which leaves the generator's state unchanged)
     makes the other per-iteration draws, in this order: fresh xi / eta /
     zeta, the tie keys and the adjuster's donors.  Under CONCAT_AND_DRAW
-    its second child draws each iteration's pool indices.  The
+    its second child draws each iteration's pool indices.  Donors and
+    pool indices are ``floor(u * high)`` of ``Generator.random`` draws
+    u, each index within 2**-52 of uniform.  The
     permutations and the pool indices are drawn in blocks of at most
     max(n, 2**16) elements, each when its first row is needed; this gives
     the values of, and leaves each generator in the state of, one draw

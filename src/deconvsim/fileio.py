@@ -44,6 +44,7 @@ of the computed distances (below 1e-14), so no rounding decides a case.
 from __future__ import annotations
 
 import os
+import shutil
 import stat
 from contextlib import contextmanager, suppress
 from fractions import Fraction
@@ -443,15 +444,18 @@ def replacing(path):
     It is written next to path (next to the file a symbolic link names),
     with the permission bits that ``open(path, "w")`` leaves, and then
     renamed over path; on an exception it is removed, and a file already
-    at path keeps its bytes.  A path that exists but is not a regular file
-    (a device or a pipe) is written in place.  Opening fails as
-    ``open(path, "w")`` would, naming path.
+    at path keeps its bytes.  A regular file with other hard links is
+    overwritten in place from the finished file instead, so every link
+    sees the new bytes, as with ``open(path, "w")``.  A path that exists
+    but is not a regular file (a device or a pipe) is written in place.
+    Opening fails as ``open(path, "w")`` would, naming path.
     """
     try:
         with open(path, "r+b") as probe:  # as open(path, "w") checks, keeping the bytes
-            mode = os.fstat(probe.fileno()).st_mode
+            st = os.fstat(probe.fileno())
+        mode, links = st.st_mode, st.st_nlink
     except FileNotFoundError:
-        mode = None
+        mode = links = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
@@ -472,7 +476,13 @@ def replacing(path):
             if mode is not None:
                 os.chmod(fh.fileno(), stat.S_IMODE(mode))
             yield fh
-        os.replace(temp, target)
+        if links is not None and links > 1:
+            # A rename would give path a new inode and leave the other links
+            # with the old bytes.
+            shutil.copyfile(temp, target)
+            os.remove(temp)
+        else:
+            os.replace(temp, target)
     except BaseException:
         with suppress(OSError):
             os.remove(temp)
@@ -508,7 +518,8 @@ def write_census_csv(path, census: RegionCensus, header: str) -> None:
 
 
 def write_census_summary(path, census: RegionCensus, header: str) -> None:
-    xs = sorted({e.x for e in census.entries})
+    # The regions of one x share one Fraction: hash each object once.
+    xs = sorted(set({id(e.x): e.x for e in census.entries}.values()))
     per_x = ";".join(f"{fmt_rational(x)}:{census.regions_for(x)}" for x in xs)
     top_dist, top_count = census.top_distribution()
     hist = census.histogram()

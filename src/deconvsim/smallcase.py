@@ -251,7 +251,13 @@ class RegionCensus:
 
     @cached_property
     def _per_x(self) -> Counter:
-        return Counter(e.x for e in self.entries)
+        """Regions per x.  The regions of one x share one Fraction, so they
+        are counted by identity and each distinct object is hashed once."""
+        first = {id(e.x): e.x for e in self.entries}
+        tally = Counter()
+        for obj, count in Counter(id(e.x) for e in self.entries).items():
+            tally[first[obj]] += count
+        return tally
 
     def regions_for(self, x) -> int:
         return self._per_x[_as_fraction(x)]

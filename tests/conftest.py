@@ -1,6 +1,7 @@
 """Shared fixtures, frozen oracle data, the rank oracle, the position-order
-repair oracle and a generator stand-in that enumerates every RESAMPLE
-donor draw.
+repair oracle, a stand-in for the index draw that enumerates every
+RESAMPLE donor draw, and a report header naming the NumPy and CPython
+that run the suite.
 
 The exact three-point census takes about 0.012 s (2-core host; 1.8 s
 before it ranked on integers and solved each distinct matrix once, and
@@ -10,15 +11,19 @@ inverse-normal table was computed once with mpmath at 60 decimal digits
 and frozen here.
 """
 
+import contextlib
 import itertools
 import math
+import platform
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from deconvsim import AdjustPolicy, SupportConstraint, TieRule
-from deconvsim.core import _sort_order
+from deconvsim import AdjustPolicy, SupportConstraint, TieRule, adjusters
+from deconvsim.core import _sort_order, _uniform_indices
 from deconvsim.errors import InfeasibleAdjustmentError, InvalidInputError
 from deconvsim.smallcase import full_census
 
@@ -52,6 +57,13 @@ INVERSE_NORMAL_TABLE = [
 ]
 
 
+def pytest_report_header(config):
+    return (
+        f"deconvsim: NumPy {np.__version__}, CPython {platform.python_version()}; "
+        "the golden digests were taken on NumPy 2.4.6 and CPython 3.11"
+    )
+
+
 @pytest.fixture(scope="session")
 def census():
     return full_census()
@@ -68,25 +80,40 @@ def ranks(v, tie_rule=TieRule.FIRST_OCCURRENCE, rng=None):
 
 
 class EveryDraw:
-    """A generator stand-in for RESAMPLE's one draw: the i-th call of
-    ``integers(0, g, k)`` returns the i-th of the g**k index vectors."""
+    """A stand-in for ``core._uniform_indices`` in RESAMPLE's one draw:
+    the i-th call ``(rng, g, k)`` ignores rng and returns the i-th of the
+    g**k index vectors."""
 
     def __init__(self):
         self.draws = None
         self.total = 1  # a repair without violators makes no draw
 
-    def integers(self, low, high, size):
+    def __call__(self, rng, high, size):
         if self.draws is None:
-            self.draws = itertools.product(range(low, high), repeat=size)
-            self.total = (high - low) ** size
-        return np.array(next(self.draws), dtype=np.int64)
+            self.draws = itertools.product(range(high), repeat=size)
+            self.total = high**size
+        return np.array(next(self.draws), dtype=np.intp)
+
+
+@contextlib.contextmanager
+def every_draw():
+    """An EveryDraw in place of ``_uniform_indices`` in ``adjusters._repair``
+    and in ``parent_repair``, for the with block."""
+    draw = EveryDraw()
+    with (
+        mock.patch.object(adjusters, "_uniform_indices", draw),
+        mock.patch.object(sys.modules[__name__], "_uniform_indices", draw),
+    ):
+        yield draw
 
 
 # `adjusters._repair` as it was before the one-sided masks and `_fold` as
 # it was before it folded in place, copied verbatim (renamed; `_fold`
-# without its comment).  It repairs in position order: the RESAMPLE branch
-# is the position-order oracle of the sorted-vector repair, for the
-# repair tests and for the rank-form step of the engine tests.
+# without its comment), except that the donors come from
+# `_uniform_indices`, as they do in the repair.  It repairs in position
+# order: the RESAMPLE branch is the position-order oracle of the
+# sorted-vector repair, for the repair tests and for the rank-form step of
+# the engine tests.
 def _parent_fold(v: np.ndarray, lower: float, upper: float) -> np.ndarray:
     if math.isinf(upper):
         return lower + np.abs(v - lower)
@@ -130,7 +157,7 @@ def parent_repair(
     if policy is AdjustPolicy.RESAMPLE:
         if rng is None:
             raise InvalidInputError("resample policy requires an rng")
-        v[bad] = good[rng.integers(0, good.size, count)]
+        v[bad] = good[_uniform_indices(rng, good.size, count)]
         return count
 
     # COPY_SMALLEST

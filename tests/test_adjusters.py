@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from deconvsim import AdjustPolicy, SupportConstraint, make_rng
-from conftest import EveryDraw, parent_repair
+from conftest import every_draw, parent_repair
 from deconvsim.adjusters import UNBOUNDED, _repair
 from deconvsim.errors import ConfigError, InfeasibleAdjustmentError, InvalidInputError
 
@@ -302,13 +302,13 @@ def test_repair_matches_the_two_sided_masks_byte_for_byte(policy, support):
 
 def _law(repair, v, support):
     """Counter of the sorted outputs of ``repair(copy of v, RESAMPLE,
-    support, rng)`` over every donor draw (see ``conftest.EveryDraw``)."""
-    rng = EveryDraw()
+    support, rng)`` over every donor draw (see ``conftest.every_draw``)."""
     outputs = Counter()
-    while sum(outputs.values()) < rng.total:
-        out = np.array(v, dtype=np.float64)
-        repair(out, AdjustPolicy.RESAMPLE, support, rng)
-        outputs[tuple(np.sort(out).tolist())] += 1
+    with every_draw() as draw:
+        while sum(outputs.values()) < draw.total:
+            out = np.array(v, dtype=np.float64)
+            repair(out, AdjustPolicy.RESAMPLE, support, draw)
+            outputs[tuple(np.sort(out).tolist())] += 1
     return outputs
 
 

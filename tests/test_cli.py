@@ -360,6 +360,27 @@ def test_run_writes_through_a_link_and_in_place_to_a_device(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_writes_through_every_hard_link(tmp_path, capsys):
+    # open(path, "w") writes to the inode, so every hard link of --out
+    # reads the new trace; a failed run leaves the old bytes in all of them.
+    x_path, z_path, _ = _simulate(tmp_path)
+    out, other = tmp_path / "t.csv", tmp_path / "t2.csv"
+    out.write_text("old\n")
+    os.link(out, other)
+    inode = out.stat().st_ino
+    argv = ["run", "--x", x_path, "--z", z_path, "--out", str(out), "--iters", "2"]
+    assert main(argv) == 0
+    assert out.stat().st_ino == inode and out.stat().st_nlink == 2
+    assert other.read_text() == out.read_text() and out.read_text().count("\n") == 5
+    trace = out.read_bytes()
+    before = sorted(tmp_path.iterdir())
+    # No difference reaches 1e6, so copy-min fails at the first step.
+    assert main(argv + ["--adjust", "copy-min", "--support", "1e6:inf"]) == 2
+    assert "needs at least one in-support value" in capsys.readouterr().err
+    assert out.read_bytes() == other.read_bytes() == trace
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_run_memory_does_not_grow_with_the_iterations(tmp_path):
     # Both traces exceed the command's block (201 and 2001 rows of 16 KB);
     # the larger would hold 32 MB if the command kept it.

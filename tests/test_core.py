@@ -4,12 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import ranks
 from deconvsim import TieRule, make_rng
-from deconvsim.core import _sort_order, as_sample
+from deconvsim.core import _sort_order, _uniform_indices, as_sample
 from deconvsim.errors import ConfigError, InvalidInputError
 
 finite_vectors = st.lists(
@@ -158,3 +159,28 @@ def test_sort_rank_identity_on_large_tie_free_input():
 def test_make_rng_rejects_a_seed_numpy_rejects(seed):
     with pytest.raises(ConfigError, match="seed"):
         make_rng(seed)
+
+
+def test_uniform_indices_stay_below_high_up_to_2_to_the_53():
+    # The largest double Generator.random returns is 1 - 2**-53, and its
+    # product with any integer high < 2**53 rounds below high.  The bounds
+    # where rounding is closest: small ones, powers of two and their
+    # neighbours, up to 2**53 - 1.
+    top = np.nextafter(1.0, 0.0)
+    assert top == 1.0 - 2.0**-53
+    highs = {1, 2, 3} | {h for k in range(2, 54) for h in (2**k - 1, 2**k, 2**k + 1)}
+    for high in sorted(h for h in highs if h < 2**53):
+        assert int(top * high) == high - 1, high
+    # A column of bounds scales each row by its own.
+    block = _uniform_indices(make_rng(0), np.array([[1], [2**52 + 1], [2**53 - 1]]), (3, 50))
+    assert block.dtype == np.intp
+    assert (block[0] == 0).all() and (block >= 0).all()
+    assert (block[1] <= 2**52).all() and (block[2] < 2**53 - 1).all()
+
+
+@pytest.mark.parametrize("high", [3, 7, 100])
+def test_uniform_indices_pass_a_chi_square_test(high):
+    draws = _uniform_indices(make_rng(high), high, 600_000)
+    counts = np.bincount(draws, minlength=high)
+    assert counts.size == high
+    assert scipy.stats.chisquare(counts).pvalue > 1e-3

@@ -26,9 +26,10 @@ from deconvsim import (
     make_rng,
     run,
 )
-from conftest import EveryDraw, parent_repair, ranks
+from conftest import every_draw, parent_repair, ranks
 from deconvsim import engine, variations
 from deconvsim.adjusters import _repair
+from deconvsim.core import _uniform_indices
 from deconvsim.engine import (
     _D_CHUNK,
     IterationTrace,
@@ -220,11 +221,11 @@ def test_resample_step_keeps_the_rank_form_count_and_rng_state(support):
 
 def _law_over_every_draw(form, args, kwargs):
     """Counter of the sorted outputs of ``form`` over every donor draw."""
-    rng = EveryDraw()
     outputs = Counter()
-    while sum(outputs.values()) < rng.total:
-        y, _ = form(*args, rng, **kwargs)
-        outputs[tuple(y.tolist())] += 1
+    with every_draw() as draw:
+        while sum(outputs.values()) < draw.total:
+            y, _ = form(*args, draw, **kwargs)
+            outputs[tuple(y.tolist())] += 1
     return outputs
 
 
@@ -283,7 +284,7 @@ def test_run_d_is_the_per_row_distance_bit_for_bit(iters, n):
 def _parent_run(x, z, config):
     """``run`` as a loop of one draw per iteration from each stream: one
     ``rng.permutation(n)`` from the run's generator, the pool draw
-    ``picks.integers(0, t * n, n)`` from its second child, and fresh
+    ``_uniform_indices(picks, t * n, n)`` from its second child, and fresh
     smoothing and the step's draws from its first child, with a fresh
     array per step.  The byte oracle of the blocked draws."""
     rng = make_rng(config.seed)
@@ -331,7 +332,7 @@ def _parent_run(x, z, config):
     for t in range(1, config.iters + 1):
         if pool_mode is PoolingKind.CONCAT_AND_DRAW:
             pool = ys[:t].reshape(-1)
-            oldy = np.sort(pool[picks.integers(0, pool.size, n)])
+            oldy = np.sort(pool[_uniform_indices(picks, pool.size, n)])
         else:
             oldy = ys[t - 1]
 
@@ -462,14 +463,14 @@ def test_spawn_leaves_the_parent_stream_unchanged():
 
 @pytest.mark.parametrize("n", [1, 3, 100, 1000])
 def test_blocked_pool_picks_equal_successive_draws(n):
-    # A Generator.integers call with a column of upper bounds draws each
-    # element in row order with the draw a call with that scalar bound
-    # makes, so a block of k rows equals k successive calls and leaves the
+    # Generator.random fills a block in row order, one draw per element,
+    # and a column of bounds scales each row by its own, so a block of k
+    # rows equals k successive _uniform_indices calls and leaves the
     # generator in the same state.  The last block is short.
     count = max(1, _D_CHUNK // n) + 1
     blocked_rng, single_rng = make_rng(n), make_rng(n)
     rows = list(_pool_picks(n, count, blocked_rng))
-    singles = [single_rng.integers(0, t * n, n) for t in range(1, count + 1)]
+    singles = [_uniform_indices(single_rng, t * n, n) for t in range(1, count + 1)]
     assert len(rows) == count
     for row, single in zip(rows, singles):
         assert row.dtype == single.dtype
@@ -940,18 +941,31 @@ def test_run_conserves_the_mean_near_1e12_within_half_an_ulp(x, z, seed):
         assert drift <= Fraction(np.spacing(np.abs(y).max())) / 2
 
 
+@pytest.mark.parametrize("sd", [0.1, math.sqrt(0.02), 1.0, 3e-5])
+def test_normal_draws_scale_exactly_with_their_sd(sd):
+    # Generator.normal(0, sd) is 0.0 + sd * (a standard normal draw), and
+    # 2**k * sd is exact, so scaling sd by 2**k scales every draw by 2**k
+    # byte for byte: the smoothing noise obeys the 2**k law of a run.
+    for k in (-3, 5):
+        scaled = make_rng(k + 10).normal(0.0, math.ldexp(sd, k), 10_000)
+        base = make_rng(k + 10).normal(0.0, sd, 10_000)
+        assert scaled.tobytes() == np.ldexp(base, k).tobytes(), k
+
+
 @pytest.mark.parametrize("n", [100, 3000])
 @pytest.mark.parametrize("policy", list(AdjustPolicy))
 @pytest.mark.parametrize("tie_rule", list(TieRule))
 @pytest.mark.parametrize(
     "pool", [PoolingKind.NONE, PoolingKind.AVERAGE, PoolingKind.CONCAT_AND_DRAW]
 )
-def test_run_scales_exactly_by_a_power_of_two(n, policy, tie_rule, pool):
-    # Without smoothing a run adds, subtracts, compares, reflects at a
-    # bound, copies and averages, and each rounding commutes with scaling
-    # by 2**k while no value overflows or turns subnormal.  So scaling x,
-    # z and the support bounds by 2**k scales ys and pooled byte for byte
-    # and keeps every violation count, at n = 3000 on the packed-key sort.
+@pytest.mark.parametrize("smoothing", list(_SMOOTHINGS))
+def test_run_scales_exactly_by_a_power_of_two(n, policy, tie_rule, pool, smoothing):
+    # A run adds, subtracts, compares, reflects at a bound, copies and
+    # averages, and each rounding commutes with scaling by 2**k while no
+    # value overflows or turns subnormal; its smoothing noise scales with
+    # its sds (above).  So scaling x, z, the support bounds and every sd by
+    # 2**k scales ys and pooled byte for byte and keeps every violation
+    # count, at n = 3000 on the packed-key sort.
     rng = np.random.default_rng(n)
     i = np.arange(n)
     samples = {
@@ -964,9 +978,13 @@ def test_run_scales_exactly_by_a_power_of_two(n, policy, tie_rule, pool):
             support = UNBOUNDED
             if policy is not AdjustPolicy.NONE:
                 support = SupportConstraint(math.ldexp(-0.5, k), math.ldexp(4.0, k))
+            sm = _SMOOTHINGS[smoothing]
+            scaled_sm = dataclasses.replace(
+                sm, **{f: math.ldexp(getattr(sm, f), k) for f in ("xi_sd", "eta_sd", "zeta_sd")}
+            )
             config = DeconvConfig(
                 iters=10, adjust=policy, support=support, tie_rule=tie_rule,
-                pool=PoolingMode(pool), seed=5,
+                pool=PoolingMode(pool), smoothing=scaled_sm, seed=5,
             )
             traces[k] = run(np.ldexp(x, k), np.ldexp(z, k), config)
         base = traces[0]

@@ -62,9 +62,13 @@ RUN_CASES = {
     # Re-pinned when the per-step draws moved to a child stream: the
     # donors come from the run generator's first child, indexed in
     # ascending order (the law is unchanged; see tests/test_adjusters.py).
+    # Re-pinned again when the donor indices became floor(u * count) of
+    # one Generator.random call instead of a Generator.integers call,
+    # whose argument handling cost more than the rest of the repair; each
+    # index is within 2**-52 of uniform (tests/test_core.py).
     "resample": (
         EXP + OUT + ["--adjust", "resample", "--support", "0:inf"],
-        "974be70bcecb622c28b9977e71c7dbdaa2677c57e1b2c5365d0f03c1070a4238",
+        "c3a5e427668763b215f55efc7c08724fbe65a8c379ffa7190f01a918f6dd9aed",
     ),
     "clamp": (
         EXP + OUT + ["--adjust", "clamp", "--support", "0:1.5"],
@@ -75,10 +79,12 @@ RUN_CASES = {
         "b5a92d7087a47bb554e82bf8cfc451cf95f31ee82fc58d8977bb3086aabe4964",
     ),
     # Re-pinned when the per-step draws moved to a child stream: the pool
-    # indices come from the run generator's second child.
+    # indices come from the run generator's second child.  Re-pinned again
+    # when the pool indices became floor(u * t * n) of Generator.random
+    # draws, as the resample donors did.
     "pool-concat-draw-400": (
         EXP + OUT + ["--pool", "concat-draw", "--iters", "400"] + POOLED,
-        "54d91d8b294451dffe2e8671e31d12a5ad8668d7aca1d597ed4a9fbe292bd6e9",
+        "2813ef91a06f657e7b41780c0be213c6f9115971dd4acab24ef10c61b78b468e",
     ),
     # Re-pinned when the per-step draws moved to a child stream: the fresh
     # noise comes from the run generator's first child.
