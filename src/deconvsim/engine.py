@@ -19,6 +19,10 @@ writing iterates into a caller-owned buffer block by block) and summary
 (pooling).  ``run`` gives the chain the whole trace as one block;
 ``deconvsim run`` under ``--pool none`` or ``average`` gives it a 2 MB
 block and writes each out, holding O(n) values instead of the trace.
+Above 2**15 values per row, each permutation is drawn one iteration
+ahead on one helper thread, with the same values and the same final
+generator state as drawing it in the step; the thread is joined when the
+chain ends, fails or is closed.
 
 Two deliberately bad estimators are included for comparison: the sorted
 difference (far too little spread) and the fully random difference (far
@@ -28,6 +32,8 @@ too much).
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +49,9 @@ from .variations import PoolingKind, equalize_lengths, smooth
 # permutations or pool picks: bounds each temporary (512 KB) while keeping
 # the calls per run few.
 _D_CHUNK = 1 << 16
+
+# The name of the thread that draws a long chain's permutations ahead.
+_AHEAD_THREAD = "deconvsim-permutations"
 
 # Pooling kinds whose chain can run on a buffer smaller than the trace.
 _STREAMED = (PoolingKind.NONE, PoolingKind.AVERAGE)
@@ -202,16 +211,52 @@ def _blocks(n: int, count: int):
 
 
 def _permutations(n: int, count: int, rng: np.random.Generator):
-    """Yield count uniform permutations of 0..n-1 from rng, drawn a block
-    at a time by one ``rng.permuted`` call when its first row is asked
-    for.  NumPy's ``permuted`` shuffles each row with the same draws as
-    ``permutation`` (pinned by a test), so a block gives the rows, and
-    leaves rng in the state, of as many successive ``rng.permutation(n)``
-    calls, as long as nothing else draws from rng between two rows.
+    """Yield count uniform permutations of 0..n-1 from rng, the values of,
+    and leaving rng in the state of, count successive
+    ``rng.permutation(n)`` calls, as long as nothing else draws from rng
+    until the last row is taken or the generator is closed.
+
+    Up to 2**15 values per row, a block of rows is drawn by one
+    ``rng.permuted`` call when its first row is asked for; ``permuted``
+    shuffles each row with the same draws as ``permutation`` (pinned by
+    a test).  Above that a block holds one row, and each row is drawn one
+    iteration ahead on one helper thread: when row t is handed over, the
+    helper starts to ``rng.shuffle`` a new ``arange(n)``, which is what
+    ``permutation`` does, into row t + 1.  ``shuffle`` releases the GIL,
+    so the draw overlaps the caller's step; two rows are alive at once,
+    both allocated on the calling thread.  The helper shuffles no more
+    than count rows, and is stopped and joined when the generator
+    finishes, raises or is closed; an exception it meets is raised here.
     """
-    for _, rows in _blocks(n, count):
-        block = np.tile(np.arange(n), (rows, 1))
-        yield from rng.permuted(block, axis=1, out=block)
+    if n <= _D_CHUNK // 2:
+        for _, rows in _blocks(n, count):
+            block = np.tile(np.arange(n), (rows, 1))
+            yield from rng.permuted(block, axis=1, out=block)
+        return
+
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def shuffle():
+        try:
+            while (row := todo.get()) is not None:
+                rng.shuffle(row)
+                done.put(row)
+        except BaseException as exc:
+            done.put(exc)
+
+    helper = threading.Thread(target=shuffle, name=_AHEAD_THREAD, daemon=True)
+    helper.start()
+    try:
+        todo.put(np.arange(n) if count else None)
+        for t in range(1, count + 1):
+            row = done.get()
+            if isinstance(row, BaseException):
+                raise row
+            todo.put(np.arange(n) if t < count else None)
+            yield row
+    finally:
+        todo.put(None)
+        helper.join()
 
 
 def _pool_picks(n: int, count: int, rng: np.random.Generator):
@@ -319,36 +364,39 @@ class Chain:
             flat = buf.reshape(-1)
             picks = _pool_picks(n, iters, self._rng.spawn(1)[0])
         rperms = _permutations(n, iters, self._rng)
-        start = 0
-        for t in range(1, iters + 1):
-            i = t - start
-            if i == rows:
-                yield self._record(start, buf)
-                start, i = t, 0
-            if picks is not None:
-                oldy = flat[next(picks)]
-                oldy.sort()
-            else:
-                oldy = buf[i - 1]  # at i = 0, the last row of the block before
+        try:
+            start = 0
+            for t in range(1, iters + 1):
+                i = t - start
+                if i == rows:
+                    yield self._record(start, buf)
+                    start, i = t, 0
+                if picks is not None:
+                    oldy = flat[next(picks)]
+                    oldy.sort()
+                else:
+                    oldy = buf[i - 1]  # at i = 0, the last row of the block before
 
-            if fresh:
-                x_eff, w_noise, z_eff = smooth(sortx, sortz, sm, draws)
-            else:
-                x_eff, w_noise, z_eff = sortx, eta_once, sortz
+                if fresh:
+                    x_eff, w_noise, z_eff = smooth(sortx, sortz, sm, draws)
+                else:
+                    x_eff, w_noise, z_eff = sortx, eta_once, sortz
 
-            _, self.violations[t] = step(
-                x_eff,
-                z_eff,
-                oldy,
-                next(rperms),
-                draws,
-                config.adjust,
-                config.support,
-                config.tie_rule,
-                w_noise,
-                buf[i],
-            )
-        yield self._record(start, buf[: iters + 1 - start])
+                _, self.violations[t] = step(
+                    x_eff,
+                    z_eff,
+                    oldy,
+                    next(rperms),
+                    draws,
+                    config.adjust,
+                    config.support,
+                    config.tie_rule,
+                    w_noise,
+                    buf[i],
+                )
+            yield self._record(start, buf[: iters + 1 - start])
+        finally:
+            rperms.close()  # joins a helper thread that draws ahead
 
     def _record(self, start: int, block: np.ndarray) -> tuple[int, np.ndarray]:
         """Record d of a block, and add its iterates beyond the burn-in
@@ -410,10 +458,13 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     pool indices are ``floor(u * high)`` of ``Generator.random`` draws
     u, each index within 2**-52 of uniform.  The
     permutations and the pool indices are drawn in blocks of at most
-    max(n, 2**16) elements, each when its first row is needed; this gives
-    the values of, and leaves each generator in the state of, one draw
-    per iteration.  The chain runs on the whole trace as its one buffer,
-    so each step writes its estimate straight into its row of the trace.
+    max(n, 2**16) elements, each when its first row is needed; above
+    2**15 values per row, each permutation is instead drawn one iteration
+    ahead on one helper thread, joined when the chain ends, fails or is
+    closed.  Either way this gives the values of, and leaves each
+    generator in the state of, one draw per iteration.  The chain runs on
+    the whole trace as its one buffer, so each step writes its estimate
+    straight into its row of the trace.
 
     Besides rejecting bad samples, raises InvalidInputError when the
     working vector could overflow float64, when the trace does not fit in

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import threading
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -31,7 +32,9 @@ from deconvsim import engine, variations
 from deconvsim.adjusters import _repair
 from deconvsim.core import _uniform_indices
 from deconvsim.engine import (
+    _AHEAD_THREAD,
     _D_CHUNK,
+    Chain,
     IterationTrace,
     _check_reach,
     _permutations,
@@ -434,12 +437,111 @@ def test_run_matches_the_per_step_draw_loop_byte_for_byte(n, policy):
         assert _same_bits(got.pooled, want.pooled), where
 
 
+# Every policy under every pooling kind with first-occurrence ties and
+# no smoothing, then one random-tie and one fresh-smoothing case.
+_LONG_ROW_CASES = [
+    (policy, kind, TieRule.FIRST_OCCURRENCE, "off")
+    for policy, kind in itertools.product(AdjustPolicy, PoolingKind)
+] + [
+    (AdjustPolicy.RESAMPLE, PoolingKind.AVERAGE, TieRule.RANDOM, "off"),
+    (AdjustPolicy.ABSOLUTE, PoolingKind.CONCAT_AND_DRAW, TieRule.FIRST_OCCURRENCE, "fresh"),
+]
+
+
+@pytest.mark.parametrize(
+    "case",
+    range(len(_LONG_ROW_CASES)),
+    ids=[f"{p.value}-{k.value}-{t.value}-{s}" for p, k, t, s in _LONG_ROW_CASES],
+)
+def test_run_with_permutations_drawn_ahead_matches_the_per_step_draw_loop(case):
+    # At n = 40 000 > 2**15 each permutation is drawn ahead on the helper
+    # thread.  z = x' + Exp(1) as above; T runs over 4, 5 and 6.
+    policy, kind, tie_rule, smoothing = _LONG_ROW_CASES[case]
+    n = 40_000
+    g = np.random.default_rng(n)
+    x = g.normal(0.0, 1.0, n)
+    z = g.normal(0.0, 1.0, n) + g.exponential(1.0, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # bounded support under NONE
+        config = DeconvConfig(
+            iters=4 + case % 3,
+            adjust=policy,
+            support=SupportConstraint(0.0, np.inf),
+            smoothing=_SMOOTHINGS[smoothing],
+            pool=PoolingMode(kind, burn_in=2),
+            seed=case,
+            tie_rule=tie_rule,
+        )
+    got = _run_or_error(run, x, z, config)
+    want = _run_or_error(_parent_run, x, z, config)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert _same_bits(got.ys, want.ys)
+    assert _same_bits(got.d, want.d)
+    assert _same_bits(got.violations, want.violations)
+    assert _same_bits(got.pooled, want.pooled)
+
+
+def _helper_alive() -> bool:
+    return any(t.name == _AHEAD_THREAD for t in threading.enumerate())
+
+
+def test_a_run_that_raises_leaves_no_helper_thread():
+    # Every z - x is negative, so copy-min on [0, inf) has no donor and
+    # the first step raises while the helper is drawing ahead.  The
+    # exception, held by pytest, keeps the run's frames alive.
+    n = 2**15 + 1
+    x = np.random.default_rng(3).normal(0.0, 1.0, n)
+    config = DeconvConfig(
+        iters=10,
+        adjust=AdjustPolicy.COPY_SMALLEST,
+        support=SupportConstraint(0.0, np.inf),
+    )
+    with pytest.raises(InfeasibleAdjustmentError) as info:
+        run(x, x - 100.0, config)
+    assert not _helper_alive()
+    assert info.traceback  # still held here
+
+
+def test_closing_the_chain_after_its_first_block_joins_the_helper():
+    n = 2**15 + 1
+    g = np.random.default_rng(4)
+    x = g.normal(0.0, 1.0, n)
+    chain = Chain(x, 2.0 * g.permutation(x), DeconvConfig(iters=10))
+    buf = chain.buffer(2 * n)
+    blocks = chain.blocks(buf)
+    start, block = next(blocks)
+    assert (start, len(block)) == (0, 2)
+    assert _helper_alive()  # two of ten rows taken: it is still drawing
+    blocks.close()
+    assert not _helper_alive()
+
+
+def test_an_error_in_the_helper_is_raised_in_the_chain():
+    class FailsSecond:
+        calls = 0
+
+        def shuffle(self, row):
+            self.calls += 1
+            if self.calls == 2:
+                raise MemoryError("no room for a permutation")
+
+    rows = _permutations(2**15 + 1, 3, FailsSecond())
+    assert np.array_equal(next(rows), np.arange(2**15 + 1))
+    with pytest.raises(MemoryError, match="no room"):
+        next(rows)
+    assert not _helper_alive()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 100, 1000, 65536, 200_000])
 def test_blocked_permutations_equal_successive_draws(n):
     # NumPy's Generator.permuted shuffles each row with the draws
     # Generator.permutation makes, so a block of k rows equals k
     # successive calls and leaves the generator in the same state.  One
     # more permutation than a block holds makes the last block short.
+    # Above 2**15 values a block is one row, a lone permutation (no base)
+    # drawn ahead on the helper thread.
     count = max(1, _D_CHUNK // n) + 1
     blocked_rng, single_rng = make_rng(n), make_rng(n)
     rows = list(_permutations(n, count, blocked_rng))
@@ -448,7 +550,7 @@ def test_blocked_permutations_equal_successive_draws(n):
     for row, single in zip(rows, singles):
         assert row.dtype == single.dtype
         assert np.array_equal(row, single)
-        assert row.base.size <= max(n, _D_CHUNK)
+        assert (row if row.base is None else row.base).size <= max(n, _D_CHUNK)
     assert blocked_rng.bit_generator.state == single_rng.bit_generator.state
 
 
