@@ -20,9 +20,10 @@ writing iterates into a caller-owned buffer block by block) and summary
 ``deconvsim run`` under ``--pool none`` or ``average`` gives it a 2 MB
 block and writes each out, holding O(n) values instead of the trace.
 Above 2**15 values per row, each permutation is drawn one iteration
-ahead on one helper thread, with the same values and the same final
-generator state as drawing it in the step; the thread is joined when the
-chain ends, fails or is closed.
+ahead on one ``ThreadPoolExecutor`` worker, ``deconvsim-permutations_0``,
+with the same values and the same final generator state as drawing it
+in the step; the worker is joined when the chain ends, fails or is
+closed.  Only such a chain imports ``concurrent.futures``.
 
 Two deliberately bad estimators are included for comparison: the sorted
 difference (far too little spread) and the fully random difference (far
@@ -32,8 +33,6 @@ too much).
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +49,7 @@ from .variations import PoolingKind, equalize_lengths, smooth
 # the calls per run few.
 _D_CHUNK = 1 << 16
 
-# The name of the thread that draws a long chain's permutations ahead.
+# The thread name prefix of the worker that draws long rows ahead.
 _AHEAD_THREAD = "deconvsim-permutations"
 
 # Pooling kinds whose chain can run on a buffer smaller than the trace.
@@ -220,13 +219,14 @@ def _permutations(n: int, count: int, rng: np.random.Generator):
     ``rng.permuted`` call when its first row is asked for; ``permuted``
     shuffles each row with the same draws as ``permutation`` (pinned by
     a test).  Above that a block holds one row, and each row is drawn one
-    iteration ahead on one helper thread: when row t is handed over, the
-    helper starts to ``rng.shuffle`` a new ``arange(n)``, which is what
-    ``permutation`` does, into row t + 1.  ``shuffle`` releases the GIL,
-    so the draw overlaps the caller's step; two rows are alive at once,
-    both allocated on the calling thread.  The helper shuffles no more
-    than count rows, and is stopped and joined when the generator
-    finishes, raises or is closed; an exception it meets is raised here.
+    iteration ahead on the one worker of a ``ThreadPoolExecutor`` named
+    by ``_AHEAD_THREAD``: when row t is handed over, the worker starts to
+    ``rng.shuffle`` a new ``arange(n)``, which is what ``permutation``
+    does, into row t + 1.  ``shuffle`` releases the GIL, so the draw
+    overlaps the caller's step; two rows are alive at once, both
+    allocated on the calling thread.  The worker shuffles no more than
+    count rows, and is joined when the generator finishes, raises or is
+    closed; an exception it meets is raised here.
     """
     if n <= _D_CHUNK // 2:
         for _, rows in _blocks(n, count):
@@ -234,29 +234,19 @@ def _permutations(n: int, count: int, rng: np.random.Generator):
             yield from rng.permuted(block, axis=1, out=block)
         return
 
-    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+    # Imported here: concurrent.futures pulls in logging, which short rows never need.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def shuffle():
-        try:
-            while (row := todo.get()) is not None:
-                rng.shuffle(row)
-                done.put(row)
-        except BaseException as exc:
-            done.put(exc)
-
-    helper = threading.Thread(target=shuffle, name=_AHEAD_THREAD, daemon=True)
-    helper.start()
-    try:
-        todo.put(np.arange(n) if count else None)
+    with ThreadPoolExecutor(1, _AHEAD_THREAD) as helper:
+        ahead = np.arange(n)
+        drawn = helper.submit(rng.shuffle, ahead) if count else None
         for t in range(1, count + 1):
-            row = done.get()
-            if isinstance(row, BaseException):
-                raise row
-            todo.put(np.arange(n) if t < count else None)
+            drawn.result()  # re-raises what the worker met
+            row = ahead
+            if t < count:
+                ahead = np.arange(n)
+                drawn = helper.submit(rng.shuffle, ahead)
             yield row
-    finally:
-        todo.put(None)
-        helper.join()
 
 
 def _pool_picks(n: int, count: int, rng: np.random.Generator):
@@ -396,7 +386,7 @@ class Chain:
                 )
             yield self._record(start, buf[: iters + 1 - start])
         finally:
-            rperms.close()  # joins a helper thread that draws ahead
+            rperms.close()  # joins a worker that draws ahead
 
     def _record(self, start: int, block: np.ndarray) -> tuple[int, np.ndarray]:
         """Record d of a block, and add its iterates beyond the burn-in
@@ -460,11 +450,11 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     permutations and the pool indices are drawn in blocks of at most
     max(n, 2**16) elements, each when its first row is needed; above
     2**15 values per row, each permutation is instead drawn one iteration
-    ahead on one helper thread, joined when the chain ends, fails or is
-    closed.  Either way this gives the values of, and leaves each
-    generator in the state of, one draw per iteration.  The chain runs on
-    the whole trace as its one buffer, so each step writes its estimate
-    straight into its row of the trace.
+    ahead on one ``ThreadPoolExecutor`` worker, joined when the chain
+    ends, fails or is closed.  Either way this gives the values of, and
+    leaves each generator in the state of, one draw per iteration.  The
+    chain runs on the whole trace as its one buffer, so each step writes
+    its estimate straight into its row of the trace.
 
     Besides rejecting bad samples, raises InvalidInputError when the
     working vector could overflow float64, when the trace does not fit in

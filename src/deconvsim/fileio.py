@@ -429,13 +429,6 @@ def write_trace_block(fh, start: int, ys, d, violations, header: str) -> None:
         fh.write("".join(f"{h}{line}\n" for h, line in zip(heads[r : r + step], lines)))
 
 
-def write_trace_csv(path, trace, header: str) -> None:
-    """The trace CSV of a whole trace: rows are the initial estimate
-    (iter 0) then each iteration, written as one block."""
-    with open(path, "w", encoding="utf-8") as fh:
-        write_trace_block(fh, 0, trace.ys, trace.d, trace.violations, header)
-
-
 @contextmanager
 def replacing(path):
     """A new text file, open for writing, that becomes path only when the

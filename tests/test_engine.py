@@ -27,7 +27,7 @@ from deconvsim import (
     make_rng,
     run,
 )
-from conftest import every_draw, parent_repair, ranks
+from conftest import ahead_worker_alive, every_draw, parent_repair, ranks
 from deconvsim import engine, variations
 from deconvsim.adjusters import _repair
 from deconvsim.core import _uniform_indices
@@ -483,10 +483,6 @@ def test_run_with_permutations_drawn_ahead_matches_the_per_step_draw_loop(case):
     assert _same_bits(got.pooled, want.pooled)
 
 
-def _helper_alive() -> bool:
-    return any(t.name == _AHEAD_THREAD for t in threading.enumerate())
-
-
 def test_a_run_that_raises_leaves_no_helper_thread():
     # Every z - x is negative, so copy-min on [0, inf) has no donor and
     # the first step raises while the helper is drawing ahead.  The
@@ -500,7 +496,7 @@ def test_a_run_that_raises_leaves_no_helper_thread():
     )
     with pytest.raises(InfeasibleAdjustmentError) as info:
         run(x, x - 100.0, config)
-    assert not _helper_alive()
+    assert not ahead_worker_alive()
     assert info.traceback  # still held here
 
 
@@ -513,9 +509,9 @@ def test_closing_the_chain_after_its_first_block_joins_the_helper():
     blocks = chain.blocks(buf)
     start, block = next(blocks)
     assert (start, len(block)) == (0, 2)
-    assert _helper_alive()  # two of ten rows taken: it is still drawing
+    assert ahead_worker_alive()  # two of ten rows taken: it is still drawing
     blocks.close()
-    assert not _helper_alive()
+    assert not ahead_worker_alive()
 
 
 def test_an_error_in_the_helper_is_raised_in_the_chain():
@@ -531,7 +527,7 @@ def test_an_error_in_the_helper_is_raised_in_the_chain():
     assert np.array_equal(next(rows), np.arange(2**15 + 1))
     with pytest.raises(MemoryError, match="no room"):
         next(rows)
-    assert not _helper_alive()
+    assert not ahead_worker_alive()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 100, 1000, 65536, 200_000])
@@ -552,6 +548,35 @@ def test_blocked_permutations_equal_successive_draws(n):
         assert np.array_equal(row, single)
         assert (row if row.base is None else row.base).size <= max(n, _D_CHUNK)
     assert blocked_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("count, taken", [(0, 0), (10, 1), (10, 2), (10, 5)])
+def test_long_rows_closed_early_leave_one_row_drawn_ahead(monkeypatch, count, taken):
+    # Above 2**15 values the worker draws row t + 1 when row t is handed
+    # over, and no further: a source closed after k rows leaves rng as
+    # k + 1 permutation calls do, and one worker drew them.  With no rows
+    # to draw it draws nothing and starts no worker.
+    n = 2**15 + 1
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    rng, twin = make_rng(n), make_rng(n)
+    rows = _permutations(n, count, rng)
+    for _ in range(taken):
+        assert np.array_equal(next(rows), twin.permutation(n))
+    if count == 0:
+        assert next(rows, None) is None
+    rows.close()
+    if count:
+        twin.permutation(n)  # the row drawn ahead
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert len(started) == min(count, 1)
+    assert all(name.startswith(_AHEAD_THREAD) for name in started)
 
 
 def test_spawn_leaves_the_parent_stream_unchanged():

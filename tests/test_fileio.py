@@ -37,11 +37,17 @@ from deconvsim.fileio import (
     write_census_summary,
     write_qq_csv,
     write_sample,
-    write_trace_csv,
+    write_trace_block,
 )
 from deconvsim.smallcase import full_census
 
 from conftest import reference_trace_csv
+
+
+def _write_trace(path, trace):
+    """The trace CSV of a whole trace, written as one block, header "hdr"."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write_trace_block(fh, 0, trace.ys, trace.d, trace.violations, "hdr")
 
 
 def test_sample_round_trip(tmp_path):
@@ -298,7 +304,7 @@ def test_trace_csv_layout(tmp_path):
     x1, z0, _ = make_experiment("normal", 0)
     trace = run(x1, z0, DeconvConfig(iters=3, seed=0))
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, trace, header="hdr")
+    _write_trace(path, trace)
     lines = path.read_text().splitlines()
     assert lines[0] == "# hdr"
     cols = lines[1].split(",")
@@ -314,7 +320,7 @@ def test_trace_csv_writes_na_for_missing_d(tmp_path):
     v = np.sort(make_rng(0).normal(size=20))
     trace = run(v, v, DeconvConfig(iters=2, seed=0))
     path = tmp_path / "degenerate.csv"
-    write_trace_csv(path, trace, header="hdr")
+    _write_trace(path, trace)
     rows = path.read_text().splitlines()[2:]
     assert len(rows) == 3
     assert all(r.split(",")[1] == "NA" for r in rows)
@@ -469,7 +475,7 @@ def test_trace_csv_matches_one_repr_per_float(tmp_path, n, rows, with_d):
     # Whole rows per kernel call up to the block size, a row in blocks above.
     trace = _mixed_trace(n, rows, with_d)
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, trace, header="hdr")
+    _write_trace(path, trace)
     assert _first_difference(path.read_text(), reference_trace_csv(trace, "hdr")) is None
 
 
@@ -503,7 +509,7 @@ def test_cli_shaped_trace_rarely_falls_back_to_repr(tmp_path, monkeypatch):
         return builtins.repr(v)
 
     monkeypatch.setattr(fileio, "repr", counting_repr, raising=False)
-    write_trace_csv(tmp_path / "trace.csv", trace, header="hdr")
+    _write_trace(tmp_path / "trace.csv", trace)
     assert 0 < trace.ys.size and calls < 0.01 * trace.ys.size
 
 
@@ -577,7 +583,7 @@ def test_write_trace_csv_memory_is_bounded_by_a_row(tmp_path):
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        write_trace_csv(tmp_path / "trace.csv", trace, header="hdr")
+        _write_trace(tmp_path / "trace.csv", trace)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

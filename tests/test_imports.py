@@ -85,9 +85,6 @@ SRC_UNREFERENCED = {
     # The paper's two deliberately bad baselines, compared in criterion 3.
     "engine.naive_sorted_difference",
     "engine.naive_random_difference",
-    # The trace CSV of a trace that run() returns, for library callers:
-    # the one-block case of write_trace_block, which the CLI streams.
-    "fileio.write_trace_csv",
 }
 SRC_UNREAD_METHODS = {
     # Read only by perfbench; goes with item 11's record type.
