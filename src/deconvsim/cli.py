@@ -81,12 +81,15 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--z", required=True, help="file with the z sample")
     p.add_argument("--out", required=True, help="trace CSV output path")
     p.add_argument("--pooled-out", help="optional file for the pooled estimate")
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--burn-in", type=int, default=4)
+    p.add_argument("--iters", type=int, default=100, help="chain steps T (default: %(default)s)")
+    p.add_argument(
+        "--burn-in", type=int, default=4, help="steps left out of pooling (default: %(default)s)"
+    )
     p.add_argument(
         "--adjust",
         choices=[p.value for p in AdjustPolicy],
         default=AdjustPolicy.NONE.value,
+        help="repair of values outside the support (default: %(default)s)",
     )
     p.add_argument("--support", default="-inf:inf", help="support bounds LO:HI")
     p.add_argument(
@@ -106,12 +109,16 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         "--pool",
         choices=[k.value for k in PoolingKind],
         default=PoolingKind.NONE.value,
+        help="pooling of the steps after the burn-in (default: %(default)s)",
     )
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help="seed of the run (default: %(default)s)"
+    )
     p.add_argument(
         "--tie-rule",
         choices=[t.value for t in TieRule],
         default=TieRule.FIRST_OCCURRENCE.value,
+        help="order of tied values when ranking (default: %(default)s)",
     )
 
 

@@ -19,11 +19,12 @@ writing iterates into a caller-owned buffer block by block) and summary
 (pooling).  ``run`` gives the chain the whole trace as one block;
 ``deconvsim run`` under ``--pool none`` or ``average`` gives it a 2 MB
 block and writes each out, holding O(n) values instead of the trace.
-Above 2**15 values per row, each permutation is drawn one iteration
-ahead on one ``ThreadPoolExecutor`` worker, ``deconvsim-permutations_0``,
-with the same values and the same final generator state as drawing it
-in the step; the worker is joined when the chain ends, fails or is
-closed.  Only such a chain imports ``concurrent.futures``.
+From 1 024 values per row, each block of permutations is drawn one
+block ahead on one ``ThreadPoolExecutor`` worker, ``deconvsim-permutations_0``,
+with the values and final generator state of one draw per step; the
+worker is joined when the chain ends, fails or is closed (closed early,
+up to one block is drawn ahead).  Only such a chain imports
+``concurrent.futures``.
 
 Two deliberately bad estimators are included for comparison: the sorted
 difference (far too little spread) and the fully random difference (far
@@ -49,7 +50,10 @@ from .variations import PoolingKind, equalize_lengths, smooth
 # the calls per run few.
 _D_CHUNK = 1 << 16
 
-# The thread name prefix of the worker that draws long rows ahead.
+# Values per row from which permutations are drawn a block ahead on a
+# worker thread, named by the prefix below.  On a 2-core host this took 9 %
+# off a copy-min chain at n = 1 024, 24 % at 10 000 and nothing at 256.
+_AHEAD_MIN = 1 << 10
 _AHEAD_THREAD = "deconvsim-permutations"
 
 # Pooling kinds whose chain can run on a buffer smaller than the trace.
@@ -215,20 +219,22 @@ def _permutations(n: int, count: int, rng: np.random.Generator):
     ``rng.permutation(n)`` calls, as long as nothing else draws from rng
     until the last row is taken or the generator is closed.
 
-    Up to 2**15 values per row, a block of rows is drawn by one
-    ``rng.permuted`` call when its first row is asked for; ``permuted``
-    shuffles each row with the same draws as ``permutation`` (pinned by
-    a test).  Above that a block holds one row, and each row is drawn one
-    iteration ahead on the one worker of a ``ThreadPoolExecutor`` named
-    by ``_AHEAD_THREAD``: when row t is handed over, the worker starts to
-    ``rng.shuffle`` a new ``arange(n)``, which is what ``permutation``
-    does, into row t + 1.  ``shuffle`` releases the GIL, so the draw
-    overlaps the caller's step; two rows are alive at once, both
-    allocated on the calling thread.  The worker shuffles no more than
-    count rows, and is joined when the generator finishes, raises or is
-    closed; an exception it meets is raised here.
+    Each block of rows, a tiled ``arange(n)``, is drawn by one
+    ``rng.permuted`` call; ``permuted`` shuffles each row with the same
+    draws as ``permutation`` (pinned by a test).  Below ``_AHEAD_MIN``
+    values per row a block is drawn when its first row is asked for.
+    From ``_AHEAD_MIN`` on, it is drawn one block ahead on the one worker
+    of a ``ThreadPoolExecutor`` named by ``_AHEAD_THREAD``: when the
+    first row of a block is handed over, the worker is already drawing
+    the next block, allocated on the calling thread.  ``permuted``
+    releases the GIL for the whole block, so the draw overlaps the
+    caller's steps; two blocks are alive at once.  Above 2**15 values a
+    block is one row.  The worker draws no more than count rows (closed
+    early, the rows of every block handed over plus one block), starts
+    only if there is a row to draw, and is joined when the generator
+    finishes, raises or is closed; an exception it meets is raised here.
     """
-    if n <= _D_CHUNK // 2:
+    if n < _AHEAD_MIN:
         for _, rows in _blocks(n, count):
             block = np.tile(np.arange(n), (rows, 1))
             yield from rng.permuted(block, axis=1, out=block)
@@ -238,15 +244,15 @@ def _permutations(n: int, count: int, rng: np.random.Generator):
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1, _AHEAD_THREAD) as helper:
-        ahead = np.arange(n)
-        drawn = helper.submit(rng.shuffle, ahead) if count else None
-        for t in range(1, count + 1):
-            drawn.result()  # re-raises what the worker met
-            row = ahead
-            if t < count:
-                ahead = np.arange(n)
-                drawn = helper.submit(rng.shuffle, ahead)
-            yield row
+        drawn = None
+        for _, rows in _blocks(n, count):
+            block = np.tile(np.arange(n), (rows, 1))
+            ahead = helper.submit(rng.permuted, block, axis=1, out=block)
+            if drawn is not None:
+                yield from drawn.result()  # re-raises what the worker met
+            drawn = ahead
+        if drawn is not None:
+            yield from drawn.result()
 
 
 def _pool_picks(n: int, count: int, rng: np.random.Generator):
@@ -448,11 +454,11 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     pool indices are ``floor(u * high)`` of ``Generator.random`` draws
     u, each index within 2**-52 of uniform.  The
     permutations and the pool indices are drawn in blocks of at most
-    max(n, 2**16) elements, each when its first row is needed; above
-    2**15 values per row, each permutation is instead drawn one iteration
-    ahead on one ``ThreadPoolExecutor`` worker, joined when the chain
-    ends, fails or is closed.  Either way this gives the values of, and
-    leaves each generator in the state of, one draw per iteration.  The
+    max(n, 2**16) elements, each when its first row is needed; from
+    1 024 values per row, each block of permutations is instead drawn one
+    block ahead on one ``ThreadPoolExecutor`` worker, joined when the
+    chain ends, fails or is closed.  Either way this gives the values of,
+    and leaves each generator in the state of, one draw per iteration.  The
     chain runs on the whole trace as its one buffer, so each step writes
     its estimate straight into its row of the trace.
 

@@ -82,6 +82,20 @@ def no_ahead_worker_left():
     assert not ahead_worker_alive()
 
 
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The names of the threads started during the test, in order."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
 def ranks(v, tie_rule=TieRule.FIRST_OCCURRENCE, rng=None):
     """0-based ranks of the float64 vector v under tie_rule: the inverse of
     the permutation the engine's ``_sort_order`` gives, so that

@@ -14,13 +14,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deconvsim import AdjustPolicy, DeconvConfig, PoolingKind, PoolingMode, __version__, cli, run
+from deconvsim import (
+    AdjustPolicy,
+    DeconvConfig,
+    PoolingKind,
+    PoolingMode,
+    __version__,
+    cli,
+    engine,
+    run,
+)
 from deconvsim.cli import main, parse_equalize, parse_support
 from deconvsim.errors import ConfigError, InfeasibleAdjustmentError, InvalidInputError
 from deconvsim.fileio import make_header, read_sample
 from deconvsim.variations import EqualizeKind
 
-from conftest import reference_trace_csv
+from conftest import ahead_worker_alive, reference_trace_csv
 
 
 def _simulate(tmp_path, experiment="normal", seed=7):
@@ -332,6 +341,29 @@ def test_run_failing_inside_the_chain_leaves_no_file(tmp_path, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err == "error: policy 'copy-min' needs at least one in-support value\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_run_failing_inside_a_chain_drawn_ahead_leaves_no_file_and_no_worker(
+    tmp_path, capsys, started_threads
+):
+    # At n = 2 000 the permutations are drawn a block ahead on a worker
+    # thread; every z - x is negative, so copy-min raises at the first
+    # step, with the worker started and the trace file open.
+    x_path = _write_values(tmp_path / "x.txt", range(10_000, 12_000))
+    z_path = _write_values(tmp_path / "z.txt", range(2_000))
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "t.csv"
+    code = main(
+        ["run", "--x", x_path, "--z", z_path, "--out", str(out),
+         "--adjust", "copy-min", "--support", "0:inf"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: policy 'copy-min' needs at least one in-support value\n"
+    assert sorted(tmp_path.iterdir()) == before
+    assert len(started_threads) == 1
+    assert started_threads[0].startswith(engine._AHEAD_THREAD)
+    assert not ahead_worker_alive()
 
 
 def test_run_trace_file_has_the_mode_of_open_for_writing(tmp_path, capsys):
@@ -661,3 +693,20 @@ def test_an_argument_that_is_not_utf8_is_escaped_in_every_header(tmp_path, capsy
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_run_help_names_each_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # no help text is wrapped
+    assert main(["run", "--help"]) == 0
+    # An entry starts at a line indented by two spaces and a dash.
+    entries = [" ".join(e.split()) for e in capsys.readouterr().out.split("\n  -")]
+    for flag, default in [
+        ("--iters", "100"),
+        ("--burn-in", "4"),
+        ("--adjust", "none"),
+        ("--pool", "none"),
+        ("--seed", "1729"),
+        ("--tie-rule", "first-occurrence"),
+    ]:
+        [entry] = [e for e in entries if e.startswith(f"{flag[1:]} ")]
+        assert entry.endswith(f"(default: {default})"), entry

@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-import threading
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -448,23 +447,16 @@ _LONG_ROW_CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "case",
-    range(len(_LONG_ROW_CASES)),
-    ids=[f"{p.value}-{k.value}-{t.value}-{s}" for p, k, t, s in _LONG_ROW_CASES],
-)
-def test_run_with_permutations_drawn_ahead_matches_the_per_step_draw_loop(case):
-    # At n = 40 000 > 2**15 each permutation is drawn ahead on the helper
-    # thread.  z = x' + Exp(1) as above; T runs over 4, 5 and 6.
+def _matches_the_per_step_draw_loop(case, n, iters):
+    # z = x' + Exp(1) as above.
     policy, kind, tie_rule, smoothing = _LONG_ROW_CASES[case]
-    n = 40_000
     g = np.random.default_rng(n)
     x = g.normal(0.0, 1.0, n)
     z = g.normal(0.0, 1.0, n) + g.exponential(1.0, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # bounded support under NONE
         config = DeconvConfig(
-            iters=4 + case % 3,
+            iters=iters,
             adjust=policy,
             support=SupportConstraint(0.0, np.inf),
             smoothing=_SMOOTHINGS[smoothing],
@@ -481,6 +473,25 @@ def test_run_with_permutations_drawn_ahead_matches_the_per_step_draw_loop(case):
     assert _same_bits(got.d, want.d)
     assert _same_bits(got.violations, want.violations)
     assert _same_bits(got.pooled, want.pooled)
+
+
+_CASE_IDS = [f"{p.value}-{k.value}-{t.value}-{s}" for p, k, t, s in _LONG_ROW_CASES]
+
+
+@pytest.mark.parametrize("case", range(len(_LONG_ROW_CASES)), ids=_CASE_IDS)
+def test_run_with_permutations_drawn_ahead_matches_the_per_step_draw_loop(case):
+    # At n = 40 000 > 2**15 a block is one permutation, drawn one step
+    # ahead on the worker; T runs over 4, 5 and 6.
+    _matches_the_per_step_draw_loop(case, 40_000, 4 + case % 3)
+
+
+@pytest.mark.parametrize("n", [2_000, 10_000])
+@pytest.mark.parametrize("case", range(len(_LONG_ROW_CASES)), ids=_CASE_IDS)
+def test_run_with_blocks_drawn_ahead_matches_the_per_step_draw_loop(case, n):
+    # A block holds 32 rows at n = 2 000 and 6 at n = 10 000, each drawn
+    # one block ahead on the worker; T spans two full blocks and a short one.
+    rows = _D_CHUNK // n
+    _matches_the_per_step_draw_loop(case, n, 2 * rows + 1 + case % 3)
 
 
 def test_a_run_that_raises_leaves_no_helper_thread():
@@ -514,30 +525,36 @@ def test_closing_the_chain_after_its_first_block_joins_the_helper():
     assert not ahead_worker_alive()
 
 
-def test_an_error_in_the_helper_is_raised_in_the_chain():
+@pytest.mark.parametrize("n", [10_000, 2**15 + 1])
+def test_an_error_in_the_helper_is_raised_in_the_chain(n):
+    # The worker draws the second block (6 rows, or 1) while the first
+    # is handed over, and fails.
     class FailsSecond:
         calls = 0
 
-        def shuffle(self, row):
+        def permuted(self, block, axis, out):
             self.calls += 1
             if self.calls == 2:
                 raise MemoryError("no room for a permutation")
+            return out
 
-    rows = _permutations(2**15 + 1, 3, FailsSecond())
-    assert np.array_equal(next(rows), np.arange(2**15 + 1))
+    per_block = max(1, _D_CHUNK // n)
+    rows = _permutations(n, 3 * per_block, FailsSecond())
+    for _ in range(per_block):
+        assert np.array_equal(next(rows), np.arange(n))
     with pytest.raises(MemoryError, match="no room"):
         next(rows)
     assert not ahead_worker_alive()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 100, 1000, 65536, 200_000])
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 1000, 1024, 10_000, 2**15, 65536, 200_000])
 def test_blocked_permutations_equal_successive_draws(n):
     # NumPy's Generator.permuted shuffles each row with the draws
     # Generator.permutation makes, so a block of k rows equals k
     # successive calls and leaves the generator in the same state.  One
     # more permutation than a block holds makes the last block short.
-    # Above 2**15 values a block is one row, a lone permutation (no base)
-    # drawn ahead on the helper thread.
+    # From 1 024 values each block is drawn ahead on the worker; above
+    # 2**15 a block is one row.
     count = max(1, _D_CHUNK // n) + 1
     blocked_rng, single_rng = make_rng(n), make_rng(n)
     rows = list(_permutations(n, count, blocked_rng))
@@ -550,21 +567,10 @@ def test_blocked_permutations_equal_successive_draws(n):
     assert blocked_rng.bit_generator.state == single_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("count, taken", [(0, 0), (10, 1), (10, 2), (10, 5)])
-def test_long_rows_closed_early_leave_one_row_drawn_ahead(monkeypatch, count, taken):
-    # Above 2**15 values the worker draws row t + 1 when row t is handed
-    # over, and no further: a source closed after k rows leaves rng as
-    # k + 1 permutation calls do, and one worker drew them.  With no rows
-    # to draw it draws nothing and starts no worker.
-    n = 2**15 + 1
-    started = []
-    start = threading.Thread.start
-
-    def recording_start(thread):
-        started.append(thread.name)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", recording_start)
+def _closed_early(started, n, count, taken, drawn):
+    """Take ``taken`` of ``count`` rows of n and close the source: rng is
+    then in the state of ``drawn`` permutation calls, and one worker
+    started if a row was taken (``started``: the threads' names)."""
     rng, twin = make_rng(n), make_rng(n)
     rows = _permutations(n, count, rng)
     for _ in range(taken):
@@ -572,11 +578,31 @@ def test_long_rows_closed_early_leave_one_row_drawn_ahead(monkeypatch, count, ta
     if count == 0:
         assert next(rows, None) is None
     rows.close()
-    if count:
-        twin.permutation(n)  # the row drawn ahead
+    for _ in range(drawn - taken):
+        twin.permutation(n)  # the rows drawn ahead
     assert rng.bit_generator.state == twin.bit_generator.state
-    assert len(started) == min(count, 1)
+    assert len(started) == min(taken, 1)
     assert all(name.startswith(_AHEAD_THREAD) for name in started)
+
+
+@pytest.mark.parametrize("count, taken", [(0, 0), (10, 1), (10, 2), (10, 5)])
+def test_long_rows_closed_early_leave_one_row_drawn_ahead(started_threads, count, taken):
+    # Above 2**15 values the worker draws row t + 1 when row t is handed
+    # over, and no further: a source closed after k rows leaves rng as
+    # k + 1 permutation calls do, and one worker drew them.  With no rows
+    # to draw it draws nothing and starts no worker.
+    _closed_early(started_threads, 2**15 + 1, count, taken, min(count, taken + 1))
+
+
+@pytest.mark.parametrize("count, taken", [(0, 0), (20, 1), (20, 6), (20, 7), (20, 13)])
+def test_blocks_closed_early_leave_one_block_drawn_ahead(started_threads, count, taken):
+    # At n = 10 000 a block holds 6 rows (the last of 20 holds 2), and the
+    # worker draws block b + 1 when the first row of block b is handed
+    # over: a source closed after k rows leaves rng as the rows of every
+    # block handed over plus one block do, capped at count.
+    rows = _D_CHUNK // 10_000
+    assert rows == 6
+    _closed_early(started_threads, 10_000, count, taken, min(count, (-(-taken // rows) + 1) * rows))
 
 
 def test_spawn_leaves_the_parent_stream_unchanged():

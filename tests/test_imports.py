@@ -1,6 +1,7 @@
 """Every name imported by a package module or a test module is used,
 every name a package module defines at module level is used somewhere,
 and every public package function is reached from the package itself.
+A short run loads neither ``concurrent.futures`` nor ``logging``.
 
 No linter is part of the toolchain, so these AST scans stand in for one.
 ``__init__.py`` is skipped by the import scan: its imports are the
@@ -8,6 +9,9 @@ re-exported package API.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,3 +165,31 @@ def test_every_public_function_is_referenced_by_src():
     }
     assert sorted(unread - SRC_UNREAD_METHODS) == []
     assert sorted(SRC_UNREAD_METHODS - unread) == []  # no stale entry
+
+
+# Imports the CLI, makes one run of n values and prints which of the two
+# modules, loaded only for a chain drawn ahead on a worker, are loaded.
+_LOADED_AFTER_A_RUN = """
+import sys
+import numpy as np
+import deconvsim.cli
+from deconvsim import DeconvConfig, run
+x = np.random.default_rng(0).normal(size={n})
+run(x, 2.0 * x, DeconvConfig(iters=5))
+print(sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "n, loaded", [(100, []), (1024, ["concurrent.futures", "logging"])], ids=["n=100", "n=1024"]
+)
+def test_only_a_chain_drawn_ahead_imports_concurrent_futures(n, loaded):
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_A_RUN.format(n=n)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == f"{loaded}\n"
