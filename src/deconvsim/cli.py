@@ -91,19 +91,27 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         default=AdjustPolicy.NONE.value,
         help="repair of values outside the support (default: %(default)s)",
     )
-    p.add_argument("--support", default="-inf:inf", help="support bounds LO:HI")
     p.add_argument(
-        "--equalize", default="tile", help="tile | subsample | bootstrap:N"
+        "--support", default="-inf:inf", help="support bounds LO:HI (default: %(default)s)"
     )
-    p.add_argument("--smooth-xi", type=float, default=0.0, help="sd of noise on x")
-    p.add_argument("--smooth-eta", type=float, default=0.0, help="sd of noise on y")
-    p.add_argument("--smooth-zeta", type=float, default=0.0, help="sd of noise on z")
+    p.add_argument(
+        "--equalize",
+        default="tile",
+        help="tile | subsample | bootstrap:N (default: %(default)s)",
+    )
+    for name, of in (("xi", "x"), ("eta", "y"), ("zeta", "z")):
+        p.add_argument(
+            f"--smooth-{name}",
+            type=float,
+            default=0.0,
+            help=f"sd of noise on {of} (default: %(default)s)",
+        )
     p.add_argument(
         "--smooth-fresh",
         type=int,
         choices=(0, 1),
         default=1,
-        help="1: fresh noise each step; 0: one draw reused",
+        help="1: fresh noise each step; 0: one draw reused (default: %(default)s)",
     )
     p.add_argument(
         "--pool",

@@ -213,13 +213,20 @@ def _blocks(n: int, count: int):
         yield start, min(rows, count - start)
 
 
+def _identity_rows(n: int, rows: int) -> np.ndarray:
+    """rows copies of arange(n) as a (rows, n) block; one row is the
+    arange itself, which ``np.tile`` would copy."""
+    row = np.arange(n)
+    return row[None] if rows == 1 else np.tile(row, (rows, 1))
+
+
 def _permutations(n: int, count: int, rng: np.random.Generator):
     """Yield count uniform permutations of 0..n-1 from rng, the values of,
     and leaving rng in the state of, count successive
     ``rng.permutation(n)`` calls, as long as nothing else draws from rng
     until the last row is taken or the generator is closed.
 
-    Each block of rows, a tiled ``arange(n)``, is drawn by one
+    Each block of rows of ``arange(n)`` is drawn by one
     ``rng.permuted`` call; ``permuted`` shuffles each row with the same
     draws as ``permutation`` (pinned by a test).  Below ``_AHEAD_MIN``
     values per row a block is drawn when its first row is asked for.
@@ -236,7 +243,7 @@ def _permutations(n: int, count: int, rng: np.random.Generator):
     """
     if n < _AHEAD_MIN:
         for _, rows in _blocks(n, count):
-            block = np.tile(np.arange(n), (rows, 1))
+            block = _identity_rows(n, rows)
             yield from rng.permuted(block, axis=1, out=block)
         return
 
@@ -246,7 +253,7 @@ def _permutations(n: int, count: int, rng: np.random.Generator):
     with ThreadPoolExecutor(1, _AHEAD_THREAD) as helper:
         drawn = None
         for _, rows in _blocks(n, count):
-            block = np.tile(np.arange(n), (rows, 1))
+            block = _identity_rows(n, rows)
             ahead = helper.submit(rng.permuted, block, axis=1, out=block)
             if drawn is not None:
                 yield from drawn.result()  # re-raises what the worker met

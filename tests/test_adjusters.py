@@ -300,6 +300,65 @@ def test_repair_matches_the_two_sided_masks_byte_for_byte(policy, support):
                             assert not support.violations(out).any(), label
 
 
+# ABSOLUTE on a half-line bounded at zero folds with np.abs before its one
+# sort, unless the vector holds a zero of the sign np.abs (or its mirror)
+# would flip.
+HALF_LINES_AT_ZERO = [
+    SupportConstraint(0.0, math.inf),
+    SupportConstraint(-0.0, math.inf),
+    SupportConstraint(-math.inf, 0.0),
+    SupportConstraint(-math.inf, -0.0),
+]
+
+
+def _assert_absolute_matches_the_parent(v, support, label):
+    # Zeros are compared as 0.0 where both signs meet, as in the test above.
+    position = np.array(v, dtype=np.float64)
+    parent_repair(position, AdjustPolicy.ABSOLUTE, support, None)
+    signed = not _mixed_zeros(position)
+    expected, got = (
+        _outcome(repair, v, AdjustPolicy.ABSOLUTE, support, None, signed)
+        for repair in (_sortedparent_repair, _repair)
+    )
+    assert got == expected, label
+
+
+@pytest.mark.parametrize("support", HALF_LINES_AT_ZERO, ids=lambda s: f"{s.lower}:{s.upper}")
+@pytest.mark.parametrize("zero", [-0.0, 0.0])
+@pytest.mark.parametrize("n", [3, 1023, 1024, 1025, 5000])
+def test_absolute_on_a_half_line_keeps_the_sign_of_its_zeros(n, zero, support):
+    # Every zero has one sign: where np.abs (or -np.abs) would flip it,
+    # the repair must take the fold-after-sort path; elsewhere it folds
+    # before the sort.  Either way the bytes are the parent's.
+    g = np.random.default_rng(n)
+    v = g.normal(0.0, 2.0, n)
+    v[g.random(n) < 0.2] = zero
+    special = g.random(n) < 0.1
+    v[special] = g.choice([5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0], special.sum())
+    _assert_absolute_matches_the_parent(v, support, (n, zero))
+    # Without violators, and with nothing but violators and zeros.
+    side = 1.0 if support.float_bounds[1] == math.inf else -1.0
+    _assert_absolute_matches_the_parent(side * np.abs(v), support, (n, zero, "inside"))
+    outside = -side * np.abs(v)
+    outside[v == 0] = zero
+    _assert_absolute_matches_the_parent(outside, support, (n, zero, "outside"))
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308]),
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from(HALF_LINES_AT_ZERO),
+)
+def test_absolute_on_a_half_line_matches_the_parent_byte_for_byte(v, support):
+    _assert_absolute_matches_the_parent(v, support, v)
+
+
 def _law(repair, v, support):
     """Counter of the sorted outputs of ``repair(copy of v, RESAMPLE,
     support, rng)`` over every donor draw (see ``conftest.every_draw``)."""

@@ -707,6 +707,12 @@ def test_run_help_names_each_default(capsys, monkeypatch):
         ("--pool", "none"),
         ("--seed", "1729"),
         ("--tie-rule", "first-occurrence"),
+        ("--support", "-inf:inf"),
+        ("--equalize", "tile"),
+        ("--smooth-xi", "0.0"),
+        ("--smooth-eta", "0.0"),
+        ("--smooth-zeta", "0.0"),
+        ("--smooth-fresh", "1"),
     ]:
         [entry] = [e for e in entries if e.startswith(f"{flag[1:]} ")]
         assert entry.endswith(f"(default: {default})"), entry
