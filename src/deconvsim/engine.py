@@ -19,12 +19,9 @@ writing iterates into a caller-owned buffer block by block) and summary
 (pooling).  ``run`` gives the chain the whole trace as one block;
 ``deconvsim run`` under ``--pool none`` or ``average`` gives it a 2 MB
 block and writes each out, holding O(n) values instead of the trace.
-From 1 024 values per row, each block of permutations is drawn one
-block ahead on one ``ThreadPoolExecutor`` worker, ``deconvsim-permutations_0``,
-with the values and final generator state of one draw per step; the
-worker is joined when the chain ends, fails or is closed (closed early,
-up to one block is drawn ahead).  Only such a chain imports
-``concurrent.futures``.
+The permutations are drawn in blocks on the calling thread, with the
+values and final generator state of one draw per step; a run starts no
+thread.
 
 Two deliberately bad estimators are included for comparison: the sorted
 difference (far too little spread) and the fully random difference (far
@@ -49,12 +46,6 @@ from .variations import PoolingKind, equalize_lengths, smooth
 # permutations or pool picks: bounds each temporary (512 KB) while keeping
 # the calls per run few.
 _D_CHUNK = 1 << 16
-
-# Values per row from which permutations are drawn a block ahead on a
-# worker thread, named by the prefix below.  On a 2-core host this took 9 %
-# off a copy-min chain at n = 1 024, 24 % at 10 000 and nothing at 256.
-_AHEAD_MIN = 1 << 10
-_AHEAD_THREAD = "deconvsim-permutations"
 
 # Pooling kinds whose chain can run on a buffer smaller than the trace.
 _STREAMED = (PoolingKind.NONE, PoolingKind.AVERAGE)
@@ -226,40 +217,15 @@ def _permutations(n: int, count: int, rng: np.random.Generator):
     ``rng.permutation(n)`` calls, as long as nothing else draws from rng
     until the last row is taken or the generator is closed.
 
-    Each block of rows of ``arange(n)`` is drawn by one
-    ``rng.permuted`` call; ``permuted`` shuffles each row with the same
-    draws as ``permutation`` (pinned by a test).  Below ``_AHEAD_MIN``
-    values per row a block is drawn when its first row is asked for.
-    From ``_AHEAD_MIN`` on, it is drawn one block ahead on the one worker
-    of a ``ThreadPoolExecutor`` named by ``_AHEAD_THREAD``: when the
-    first row of a block is handed over, the worker is already drawing
-    the next block, allocated on the calling thread.  ``permuted``
-    releases the GIL for the whole block, so the draw overlaps the
-    caller's steps; two blocks are alive at once.  Above 2**15 values a
-    block is one row.  The worker draws no more than count rows (closed
-    early, the rows of every block handed over plus one block), starts
-    only if there is a row to draw, and is joined when the generator
-    finishes, raises or is closed; an exception it meets is raised here.
+    Each block of rows of ``arange(n)`` is drawn by one ``rng.permuted``
+    call when its first row is asked for; ``permuted`` shuffles each row
+    with the same draws as ``permutation`` (pinned by a test).  Above
+    2**15 values a block is one row.  Closed early, rng has drawn the
+    rows of every block handed over.
     """
-    if n < _AHEAD_MIN:
-        for _, rows in _blocks(n, count):
-            block = _identity_rows(n, rows)
-            yield from rng.permuted(block, axis=1, out=block)
-        return
-
-    # Imported here: concurrent.futures pulls in logging, which short rows never need.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1, _AHEAD_THREAD) as helper:
-        drawn = None
-        for _, rows in _blocks(n, count):
-            block = _identity_rows(n, rows)
-            ahead = helper.submit(rng.permuted, block, axis=1, out=block)
-            if drawn is not None:
-                yield from drawn.result()  # re-raises what the worker met
-            drawn = ahead
-        if drawn is not None:
-            yield from drawn.result()
+    for _, rows in _blocks(n, count):
+        block = _identity_rows(n, rows)
+        yield from rng.permuted(block, axis=1, out=block)
 
 
 def _pool_picks(n: int, count: int, rng: np.random.Generator):
@@ -367,39 +333,36 @@ class Chain:
             flat = buf.reshape(-1)
             picks = _pool_picks(n, iters, self._rng.spawn(1)[0])
         rperms = _permutations(n, iters, self._rng)
-        try:
-            start = 0
-            for t in range(1, iters + 1):
-                i = t - start
-                if i == rows:
-                    yield self._record(start, buf)
-                    start, i = t, 0
-                if picks is not None:
-                    oldy = flat[next(picks)]
-                    oldy.sort()
-                else:
-                    oldy = buf[i - 1]  # at i = 0, the last row of the block before
+        start = 0
+        for t in range(1, iters + 1):
+            i = t - start
+            if i == rows:
+                yield self._record(start, buf)
+                start, i = t, 0
+            if picks is not None:
+                oldy = flat[next(picks)]
+                oldy.sort()
+            else:
+                oldy = buf[i - 1]  # at i = 0, the last row of the block before
 
-                if fresh:
-                    x_eff, w_noise, z_eff = smooth(sortx, sortz, sm, draws)
-                else:
-                    x_eff, w_noise, z_eff = sortx, eta_once, sortz
+            if fresh:
+                x_eff, w_noise, z_eff = smooth(sortx, sortz, sm, draws)
+            else:
+                x_eff, w_noise, z_eff = sortx, eta_once, sortz
 
-                _, self.violations[t] = step(
-                    x_eff,
-                    z_eff,
-                    oldy,
-                    next(rperms),
-                    draws,
-                    config.adjust,
-                    config.support,
-                    config.tie_rule,
-                    w_noise,
-                    buf[i],
-                )
-            yield self._record(start, buf[: iters + 1 - start])
-        finally:
-            rperms.close()  # joins a worker that draws ahead
+            _, self.violations[t] = step(
+                x_eff,
+                z_eff,
+                oldy,
+                next(rperms),
+                draws,
+                config.adjust,
+                config.support,
+                config.tie_rule,
+                w_noise,
+                buf[i],
+            )
+        yield self._record(start, buf[: iters + 1 - start])
 
     def _record(self, start: int, block: np.ndarray) -> tuple[int, np.ndarray]:
         """Record d of a block, and add its iterates beyond the burn-in
@@ -460,14 +423,12 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     its second child draws each iteration's pool indices.  Donors and
     pool indices are ``floor(u * high)`` of ``Generator.random`` draws
     u, each index within 2**-52 of uniform.  The
-    permutations and the pool indices are drawn in blocks of at most
-    max(n, 2**16) elements, each when its first row is needed; from
-    1 024 values per row, each block of permutations is instead drawn one
-    block ahead on one ``ThreadPoolExecutor`` worker, joined when the
-    chain ends, fails or is closed.  Either way this gives the values of,
-    and leaves each generator in the state of, one draw per iteration.  The
-    chain runs on the whole trace as its one buffer, so each step writes
-    its estimate straight into its row of the trace.
+    permutations and the pool indices are drawn on the calling thread in
+    blocks of at most max(n, 2**16) elements, each when its first row is
+    needed.  This gives the values of, and leaves each generator in the
+    state of, one draw per iteration.  The chain runs on the whole trace
+    as its one buffer, so each step writes its estimate straight into its
+    row of the trace.  A run starts no thread.
 
     Besides rejecting bad samples, raises InvalidInputError when the
     working vector could overflow float64, when the trace does not fit in

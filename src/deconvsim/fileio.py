@@ -15,8 +15,10 @@ whose mantissa is not a power of two, the kernel works like this:
   product X = |v| * 10**q is held exactly as hi + lo by Dekker's
   two-product (1971): 10**q is an exact double for q <= 22.  So the
   17-digit rounding m17 of X and the remainder r = X - m17 are exact.
-* The 16- and 15-digit roundings come from ``m17 % 10`` and
-  ``m17 % 100`` compared with r, ties to even, never by rounding twice.
+* The 16- and 15-digit roundings of m17, ties to even and never by
+  rounding twice, depend on ``m17 % 1000`` and the sign of r alone.  Two
+  tables of 3 000 deltas, one per rounding, hold them, indexed by
+  ``3 * (m17 % 1000) + sign(r) + 1``.
 * A candidate reads back as v when its distance to X is below half an
   ulp of v scaled by 10**q, ``ldexp(10**q, exp2 - 54)``; the mantissa is
   not a power of two, so the two neighbours of v are equally far.
@@ -115,6 +117,26 @@ def _groups4(m: np.ndarray, count: int) -> list[np.ndarray]:
     return out[::-1]
 
 
+def _round_deltas(step: int) -> np.ndarray:
+    """candidate - m17 for m17 rounded to a multiple of step (10 or 100),
+    ties to even, at index 3 * (m17 % 1000) + sign(r) + 1, where r = X - m17
+    and |r| <= 1/2.
+
+    With rem = m17 - quo * step, X - quo * step = rem + r, and step and
+    2 * rem are even, so X lies above the midpoint exactly when
+    2 * rem + sign(r) > step, and on it when the two are equal; adding
+    quo & 1 then rounds a tie to even.  rem and the parity of quo depend
+    on m17 % 1000 alone, as 1000 / step is even."""
+    m = np.arange(1000).repeat(3)
+    sign_r = np.tile([-1, 0, 1], 1000)
+    quo = m // step
+    key = 2 * (m - quo * step) + sign_r + (quo & 1)
+    return (quo + (key > step)) * step - m
+
+
+_ROUND16, _ROUND15 = _round_deltas(10), _round_deltas(100)
+
+
 def _shortest_digits(a: np.ndarray, exp2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shortest round-trip digits of each a in [1e-4, 1e16) whose mantissa
     is not a power of two (see the module docstring); exp2 is the binary
@@ -166,34 +188,34 @@ def _shortest_digits(a: np.ndarray, exp2: np.ndarray) -> tuple[np.ndarray, np.nd
     half_ulp = np.ldexp(p, exp2 - 54)
     del p
 
-    # With rem = m17 - quo * step, X - quo * step = rem + r, |r| <= 1/2,
-    # and step and 2 * rem are even, so X lies above the midpoint exactly
-    # when 2 * rem + sign(r) > step, and on it when the two are equal;
-    # adding quo & 1 then rounds a tie to even.
-    sign_r = np.sign(r).astype(np.int64)
+    index = m17 // 1000
+    index *= -1000
+    index += m17
+    index *= 3
+    index += 1
+    index += r > 0
+    index -= r < 0  # 3 * (m17 % 1000) + sign(r) + 1
 
-    def candidate(step):
-        """m17 rounded to a multiple of step, ties to even; where it reads
-        back as a; and where its distance to X is clear of the half ulp."""
-        quo = m17 // step
-        key = m17 - quo * step
-        key *= 2
-        key += sign_r
-        key += quo & 1
-        quo += key > step
-        quo *= step
-        del key
-        dist = np.abs((m17 - quo) + r)
+    def candidate(deltas):
+        """candidate - m17 for m17 rounded as deltas gives; where the
+        candidate reads back as a; and where its distance to X is clear of
+        the half ulp."""
+        delta = deltas.take(index)
+        dist = np.subtract(r, delta)  # X - candidate
+        np.abs(dist, out=dist)
         dist -= half_ulp
-        return quo, dist < 0, np.abs(dist) > _BAND
+        return delta, dist < 0, np.abs(dist) > _BAND
 
-    m16, reads16, clear16 = candidate(10)
-    m15, reads15, clear15 = candidate(100)
-    del r, sign_r, half_ulp
-    exact = clear16 & clear15 & (m15 < 10**17)
-    digits = m17  # 17 digits always read back
-    np.copyto(digits, m16, where=reads16)
-    np.copyto(digits, m15, where=reads15)
+    d16, reads16, clear16 = candidate(_ROUND16)
+    d15, reads15, clear15 = candidate(_ROUND15)
+    del index, r, half_ulp
+    exact = clear16 & clear15
+    exact &= m17 < 10**17 - d15
+    # 17 digits always read back; reads15 implies reads16, as the 15-digit
+    # candidate is a multiple of 10 too and so no nearer to X.
+    d16 *= reads16
+    digits = m17
+    digits += np.where(reads15, d15, d16)
     return digits, dec, exact
 
 

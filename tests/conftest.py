@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from deconvsim import AdjustPolicy, SupportConstraint, TieRule, adjusters, engine
+from deconvsim import AdjustPolicy, SupportConstraint, TieRule, adjusters
 from deconvsim.core import _sort_order, _uniform_indices
 from deconvsim.errors import InfeasibleAdjustmentError, InvalidInputError
 from deconvsim.smallcase import full_census
@@ -68,18 +68,6 @@ def pytest_report_header(config):
 @pytest.fixture(scope="session")
 def census():
     return full_census()
-
-
-def ahead_worker_alive() -> bool:
-    """Whether a worker that draws a long chain's permutations ahead runs."""
-    return any(t.name.startswith(engine._AHEAD_THREAD) for t in threading.enumerate())
-
-
-@pytest.fixture(autouse=True)
-def no_ahead_worker_left():
-    """Fail every test that leaves a draw-ahead worker running."""
-    yield
-    assert not ahead_worker_alive()
 
 
 @pytest.fixture

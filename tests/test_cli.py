@@ -21,7 +21,6 @@ from deconvsim import (
     PoolingMode,
     __version__,
     cli,
-    engine,
     run,
 )
 from deconvsim.cli import main, parse_equalize, parse_support
@@ -29,7 +28,7 @@ from deconvsim.errors import ConfigError, InfeasibleAdjustmentError, InvalidInpu
 from deconvsim.fileio import make_header, read_sample
 from deconvsim.variations import EqualizeKind
 
-from conftest import ahead_worker_alive, reference_trace_csv
+from conftest import reference_trace_csv
 
 
 def _simulate(tmp_path, experiment="normal", seed=7):
@@ -343,12 +342,10 @@ def test_run_failing_inside_the_chain_leaves_no_file(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_run_failing_inside_a_chain_drawn_ahead_leaves_no_file_and_no_worker(
-    tmp_path, capsys, started_threads
-):
-    # At n = 2 000 the permutations are drawn a block ahead on a worker
-    # thread; every z - x is negative, so copy-min raises at the first
-    # step, with the worker started and the trace file open.
+def test_run_failing_inside_a_chain_of_blocks_leaves_no_file(tmp_path, capsys):
+    # At n = 2 000 the permutations are drawn in blocks of 32 rows; every
+    # z - x is negative, so copy-min raises at the first step, with the
+    # trace file open.
     x_path = _write_values(tmp_path / "x.txt", range(10_000, 12_000))
     z_path = _write_values(tmp_path / "z.txt", range(2_000))
     before = sorted(tmp_path.iterdir())
@@ -361,9 +358,6 @@ def test_run_failing_inside_a_chain_drawn_ahead_leaves_no_file_and_no_worker(
     assert code == 2 and captured.out == ""
     assert captured.err == "error: policy 'copy-min' needs at least one in-support value\n"
     assert sorted(tmp_path.iterdir()) == before
-    assert len(started_threads) == 1
-    assert started_threads[0].startswith(engine._AHEAD_THREAD)
-    assert not ahead_worker_alive()
 
 
 def test_run_trace_file_has_the_mode_of_open_for_writing(tmp_path, capsys):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deconvsim import (
@@ -26,14 +26,13 @@ from deconvsim import (
     make_rng,
     run,
 )
-from conftest import ahead_worker_alive, every_draw, parent_repair, ranks
+from conftest import every_draw, parent_repair, ranks
 from deconvsim import engine, variations
 from deconvsim.adjusters import _repair
+from deconvsim.cli import main
 from deconvsim.core import _uniform_indices
 from deconvsim.engine import (
-    _AHEAD_THREAD,
     _D_CHUNK,
-    Chain,
     IterationTrace,
     _check_reach,
     _permutations,
@@ -44,6 +43,7 @@ from deconvsim.engine import (
 )
 from deconvsim.errors import (
     ConfigError,
+    DeconvError,
     DegenerateReferenceError,
     InfeasibleAdjustmentError,
     InvalidInputError,
@@ -480,24 +480,24 @@ _CASE_IDS = [f"{p.value}-{k.value}-{t.value}-{s}" for p, k, t, s in _LONG_ROW_CA
 
 @pytest.mark.parametrize("case", range(len(_LONG_ROW_CASES)), ids=_CASE_IDS)
 def test_run_with_permutations_drawn_ahead_matches_the_per_step_draw_loop(case):
-    # At n = 40 000 > 2**15 a block is one permutation, drawn one step
-    # ahead on the worker; T runs over 4, 5 and 6.
+    # At n = 40 000 > 2**15 a block is one permutation, drawn when its step
+    # needs it; T runs over 4, 5 and 6.
     _matches_the_per_step_draw_loop(case, 40_000, 4 + case % 3)
 
 
 @pytest.mark.parametrize("n", [2_000, 10_000])
 @pytest.mark.parametrize("case", range(len(_LONG_ROW_CASES)), ids=_CASE_IDS)
 def test_run_with_blocks_drawn_ahead_matches_the_per_step_draw_loop(case, n):
-    # A block holds 32 rows at n = 2 000 and 6 at n = 10 000, each drawn
-    # one block ahead on the worker; T spans two full blocks and a short one.
+    # A block holds 32 rows at n = 2 000 and 6 at n = 10 000, drawn ahead
+    # of the steps that use them; T spans two full blocks and a short one.
     rows = _D_CHUNK // n
     _matches_the_per_step_draw_loop(case, n, 2 * rows + 1 + case % 3)
 
 
-def test_a_run_that_raises_leaves_no_helper_thread():
+def test_a_long_row_run_raises_when_copy_min_has_no_donor():
     # Every z - x is negative, so copy-min on [0, inf) has no donor and
-    # the first step raises while the helper is drawing ahead.  The
-    # exception, held by pytest, keeps the run's frames alive.
+    # the first step raises.  The exception, held by pytest, keeps the
+    # run's frames alive.
     n = 2**15 + 1
     x = np.random.default_rng(3).normal(0.0, 1.0, n)
     config = DeconvConfig(
@@ -507,44 +507,27 @@ def test_a_run_that_raises_leaves_no_helper_thread():
     )
     with pytest.raises(InfeasibleAdjustmentError) as info:
         run(x, x - 100.0, config)
-    assert not ahead_worker_alive()
     assert info.traceback  # still held here
 
 
-def test_closing_the_chain_after_its_first_block_joins_the_helper():
-    n = 2**15 + 1
-    g = np.random.default_rng(4)
-    x = g.normal(0.0, 1.0, n)
-    chain = Chain(x, 2.0 * g.permutation(x), DeconvConfig(iters=10))
-    buf = chain.buffer(2 * n)
-    blocks = chain.blocks(buf)
-    start, block = next(blocks)
-    assert (start, len(block)) == (0, 2)
-    assert ahead_worker_alive()  # two of ten rows taken: it is still drawing
-    blocks.close()
-    assert not ahead_worker_alive()
-
-
-@pytest.mark.parametrize("n", [10_000, 2**15 + 1])
-def test_an_error_in_the_helper_is_raised_in_the_chain(n):
-    # The worker draws the second block (6 rows, or 1) while the first
-    # is handed over, and fails.
-    class FailsSecond:
-        calls = 0
-
-        def permuted(self, block, axis, out):
-            self.calls += 1
-            if self.calls == 2:
-                raise MemoryError("no room for a permutation")
-            return out
-
-    per_block = max(1, _D_CHUNK // n)
-    rows = _permutations(n, 3 * per_block, FailsSecond())
-    for _ in range(per_block):
-        assert np.array_equal(next(rows), np.arange(n))
-    with pytest.raises(MemoryError, match="no room"):
-        next(rows)
-    assert not ahead_worker_alive()
+def test_no_run_starts_a_thread(tmp_path, capsys, started_threads):
+    # The permutations are drawn on the calling thread at every n: in
+    # blocks of many rows, of a few rows and of one row (above 2**15).
+    for n in (100, 1024, 10_000, 2**15 + 1):
+        x = np.random.default_rng(n).normal(0.0, 1.0, n)
+        trace = run(x, 2.0 * x, DeconvConfig(iters=3, pool=PoolingMode(PoolingKind.AVERAGE, 1)))
+        assert trace.ys.shape == (4, n)
+    # A CLI chain that fails at its first step, with the trace file open:
+    # every z - x is negative, so copy-min on [0, inf) has no donor.
+    paths = []
+    for name, values in (("x", range(10_000, 12_000)), ("z", range(2_000))):
+        paths.append(str(tmp_path / f"{name}.txt"))
+        with open(paths[-1], "w") as fh:
+            fh.write("".join(f"{v}\n" for v in values))
+    argv = ["run", "--x", paths[0], "--z", paths[1], "--out", str(tmp_path / "t.csv")]
+    assert main(argv + ["--adjust", "copy-min", "--support", "0:inf"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert started_threads == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 100, 1000, 1024, 10_000, 2**15, 65536, 200_000])
@@ -553,8 +536,7 @@ def test_blocked_permutations_equal_successive_draws(n):
     # Generator.permutation makes, so a block of k rows equals k
     # successive calls and leaves the generator in the same state.  One
     # more permutation than a block holds makes the last block short.
-    # From 1 024 values each block is drawn ahead on the worker; above
-    # 2**15 a block is one row.
+    # Above 2**15 a block is one row.
     count = max(1, _D_CHUNK // n) + 1
     blocked_rng, single_rng = make_rng(n), make_rng(n)
     rows = list(_permutations(n, count, blocked_rng))
@@ -569,8 +551,8 @@ def test_blocked_permutations_equal_successive_draws(n):
 
 def _closed_early(started, n, count, taken, drawn):
     """Take ``taken`` of ``count`` rows of n and close the source: rng is
-    then in the state of ``drawn`` permutation calls, and one worker
-    started if a row was taken (``started``: the threads' names)."""
+    then in the state of ``drawn`` permutation calls, and no thread
+    started (``started``: the threads' names)."""
     rng, twin = make_rng(n), make_rng(n)
     rows = _permutations(n, count, rng)
     for _ in range(taken):
@@ -579,30 +561,28 @@ def _closed_early(started, n, count, taken, drawn):
         assert next(rows, None) is None
     rows.close()
     for _ in range(drawn - taken):
-        twin.permutation(n)  # the rows drawn ahead
+        twin.permutation(n)  # the rest of the last block handed over
     assert rng.bit_generator.state == twin.bit_generator.state
-    assert len(started) == min(taken, 1)
-    assert all(name.startswith(_AHEAD_THREAD) for name in started)
+    assert started == []
 
 
 @pytest.mark.parametrize("count, taken", [(0, 0), (10, 1), (10, 2), (10, 5)])
-def test_long_rows_closed_early_leave_one_row_drawn_ahead(started_threads, count, taken):
-    # Above 2**15 values the worker draws row t + 1 when row t is handed
-    # over, and no further: a source closed after k rows leaves rng as
-    # k + 1 permutation calls do, and one worker drew them.  With no rows
-    # to draw it draws nothing and starts no worker.
-    _closed_early(started_threads, 2**15 + 1, count, taken, min(count, taken + 1))
+def test_long_rows_closed_early_leave_only_the_rows_handed_over_drawn(
+    started_threads, count, taken
+):
+    # Above 2**15 values a block is one row, drawn when it is asked for:
+    # a source closed after k rows leaves rng as k permutation calls do.
+    _closed_early(started_threads, 2**15 + 1, count, taken, taken)
 
 
 @pytest.mark.parametrize("count, taken", [(0, 0), (20, 1), (20, 6), (20, 7), (20, 13)])
-def test_blocks_closed_early_leave_one_block_drawn_ahead(started_threads, count, taken):
-    # At n = 10 000 a block holds 6 rows (the last of 20 holds 2), and the
-    # worker draws block b + 1 when the first row of block b is handed
-    # over: a source closed after k rows leaves rng as the rows of every
-    # block handed over plus one block do, capped at count.
+def test_blocks_closed_early_leave_every_block_handed_over_drawn(started_threads, count, taken):
+    # At n = 10 000 a block holds 6 rows (the last of 20 holds 2), drawn
+    # when its first row is asked for: a source closed after k rows leaves
+    # rng as the rows of every block handed over do, capped at count.
     rows = _D_CHUNK // 10_000
     assert rows == 6
-    _closed_early(started_threads, 10_000, count, taken, min(count, (-(-taken // rows) + 1) * rows))
+    _closed_early(started_threads, 10_000, count, taken, min(count, -(-taken // rows) * rows))
 
 
 def test_spawn_leaves_the_parent_stream_unchanged():
@@ -1046,6 +1026,54 @@ def test_run_on_all_equal_inputs_never_moves(c, k, n, tie_rule):
     trace = run([c] * n, [k] * n, DeconvConfig(iters=6, tie_rule=tie_rule))
     assert np.all(trace.ys == k - c)
     assert trace.d is None
+
+
+# Values that have broken edge handling before: signed zeros,
+# subnormals, the smallest normal and the largest magnitudes.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -2.5, 1e308, -1e308]
+
+
+def _edge_sample(size):
+    """Samples of size values: all equal, or each an edge float or a
+    moderate one."""
+    one = st.sampled_from(_EDGE_FLOATS) | moderate
+    return one.map(lambda v: [v] * size) | st.lists(one, min_size=size, max_size=size)
+
+
+_SUPPORTS = [SupportConstraint(0.0, np.inf), SupportConstraint(-1.0, 1.0), SupportConstraint(-np.inf, 0.0)]
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([1, 2, 3, 7]).flatmap(_edge_sample),
+    st.sampled_from([1, 2, 3, 7]).flatmap(_edge_sample),
+    st.sampled_from(list(AdjustPolicy)),
+    st.sampled_from(_SUPPORTS),
+    st.sampled_from(list(PoolingKind)),
+    tie_rules,
+    st.booleans(),
+)
+def test_run_on_edge_inputs_returns_rows_of_n_values_or_raises_a_deconv_error(
+    x, z, policy, support, kind, tie_rule, subsample
+):
+    # x has m values and z has n, equal or not; the equalized length is
+    # the larger under tile and the smaller under subsample.
+    equalize = EqualizeStrategy.subsample() if subsample else EqualizeStrategy.tile()
+    config = DeconvConfig(
+        iters=3,
+        adjust=policy,
+        support=UNBOUNDED if policy is AdjustPolicy.NONE else support,
+        equalize=equalize,
+        pool=PoolingMode(kind, burn_in=1),
+        tie_rule=tie_rule,
+    )
+    try:
+        trace = run(x, z, config)
+    except DeconvError:
+        return
+    n = min(len(x), len(z)) if subsample else max(len(x), len(z))
+    assert trace.ys.shape == (4, n)
+    assert np.isfinite(trace.ys).all()
 
 
 lattice_pairs = st.integers(2, 6).flatmap(

@@ -28,6 +28,8 @@ from deconvsim.engine import IterationTrace
 from deconvsim.errors import InvalidInputError
 from deconvsim.fileio import (
     _BLOCK,
+    _ROUND15,
+    _ROUND16,
     _repr_join,
     fmt_rational,
     make_header,
@@ -370,6 +372,40 @@ def test_summary_path_for():
 
 
 # The float kernel: _repr_join must give the bytes of repr, value by value.
+
+
+def _rounded_per_value(m17, r, step):
+    """m17 rounded to a multiple of step, ties to even, by the arithmetic
+    the kernel used before its rounding tables, kept verbatim as their
+    oracle."""
+    sign_r = np.sign(r).astype(np.int64)
+
+    def candidate(step):
+        quo = m17 // step
+        key = m17 - quo * step
+        key *= 2
+        key += sign_r
+        key += quo & 1
+        quo += key > step
+        quo *= step
+        return quo
+
+    return candidate(step)
+
+
+@pytest.mark.parametrize("k", [0, 1, 10**13, 10**14 - 1])
+def test_rounding_tables_equal_the_per_value_rounding(k):
+    # Every residue m17 % 1000 with r below, on and above zero: the table
+    # entry at 3 * (m17 % 1000) + sign(r) + 1 is the rounding's delta, at
+    # any k = m17 // 1000, up to m17 = 10**17 - 1.
+    rem = np.arange(1000).repeat(3)
+    r = np.tile([-0.5, 0.0, 0.25], 1000)
+    m17 = k * 1000 + rem
+    index = 3 * rem + np.sign(r).astype(np.int64) + 1
+    assert np.array_equal(index, np.arange(3000))
+    for table, step in ((_ROUND16, 10), (_ROUND15, 100)):
+        assert table.dtype == np.int64 and table.shape == (3000,)
+        assert np.array_equal(m17 + table[index], _rounded_per_value(m17, r, step))
 
 
 def _joined(values, seps=","):
