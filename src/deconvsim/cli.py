@@ -160,17 +160,17 @@ def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
         raise ConfigError("--pooled-out requires --pool other than none")
     x = read_sample(ns.x)
     z = read_sample(ns.z)
-    chain = Chain(x, z, config)
-    buf = chain.buffer(_TRACE_BLOCK)
+    chain = Chain(x, z, config, _TRACE_BLOCK)
+    trace = chain.trace
     header = make_header(ns.seed, argv)
     # Each block is written as the chain hands it over; the file takes
     # the place of --out only once the run has succeeded.
     with replacing(ns.out) as fh:
-        for start, block in chain.blocks(buf):
-            write_trace_block(fh, start, block, chain.d, chain.violations, header)
-        pooled = chain.pooled(buf)
-    if chain.reference is None:
-        if isinstance(chain.reference_error, InvalidInputError):
+        for start, block in chain.blocks():
+            write_trace_block(fh, start, block, trace.d, trace.violations, header)
+        pooled = chain.pooled()
+    if trace.reference is None:
+        if isinstance(trace.reference_error, InvalidInputError):
             reason = "a mean or variance overflows float64"
         else:
             reason = "var(z) <= var(x) or n < 2"
@@ -178,14 +178,14 @@ def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
     if ns.pooled_out:
         write_sample(ns.pooled_out, pooled, header)
 
-    mean_d = chain.mean_distance()
+    mean_d = trace.mean_distance()
     final = block[-1]
     try:
         mean, var = sample_moments(final) if final.size >= 2 else (float(final[0]), 0.0)
         moments = f"mean: {mean:.6g} sd: {np.sqrt(var):.6g}"
     except InvalidInputError:  # the moments overflow float64
         moments = "mean: NA sd: NA"
-    total_viol = chain.violations[1:].sum()
+    total_viol = trace.violations[1:].sum()
     burn_in = config.pool.burn_in
     print(f"n: {chain.n}")
     print(f"iterations: {config.iters}")

@@ -31,7 +31,8 @@ class TieRule(Enum):
     FIRST_OCCURRENCE gives the earlier element the lower rank, which keeps
     the result a true permutation and makes ranking deterministic.  RANDOM
     breaks each tie uniformly at random (for lattice-valued data); it needs
-    an rng handle.
+    an rng handle: it ranks one uniform key per element, then the values
+    in key order, so that ties keep key order.
     """
 
     FIRST_OCCURRENCE = "first-occurrence"
@@ -89,6 +90,10 @@ def _sort_order(
     v must be a finite float64 vector, tie_rule a TieRule and rng a
     generator when tie_rule is RANDOM (``run`` checks what they come from).
 
+    RANDOM sorts ``rng.random(n)`` keys, then the values in key order, by
+    FIRST_OCCURRENCE: the stable sort by value of a stable sort by key is
+    the order of ``np.lexsort((keys, v))``.
+
     FIRST_OCCURRENCE gives the order of a stable sort.  From n = 1024 on,
     one int64 key per element is sorted in place: the order-preserving
     integer image of ``v + 0.0`` (so -0.0 and 0.0 tie), its low
@@ -100,7 +105,8 @@ def _sort_order(
     stable sort, which finds them nearly sorted.
     """
     if tie_rule is TieRule.RANDOM:
-        return np.lexsort((rng.random(v.size), v))
+        by_key = _sort_order(rng.random(v.size), TieRule.FIRST_OCCURRENCE, None)
+        return by_key[_sort_order(v[by_key], TieRule.FIRST_OCCURRENCE, None)]
     # The argsort method, not np.argsort: the same sort without the
     # function dispatch, which costs as much as the sort at n = 100.
     n = v.size

@@ -35,15 +35,17 @@ class DistSpec:
 
     @classmethod
     def normal(cls, mu: float = 0.0, sd: float = 1.0) -> "DistSpec":
-        if not sd > 0:
-            raise ConfigError("normal sd must be > 0")
+        if not math.isfinite(mu):
+            raise ConfigError(f"normal mu must be finite, got {mu!r}")
+        if not 0 < sd < math.inf:
+            raise ConfigError(f"normal sd must be finite and > 0, got {sd!r}")
         return cls(DistKind.NORMAL, (float(mu), float(sd)))
 
     @classmethod
     def exponential(cls, mean: float = 1.0) -> "DistSpec":
         # Parameterized by mean, not rate.
-        if not mean > 0:
-            raise ConfigError("exponential mean must be > 0")
+        if not 0 < mean < math.inf:
+            raise ConfigError(f"exponential mean must be finite and > 0, got {mean!r}")
         return cls(DistKind.EXPONENTIAL, (float(mean),))
 
     @classmethod
@@ -62,8 +64,8 @@ class DistSpec:
     ) -> "DistSpec":
         if n_main < 0 or n_out < 0 or n_main + n_out < 1:
             raise ConfigError("contaminated component counts must be nonnegative, total >= 1")
-        if not (main_mean > 0 and out_mean > 0):
-            raise ConfigError("contaminated component means must be > 0")
+        if not (0 < main_mean < math.inf and 0 < out_mean < math.inf):
+            raise ConfigError("contaminated component means must be finite and > 0")
         return cls(
             DistKind.CONTAMINATED_EXPONENTIAL,
             (float(n_main), float(main_mean), float(n_out), float(out_mean)),
@@ -75,12 +77,12 @@ class DistSpec:
     ) -> "DistSpec":
         """Demo-only network-delay model: constant base plus occasional
         exponential spikes.  Not part of any acceptance check."""
-        if base_ms < 0:
-            raise ConfigError("delay base must be >= 0")
+        if not 0 <= base_ms < math.inf:
+            raise ConfigError(f"delay base must be finite and >= 0, got {base_ms!r}")
         if not 0.0 <= spike_prob <= 1.0:
             raise ConfigError("spike probability must be in [0, 1]")
-        if not spike_mean_ms > 0:
-            raise ConfigError("spike mean must be > 0")
+        if not 0 < spike_mean_ms < math.inf:
+            raise ConfigError(f"spike mean must be finite and > 0, got {spike_mean_ms!r}")
         return cls(
             DistKind.DELAY_LINK, (float(base_ms), float(spike_prob), float(spike_mean_ms))
         )
@@ -126,7 +128,8 @@ def parse_dist_spec(text: str) -> DistSpec:
 
 
 def generate(spec: DistSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws from spec; deterministic per rng state."""
+    """n i.i.d. draws from spec; deterministic per rng state.  Raises
+    InvalidInputError when a draw overflows float64."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     p = spec.params
@@ -138,23 +141,28 @@ def generate(spec: DistSpec, n: int, rng: np.random.Generator) -> np.ndarray:
             )
     try:
         if spec.kind is DistKind.NORMAL:
-            return rng.normal(p[0], p[1], n)
-        if spec.kind is DistKind.EXPONENTIAL:
-            return rng.exponential(p[0], n)
-        if spec.kind is DistKind.UNIFORM:
-            return rng.uniform(p[0], p[1], n)
-        if spec.kind is DistKind.CONTAMINATED_EXPONENTIAL:
+            sample = rng.normal(p[0], p[1], n)
+        elif spec.kind is DistKind.EXPONENTIAL:
+            sample = rng.exponential(p[0], n)
+        elif spec.kind is DistKind.UNIFORM:
+            sample = rng.uniform(p[0], p[1], n)
+        elif spec.kind is DistKind.CONTAMINATED_EXPONENTIAL:
             pooled = np.concatenate(
                 [rng.exponential(p[1], n_main), rng.exponential(p[3], n_out)]
             )
-            return pooled[rng.permutation(n)]
-        if spec.kind is DistKind.DELAY_LINK:
+            sample = pooled[rng.permutation(n)]
+        elif spec.kind is DistKind.DELAY_LINK:
             base, prob, spike_mean = p
             spikes = np.where(rng.random(n) < prob, rng.exponential(spike_mean, n), 0.0)
-            return base + spikes
+            with np.errstate(over="ignore"):  # an overflow is raised below
+                sample = base + spikes
+        else:
+            raise ConfigError(f"unhandled distribution kind {spec.kind}")
     except (MemoryError, ValueError):  # ValueError: beyond the largest array size
         raise InvalidInputError(f"a sample of n = {n} values does not fit in memory") from None
-    raise ConfigError(f"unhandled distribution kind {spec.kind}")
+    if not np.isfinite(sample).all():
+        raise InvalidInputError(f"{spec.kind.value} draws overflow float64; use smaller parameters")
+    return sample
 
 
 EXPERIMENT_SIZE = 100

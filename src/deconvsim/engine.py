@@ -31,7 +31,7 @@ too much).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,6 +80,11 @@ class IterationTrace:
     mean under AVERAGE, a flat copy of them under CONCAT and
     CONCAT_AND_DRAW, and None without pooling.  The trace is frozen (its
     arrays stay writable) and compares by identity.
+
+    A ``Chain`` fills its ``trace`` as it runs.  That trace holds the
+    chain's buffer in ``ys`` (under a streamed ``deconvsim run``, the last
+    block of iterates, not the whole trace) and ``pooled`` None.  ``run``
+    always returns the whole trace, with ``pooled`` attached.
     """
 
     config: DeconvConfig
@@ -109,7 +114,10 @@ class IterationTrace:
     def mean_distance(self) -> float | None:
         """Mean of d over the iterations beyond the burn-in; None if d is
         undefined or no iteration is left."""
-        return _mean_beyond_burn_in(self.d, self.config.pool.burn_in)
+        if self.d is None:
+            return None
+        kept = self.d[self.config.pool.burn_in + 1 :]
+        return float(np.mean(kept)) if kept.size else None
 
 
 def step(
@@ -239,94 +247,81 @@ def _pool_picks(n: int, count: int, rng: np.random.Generator):
         yield from _uniform_indices(rng, highs[:, None], (rows, n))
 
 
-def _mean_beyond_burn_in(d: np.ndarray | None, burn_in: int) -> float | None:
-    """Mean of d over the iterations beyond the burn-in; None if d is
-    undefined or no iteration is left."""
-    if d is None:
-        return None
-    kept = d[burn_in + 1 :]
-    return float(np.mean(kept)) if kept.size else None
-
-
 class Chain:
     """One run in three phases: prepare (the constructor), chain
     (``blocks``, run once) and summary (``pooled``).
 
-    The constructor also allocates ``violations`` and ``d``, one entry
-    per iterate; ``d``, ``reference`` and ``reference_error`` are as in
-    IterationTrace.
+    The constructor builds ``trace``, the IterationTrace without
+    ``pooled`` that the chain records into.  Its ``ys``, the buffer the
+    chain runs on, holds the whole trace, or about values floats (at least
+    2 rows) when values is given, n >= 2 and the pooling is NONE or
+    AVERAGE: CONCAT and CONCAT_AND_DRAW pool every row, and at n = 1 NumPy
+    sums a column pairwise, which a running sum does not reproduce.
     """
 
-    def __init__(self, x, z, config: DeconvConfig):
-        self.config = config
+    def __init__(self, x, z, config: DeconvConfig, values: int | None = None):
         self._rng = make_rng(config.seed)
         self._draws = self._rng.spawn(1)[0]
         # equalize_lengths validates and copies x, then z.
         x_eq, z_eq = equalize_lengths(x, z, config.equalize, self._rng)
-        self.n = x_eq.size
+        self.n = n = x_eq.size
 
         # The reference line is fitted to the equalized data before
         # smoothing, so d keeps one meaning across smoothing configurations.
-        self.reference = self.reference_error = None
-        if self.n >= 2:
+        reference = reference_error = None
+        if n >= 2:
             try:
-                self.reference = reference_normal_line(x_eq, z_eq)
+                reference = reference_normal_line(x_eq, z_eq)
             except (DegenerateReferenceError, InvalidInputError) as exc:
                 # var(z) <= var(x), or a mean or variance overflows float64
                 # (the only InvalidInputError on validated samples of n >= 2).
                 # Without its traceback the error keeps no frame of this run alive.
-                self.reference_error = exc.with_traceback(None)
+                reference_error = exc.with_traceback(None)
 
         sm = config.smoothing
         self._eta_once = None
         if sm.active and not sm.fresh_each_step:
             # One-shot noise is added at the unsorted equalized positions.
             x_eq, self._eta_once, z_eq = smooth(x_eq, z_eq, sm, self._rng)
-        self.sortx = np.sort(x_eq)
-        self.sortz = np.sort(z_eq)
-        _check_reach(self.sortx, self.sortz, self._eta_once, config.support)
+        sortx = np.sort(x_eq)
+        sortz = np.sort(z_eq)
+        _check_reach(sortx, sortz, self._eta_once, config.support)
 
-        self.violations = self._empty(config.iters + 1, np.int64)
-        self.d = None if self.reference is None else self._empty(config.iters + 1)
-        self._total = None  # the running sum of a streamed AVERAGE
-
-    def _empty(self, shape, dtype=np.float64) -> np.ndarray:
+        rows = iterates = config.iters + 1
+        if values is not None and n >= 2 and config.pool.kind in _STREAMED:
+            rows = min(rows, max(2, values // n))
         try:
-            return np.empty(shape, dtype)
+            violations = np.empty(iterates, np.int64)
+            d = None if reference is None else np.empty(iterates)
+            ys = np.empty((rows, n))
         except (MemoryError, ValueError):  # ValueError: beyond the largest array size
             raise InvalidInputError(
-                f"a trace of T + 1 = {self.config.iters + 1} iterates of n = {self.n} "
+                f"a trace of T + 1 = {iterates} iterates of n = {n} "
                 "values does not fit in memory"
             ) from None
+        self.trace = IterationTrace(
+            config, sortx, sortz, ys, d, violations, reference, reference_error
+        )
+        self._total = None  # the running sum of a streamed AVERAGE
 
-    def buffer(self, values: int | None = None) -> np.ndarray:
-        """A new buffer of n columns for ``blocks``: about values floats,
-        at least 2 rows and at most T + 1.  It holds the whole trace when
-        values is None, under CONCAT and CONCAT_AND_DRAW (they pool every
-        row, and the latter draws from them), and at n = 1 (NumPy sums a
-        column pairwise, which a running sum does not reproduce)."""
-        rows = self.config.iters + 1
-        if values is not None and self.n >= 2 and self.config.pool.kind in _STREAMED:
-            rows = min(rows, max(2, values // self.n))
-        return self._empty((rows, self.n))
-
-    def blocks(self, buf: np.ndarray):
-        """Run the chain on buf, from ``buffer``, and yield (start, block)
-        each time buf is full and when the chain ends: block, the first
-        rows of buf, holds iterates start, start + 1, ..., whose ``d`` and
-        ``violations`` are recorded by then.  A buf shorter than the trace
-        is written over by the next block; under AVERAGE the chain then
-        keeps a running sum of the iterates beyond the burn-in."""
-        config = self.config
+    def blocks(self):
+        """Run the chain on ``trace.ys`` and yield (start, block) each time
+        it is full and when the chain ends: block, its first rows, holds
+        iterates start, start + 1, ..., whose ``d`` and ``violations`` are
+        recorded by then.  A buffer shorter than the trace is written over
+        by the next block; under AVERAGE the chain then keeps a running sum
+        of the iterates beyond the burn-in."""
+        trace = self.trace
+        config, buf, violations = trace.config, trace.ys, trace.violations
         n, iters, rows = self.n, config.iters, len(buf)
-        sortx, sortz, eta_once, draws = self.sortx, self.sortz, self._eta_once, self._draws
+        sortx, sortz, eta_once, draws = trace.sortx, trace.sortz, self._eta_once, self._draws
         sm = config.smoothing
         fresh = sm.active and sm.fresh_each_step
         if rows <= iters and config.pool.kind is PoolingKind.AVERAGE:
             self._total = np.zeros(n)
 
         buf[0] = np.sort(sortz - sortx)
-        self.violations[0] = config.support.violations(buf[0]).sum()
+        violations[0] = config.support.violations(buf[0]).sum()
         picks = None
         if config.pool.kind is PoolingKind.CONCAT_AND_DRAW:
             # Step t picks from the t * n values of rows 0..t-1 of the flat trace.
@@ -350,7 +345,7 @@ class Chain:
             else:
                 x_eff, w_noise, z_eff = sortx, eta_once, sortz
 
-            _, self.violations[t] = step(
+            _, violations[t] = step(
                 x_eff,
                 z_eff,
                 oldy,
@@ -367,30 +362,32 @@ class Chain:
     def _record(self, start: int, block: np.ndarray) -> tuple[int, np.ndarray]:
         """Record d of a block, and add its iterates beyond the burn-in
         to the running sum, if one is kept."""
-        if self.d is not None:
+        d = self.trace.d
+        if d is not None:
             for i, rows in _blocks(self.n, len(block)):
-                self.d[start + i : start + i + rows] = distance_index(
-                    block[i : i + rows], self.reference
+                d[start + i : start + i + rows] = distance_index(
+                    block[i : i + rows], self.trace.reference
                 )
         if self._total is not None:
             # The iterates are finite, but their sum can still overflow.
             with np.errstate(over="ignore", invalid="ignore"):
-                for row in block[max(0, self.config.pool.burn_in + 1 - start) :]:
+                for row in block[max(0, self.trace.config.pool.burn_in + 1 - start) :]:
                     self._total += row
         return start, block
 
-    def pooled(self, buf: np.ndarray) -> np.ndarray | None:
+    def pooled(self) -> np.ndarray | None:
         """The pooled estimate, as in IterationTrace, once the chain has
-        run on buf; under AVERAGE, from the running sum if the chain kept
-        one.  Raises InvalidInputError when the average overflows."""
-        pool = self.config.pool
-        kept = buf[pool.burn_in + 1 :]  # the whole trace unless streamed
+        run; under AVERAGE, from the running sum if the chain kept one.
+        Raises InvalidInputError when the average overflows."""
+        config = self.trace.config
+        pool = config.pool
+        kept = self.trace.ys[pool.burn_in + 1 :]  # the whole trace unless streamed
         if pool.kind is PoolingKind.NONE:
             return None
         if pool.kind is not PoolingKind.AVERAGE:
             return kept.flatten()
         if self._total is not None:
-            pooled = self._total / (self.config.iters - pool.burn_in)
+            pooled = self._total / (config.iters - pool.burn_in)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 pooled = kept.mean(axis=0)
@@ -400,10 +397,6 @@ class Chain:
                 "the burn-in overflows float64"
             )
         return pooled
-
-    def mean_distance(self) -> float | None:
-        """As in IterationTrace."""
-        return _mean_beyond_burn_in(self.d, self.config.pool.burn_in)
 
 
 def run(x, z, config: DeconvConfig) -> IterationTrace:
@@ -435,17 +428,6 @@ def run(x, z, config: DeconvConfig) -> IterationTrace:
     memory, or when the pooled average overflows.
     """
     chain = Chain(x, z, config)
-    ys = chain.buffer()
-    for _ in chain.blocks(ys):
+    for _ in chain.blocks():
         pass
-    return IterationTrace(
-        config=config,
-        sortx=chain.sortx,
-        sortz=chain.sortz,
-        ys=ys,
-        d=chain.d,
-        violations=chain.violations,
-        reference=chain.reference,
-        reference_error=chain.reference_error,
-        pooled=chain.pooled(ys),
-    )
+    return replace(chain.trace, pooled=chain.pooled())

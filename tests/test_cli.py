@@ -103,6 +103,22 @@ def test_simulate_rejects_resized_experiments(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        ("normal:0,inf", "normal sd must be finite and > 0, got inf"),
+        ("normal:nan,1", "normal mu must be finite, got nan"),
+        ("exponential:1e308", "exponential draws overflow float64; use smaller parameters"),
+    ],
+)
+def test_simulate_rejects_non_finite_parameters_and_draws(tmp_path, capsys, dist, message):
+    prefix = str(tmp_path / "s-")
+    code = main(["simulate", "--dist", dist, "--n", "1000", "--out-prefix", prefix])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_requires_a_source(capsys):
     assert main(["simulate"]) == 2
     capsys.readouterr()
@@ -493,6 +509,127 @@ def test_streamed_run_writes_what_the_library_run_returns(
         assert f"mean d (iter > {burn_in}): " + ("NA" if mean_d is None else f"{mean_d:.6g}") in (
             printed.getvalue().splitlines()
         )
+
+
+# Edge classes of the flag values each fuzzed command may get: valid ones,
+# boundary ones and ones the command must reject.
+_SAMPLE_LINES = ["0", "1", "2.5", "-3", "7", "7", "0.125", "-0.0", "1e-300", "5e-324",
+                 "4e307", "# a comment", "", "1e308", "nan", "x1"]
+_RUN_FLAGS = {
+    "--iters": ["0", "1", "3", "9", "-1"],
+    "--burn-in": ["0", "1", "2", "5"],
+    "--adjust": ["none", "clamp", "resample", "copy-min", "abs"],
+    "--support": ["-inf:inf", "0:inf", "0:1", "-1:1", "1e6:inf", ":", "1:0", "x:1"],
+    "--equalize": ["tile", "subsample", "bootstrap:3", "bootstrap:0", "mirror"],
+    "--smooth-xi": ["0", "0.1", "1e200", "-1"],
+    "--smooth-eta": ["0", "0.5", "inf"],
+    "--smooth-zeta": ["0", "0.1", "1e-300"],
+    "--smooth-fresh": ["0", "1", "2"],
+    "--pool": ["none", "average", "concat", "concat-draw"],
+    "--seed": ["0", "7", str(2**70), "-1"],
+    "--tie-rule": ["first-occurrence", "random"],
+}
+_SIMULATE_SOURCES = [
+    ["--experiment", "normal"], ["--experiment", "outlier"], ["--experiment", "cauchy"],
+    ["--dist", "normal:0,inf"], ["--dist", "normal:nan,1"], ["--dist", "exponential:1e308"],
+    ["--dist", "uniform:0,1e308"], ["--dist", "delay-link:5,0.1,20"], ["--dist", "gamma:1"],
+    ["--dist", "contaminated-exponential:3,1,2,100"], [],
+]
+
+
+def _flags(options):
+    """Each flag of a dictionary of options, or none of them, at random."""
+    return st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in options.items()})
+
+
+# run, the command with the most flags and the file rules, is drawn twice
+# as often as each other command.
+_run_calls = st.tuples(st.just("run"), _flags(_RUN_FLAGS), st.booleans(), st.booleans())
+_cli_calls = st.one_of(
+    _run_calls,
+    _run_calls,
+    st.tuples(
+        st.just("simulate"),
+        st.sampled_from(_SIMULATE_SOURCES),
+        _flags({"--n": ["1", "7", "100", "0", "-3"], "--seed": ["0", "3", "-1"]}),
+    ),
+    st.tuples(st.just("qq"), st.sampled_from(["standard-normal", "standard-exponential", "x"])),
+    st.tuples(
+        st.just("analyze3"),
+        st.sampled_from([None, "", "1/2", "1/3,2/3", "10/120,22/120,0", "a", "1/0", "2,2,2"]),
+    ),
+)
+
+
+@settings(max_examples=150)
+@given(
+    _cli_calls,
+    st.lists(st.sampled_from(_SAMPLE_LINES), min_size=1, max_size=7),
+    st.lists(st.sampled_from(_SAMPLE_LINES), min_size=1, max_size=7),
+)
+# A run that succeeds over a hard-linked --out, and a streamed run that
+# fails after writing every block: 5 iterates near 4e307 overflow the
+# pooled average.
+@example(("run", {"--iters": "9"}, True, False), ["0", "1", "2.5"], ["1", "7", "-3"])
+@example(
+    ("run", {"--iters": "9", "--pool": "average"}, True, True),
+    ["0", "1", "2"],
+    ["3e307", "4e307", "5e307"],
+)
+def test_fuzzed_commands_exit_0_or_2_with_an_error_line(call, x_lines, z_lines):
+    # Every call exits 0 or 2, and every exit 2 prints an error line, the
+    # command's own or argparse's usage error.  A run writes its trace in
+    # blocks of 8 values, so most traces span several blocks; --out may
+    # hold an earlier trace with a second hard link.  A run that fails
+    # leaves --out as it was (or absent), and one that succeeds writes it
+    # in place, so both links read the new trace.
+    command, *args = call
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        x_path = tmp / "x.txt"
+        z_path = tmp / "z.txt"
+        x_path.write_text("\n".join(x_lines) + "\n")
+        z_path.write_text("\n".join(z_lines) + "\n")
+        out, linked = tmp / "out.csv", tmp / "linked.csv"
+        argv = [command]
+        if command == "run":
+            flags, existing, pooled_out = args
+            argv += ["--x", str(x_path), "--z", str(z_path), "--out", str(out)]
+            argv += [f"{flag}={value}" for flag, value in flags.items()]
+            if pooled_out and flags.get("--pool", "none") != "none":
+                argv += ["--pooled-out", str(tmp / "p.txt")]
+            if existing:
+                out.write_text("an earlier trace\n")
+                os.link(out, linked)
+        elif command == "simulate":
+            source, flags = args
+            argv += source + [f"{flag}={value}" for flag, value in flags.items()]
+            argv += ["--out-prefix", str(tmp / "s-")]
+        elif command == "qq":
+            argv += ["--in", str(x_path), "--dist", args[0], "--out", str(out)]
+        else:
+            argv += ["--out", str(out)]
+            if args[0] is not None:
+                argv += ["--x-values", args[0]]
+        before = out.stat() if out.exists() else None
+        err = io.StringIO()
+        with mock.patch.object(cli, "_TRACE_BLOCK", 8), contextlib.redirect_stdout(
+            io.StringIO()
+        ), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), argv
+        if code == 2:
+            prefixes = ("error: ", f"deconvsim {command}: error: ")
+            assert any(line.startswith(prefixes) for line in err.getvalue().splitlines()), argv
+        if command != "run":
+            return
+        if code == 2 and before is None:
+            assert not out.exists(), argv
+        elif code == 2:
+            assert out.read_bytes() == linked.read_bytes() == b"an earlier trace\n", argv
+        elif before is not None:
+            assert out.stat().st_ino == before.st_ino, argv
+            assert linked.read_bytes() == out.read_bytes() != b"an earlier trace\n", argv
 
 
 def test_run_overflowing_moments_print_na(tmp_path, capsys):

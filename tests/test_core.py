@@ -152,6 +152,31 @@ def test_sort_order_with_key_groups_of_2_and_16(share, size):
     assert np.array_equal(order, np.argsort(v, kind="stable"))
 
 
+RANDOM_TIE_INPUTS = {
+    "continuous": lambda rng, n: rng.normal(size=n),
+    "lattice": lambda rng, n: (rng.poisson(3, n) + rng.poisson(2, n)).astype(np.float64),
+    "signed zeros": lambda rng, n: rng.choice([0.0, -0.0], n),
+    "all equal": lambda rng, n: np.full(n, 2.5),
+    "near-duplicate pairs": lambda rng, n: _near_duplicate_pairs(rng, n, 1.0),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1023, 1024, 1025, 5000, 100_000])
+def test_random_tie_rule_is_the_lexsort_by_value_then_key(n):
+    # The random tie rule ranks its keys, then the values in key order, on
+    # the FIRST_OCCURRENCE kernel.  Its oracle is the lexsort it replaced,
+    # kept verbatim: the same order from the same one rng.random(n) draw,
+    # leaving the generator in the same state.  Near-duplicate pairs (1e-15
+    # apart) share a key group from n = 1024 on, so the fallback sort runs.
+    for kind, make in RANDOM_TIE_INPUTS.items():
+        v = make(np.random.default_rng(n), n)
+        for seed in range(3):
+            rng, oracle = make_rng(seed), make_rng(seed)
+            order = _sort_order(v, TieRule.RANDOM, rng)
+            assert np.array_equal(order, np.lexsort((oracle.random(v.size), v))), kind
+            assert rng.bit_generator.state == oracle.bit_generator.state, kind
+
+
 @pytest.mark.parametrize(
     "kind, bound",
     [

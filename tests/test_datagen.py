@@ -62,6 +62,45 @@ def test_uniform_rejects_a_width_beyond_float_max(lo, hi):
         parse_dist_spec(f"uniform:{lo!r},{hi!r}")
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: DistSpec.normal(NAN, 1.0), "normal mu must be finite"),
+        (lambda: DistSpec.normal(-INF, 1.0), "normal mu must be finite"),
+        (lambda: DistSpec.normal(0.0, INF), "normal sd must be finite"),
+        (lambda: DistSpec.normal(0.0, NAN), "normal sd must be finite"),
+        (lambda: DistSpec.exponential(INF), "exponential mean must be finite"),
+        (lambda: DistSpec.exponential(NAN), "exponential mean must be finite"),
+        (lambda: DistSpec.contaminated_exponential(95, INF, 5, 1.0), "means must be finite"),
+        (lambda: DistSpec.contaminated_exponential(95, 1.0, 5, INF), "means must be finite"),
+        (lambda: DistSpec.delay_link(INF, 0.1, 20.0), "delay base must be finite"),
+        (lambda: DistSpec.delay_link(NAN, 0.1, 20.0), "delay base must be finite"),
+        (lambda: DistSpec.delay_link(5.0, 0.1, INF), "spike mean must be finite"),
+    ],
+)
+def test_constructors_reject_non_finite_parameters(make, message):
+    with pytest.raises(ConfigError, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DistSpec.normal(1e308, 1e308),
+        DistSpec.exponential(1e308),
+        DistSpec.contaminated_exponential(5, 1e308, 5, 1e308),
+        DistSpec.delay_link(1.7e308, 1.0, 1e307),
+    ],
+)
+def test_generate_rejects_draws_that_overflow(spec):
+    n = 10 if spec.kind.value == "contaminated-exponential" else 1000
+    with pytest.raises(InvalidInputError, match="draws overflow float64"):
+        generate(spec, n, make_rng(0))
+
+
 def test_uniform_draws_within_the_widest_finite_range():
     v = generate(DistSpec.uniform(0.0, 1e308), 1000, make_rng(4))
     assert np.all(np.isfinite(v)) and v.min() >= 0.0 and v.max() < 1e308

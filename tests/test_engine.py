@@ -1177,3 +1177,35 @@ def test_run_scales_exactly_by_a_power_of_two(n, policy, tie_rule, pool, smoothi
                 assert trace.pooled is None and base.pooled is None
             else:
                 assert trace.pooled.tobytes() == np.ldexp(base.pooled, k).tobytes(), (name, k)
+
+
+@pytest.mark.parametrize("n", [5, 100, 2000])
+def test_run_is_invariant_under_reordering_the_samples(n):
+    # With m = n, tile equalizes without a draw and the chain sees only
+    # sort(x) and sort(z); fresh smoothing perturbs those sorted vectors.
+    # So shuffling x and z leaves ys, the violations and pooled byte for
+    # byte.  d may move in its last bits: the reference line's moments are
+    # summed in input order.
+    rng = np.random.default_rng(n)
+    x = rng.normal(0.0, 1.0, n)
+    z = rng.normal(0.0, 2.0, n) + rng.exponential(1.0, n)
+    x_shuffled, z_shuffled = rng.permutation(x), rng.permutation(z)
+    for policy, kind, tie_rule, smoothing in itertools.product(
+        AdjustPolicy, PoolingKind, TieRule, ("off", "fresh")
+    ):
+        support = UNBOUNDED
+        if policy is not AdjustPolicy.NONE:
+            support = SupportConstraint(0.0, math.inf)
+        config = DeconvConfig(
+            iters=6, adjust=policy, support=support, tie_rule=tie_rule,
+            pool=PoolingMode(kind, burn_in=2), smoothing=_SMOOTHINGS[smoothing], seed=n,
+        )
+        case = (policy, kind, tie_rule, smoothing)
+        base, shuffled = run(x, z, config), run(x_shuffled, z_shuffled, config)
+        assert shuffled.ys.tobytes() == base.ys.tobytes(), case
+        assert shuffled.violations.tobytes() == base.violations.tobytes(), case
+        if kind is PoolingKind.NONE:
+            assert shuffled.pooled is None and base.pooled is None
+        else:
+            assert shuffled.pooled.tobytes() == base.pooled.tobytes(), case
+        assert np.allclose(shuffled.d, base.d, rtol=1e-12, atol=0.0), case

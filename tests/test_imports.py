@@ -1,6 +1,7 @@
 """Every name imported by a package module or a test module is used,
 every name a package module defines at module level is used somewhere,
 and every public package function is reached from the package itself.
+Only ``core._sort_order`` names ``argsort``, and no module ``lexsort``.
 No run loads ``concurrent.futures`` or ``logging``.
 
 No linter is part of the toolchain, so these AST scans stand in for one.
@@ -165,6 +166,28 @@ def test_every_public_function_is_referenced_by_src():
     }
     assert sorted(unread - SRC_UNREAD_METHODS) == []
     assert sorted(SRC_UNREAD_METHODS - unread) == []  # no stale entry
+
+
+def sort_kernel_calls(trees: dict[str, ast.Module]) -> set[str]:
+    """``module.function`` (or ``module`` at module level) for every
+    ``argsort`` or ``lexsort`` that src code names, as a name or an
+    attribute."""
+    calls = set()
+    for stem, tree in trees.items():
+        for top in tree.body:
+            scope = f"{stem}.{top.name}" if isinstance(top, ast.FunctionDef) else stem
+            for node in ast.walk(top):
+                name = getattr(node, "attr", getattr(node, "id", None))
+                if name in ("argsort", "lexsort"):
+                    calls.add(f"{scope}.{name}")
+    return calls
+
+
+def test_one_ranking_kernel():
+    # Both tie rules rank through core._sort_order (item 12): no module
+    # calls lexsort, and argsort appears only inside that function.
+    trees = {path.stem: _parse(path) for path in PACKAGE}
+    assert sort_kernel_calls(trees) == {"core._sort_order.argsort"}
 
 
 # Imports the CLI, makes one run of n values and prints which of two
