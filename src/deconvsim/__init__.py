@@ -24,11 +24,19 @@ from .errors import (
     InfeasibleAdjustmentError,
     InvalidInputError,
 )
-from .core import TieRule, make_rng
-from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint
-from .variations import EqualizeStrategy, PoolingKind, PoolingMode, SmoothingSpec
+from .config import (
+    UNBOUNDED,
+    AdjustPolicy,
+    DeconvConfig,
+    EqualizeStrategy,
+    PoolingKind,
+    PoolingMode,
+    SmoothingSpec,
+    SupportConstraint,
+    TieRule,
+)
+from .core import make_rng
 from .metrics import TheoreticalDist, qq_data
-from .config import DeconvConfig
 from .engine import IterationTrace, run
 from .datagen import DistSpec, generate, make_experiment
 from .smallcase import full_census

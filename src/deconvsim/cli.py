@@ -16,10 +16,19 @@ import warnings
 
 import numpy as np
 
-from .adjusters import AdjustPolicy, SupportConstraint
-from .config import DEFAULT_SEED, DeconvConfig
-from .core import TieRule, make_rng
-from .datagen import make_experiment, generate, parse_dist_spec
+from .config import (
+    DEFAULT_SEED,
+    AdjustPolicy,
+    DeconvConfig,
+    EqualizeStrategy,
+    PoolingKind,
+    PoolingMode,
+    SmoothingSpec,
+    SupportConstraint,
+    TieRule,
+)
+from .core import make_rng
+from .datagen import EXPERIMENT_SIZE, make_experiment, generate, parse_dist_spec
 from .engine import Chain
 from .errors import ConfigError, DeconvError, InvalidInputError
 from .fileio import (
@@ -36,7 +45,6 @@ from .fileio import (
 )
 from .metrics import TheoreticalDist, qq_data, sample_moments
 from .smallcase import CANONICAL_X, full_census
-from .variations import EqualizeStrategy, PoolingKind, PoolingMode, SmoothingSpec
 
 
 def parse_support(text: str) -> SupportConstraint:
@@ -77,56 +85,47 @@ def parse_equalize(text: str) -> EqualizeStrategy:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    d = DeconvConfig()  # each flag's default is the field it sets
+
+    def flag(name: str, default, text: str, **kwargs) -> None:
+        p.add_argument(name, default=default, help=f"{text} (default: %(default)s)", **kwargs)
+
     p.add_argument("--x", required=True, help="file with the x sample")
     p.add_argument("--z", required=True, help="file with the z sample")
     p.add_argument("--out", required=True, help="trace CSV output path")
     p.add_argument("--pooled-out", help="optional file for the pooled estimate")
-    p.add_argument("--iters", type=int, default=100, help="chain steps T (default: %(default)s)")
-    p.add_argument(
-        "--burn-in", type=int, default=4, help="steps left out of pooling (default: %(default)s)"
-    )
-    p.add_argument(
+    flag("--iters", d.iters, "chain steps T", type=int)
+    flag("--burn-in", d.pool.burn_in, "steps left out of pooling", type=int)
+    flag(
         "--adjust",
+        d.adjust.value,
+        "repair of values outside the support",
         choices=[p.value for p in AdjustPolicy],
-        default=AdjustPolicy.NONE.value,
-        help="repair of values outside the support (default: %(default)s)",
     )
-    p.add_argument(
-        "--support", default="-inf:inf", help="support bounds LO:HI (default: %(default)s)"
-    )
-    p.add_argument(
-        "--equalize",
-        default="tile",
-        help="tile | subsample | bootstrap:N (default: %(default)s)",
-    )
+    flag("--support", f"{d.support.lower}:{d.support.upper}", "support bounds LO:HI")
+    flag("--equalize", d.equalize.kind.value, "tile | subsample | bootstrap:N")
     for name, of in (("xi", "x"), ("eta", "y"), ("zeta", "z")):
-        p.add_argument(
-            f"--smooth-{name}",
-            type=float,
-            default=0.0,
-            help=f"sd of noise on {of} (default: %(default)s)",
-        )
-    p.add_argument(
+        sd = getattr(d.smoothing, f"{name}_sd")
+        flag(f"--smooth-{name}", sd, f"sd of noise on {of}", type=float)
+    flag(
         "--smooth-fresh",
+        int(d.smoothing.fresh_each_step),
+        "1: fresh noise each step; 0: one draw reused",
         type=int,
         choices=(0, 1),
-        default=1,
-        help="1: fresh noise each step; 0: one draw reused (default: %(default)s)",
     )
-    p.add_argument(
+    flag(
         "--pool",
+        d.pool.kind.value,
+        "pooling of the steps after the burn-in",
         choices=[k.value for k in PoolingKind],
-        default=PoolingKind.NONE.value,
-        help="pooling of the steps after the burn-in (default: %(default)s)",
     )
-    p.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="seed of the run (default: %(default)s)"
-    )
-    p.add_argument(
+    flag("--seed", d.seed, "seed of the run", type=int)
+    flag(
         "--tie-rule",
+        d.tie_rule.value,
+        "order of tied values when ranking",
         choices=[t.value for t in TieRule],
-        default=TieRule.FIRST_OCCURRENCE.value,
-        help="order of tied values when ranking (default: %(default)s)",
     )
 
 
@@ -202,8 +201,8 @@ def cmd_simulate(ns: argparse.Namespace, argv: list[str]) -> int:
     prefix = ns.out_prefix
     header = make_header(ns.seed, argv)
     if ns.experiment is not None:
-        if ns.n is not None and ns.n != 100:
-            raise ConfigError("named experiments are fixed at n = 100")
+        if ns.n is not None and ns.n != EXPERIMENT_SIZE:
+            raise ConfigError(f"named experiments are fixed at n = {EXPERIMENT_SIZE}")
         x1, z0, truth = make_experiment(ns.experiment, ns.seed)
         write_sample(f"{prefix}x1.txt", x1, header)
         write_sample(f"{prefix}z0.txt", z0, header)
@@ -211,7 +210,7 @@ def cmd_simulate(ns: argparse.Namespace, argv: list[str]) -> int:
         print(shown(f"wrote {prefix}x1.txt {prefix}z0.txt {prefix}truth.txt"))
         return 0
     spec = parse_dist_spec(ns.dist)
-    n = 100 if ns.n is None else ns.n
+    n = EXPERIMENT_SIZE if ns.n is None else ns.n
     sample = generate(spec, n, make_rng(ns.seed))
     write_sample(f"{prefix}sample.txt", sample, header)
     print(shown(f"wrote {prefix}sample.txt"))

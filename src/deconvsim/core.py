@@ -1,5 +1,5 @@
-"""Vector primitives: sample validation, sort orders and uniform index
-draws.
+"""The step's vector kernels: sample validation, uniform index draws,
+sort orders (``_sort_order``) and the boundary repair (``_repair``).
 
 Everything downstream is built on these operations plus a single
 seedable RNG family (numpy's PCG64 via ``numpy.random.default_rng``).
@@ -8,35 +8,26 @@ the indices of v in ascending order of value, so
 ``v[_sort_order(v, ...)] == np.sort(v)`` exactly.  Under the default
 tie rule the order is that of a stable argsort; from n = 1024 on it
 comes from one SIMD sort of packed (value, index) int64 keys.
+
+``_repair`` sorts a difference vector, maps it back into the support
+under an AdjustPolicy and counts the violators; ABSOLUTE on ``[0, inf)``
+folds before its one sort.
 """
 
 from __future__ import annotations
 
-from enum import Enum
+import math
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+from .config import AdjustPolicy, SupportConstraint, TieRule
+from .errors import ConfigError, InfeasibleAdjustmentError, InvalidInputError
 
 # From this length on, FIRST_OCCURRENCE ranking sorts packed (value, index)
 # int64 keys with NumPy's SIMD sort; below it the stable argsort is faster.
 _FAST_ARGSORT_MIN = 1024
 # The magnitude bits of a float64 seen as an int64.
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
-
-
-class TieRule(Enum):
-    """How equal values are ordered when ranking.
-
-    FIRST_OCCURRENCE gives the earlier element the lower rank, which keeps
-    the result a true permutation and makes ranking deterministic.  RANDOM
-    breaks each tie uniformly at random (for lattice-valued data); it needs
-    an rng handle: it ranks one uniform key per element, then the values
-    in key order, so that ties keep key order.
-    """
-
-    FIRST_OCCURRENCE = "first-occurrence"
-    RANDOM = "random"
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -138,3 +129,112 @@ def _sort_order(
     if (s[1:] >= s[:-1]).all():
         return order
     return order[s.argsort(kind="stable")]
+
+
+def _fold(v: np.ndarray, lower: float, upper: float) -> np.ndarray:
+    # Reflect out-of-support values about whichever bound they violate, in
+    # place, and return v; with two finite bounds this is a triangle-wave
+    # fold with period 2*(upper - lower).  The steps give the bits of
+    # ``lower + |v - lower|``, ``upper - |v - upper|`` and
+    # ``lower + min(t, period - t)`` with ``t = mod(v - lower, period)``.
+    # A violator of one finite bound b has v < b (or v > b), and rounding
+    # is symmetric, so ``|v - b|`` is exactly ``b - v`` (or ``v - b``).
+    if math.isinf(upper):
+        np.subtract(lower, v, out=v)
+        v += lower
+    elif math.isinf(lower):
+        v -= upper
+        np.subtract(upper, v, out=v)
+    else:
+        period = 2.0 * (upper - lower)
+        v -= lower
+        np.mod(v, period, out=v)
+        np.minimum(v, period - v, out=v)
+        v += lower
+    return v
+
+
+def _repair(
+    v: np.ndarray,
+    policy: AdjustPolicy,
+    support: SupportConstraint,
+    rng: np.random.Generator,
+) -> int:
+    """Sort v in place and apply the boundary policy to it; v is left
+    sorted.  Returns v's violation count.
+
+    Unchecked: v is a float64 vector the caller owns and policy an
+    AdjustPolicy (``DeconvConfig`` checks it).  Policies other than NONE
+    leave v inside the closed support; only RESAMPLE draws from rng.
+
+    The violators of the sorted vector are the prefix ``v[:lo]`` below
+    the support and the suffix ``v[hi:]`` above it.  RESAMPLE replaces
+    them, prefix first, with ``v[lo:hi][_uniform_indices(rng, hi - lo,
+    count)]`` (indices from one scaled ``rng.random(count)`` call, each
+    within 2**-52 of uniform) and sorts again.  Repairing v in any other
+    order draws the same indices from the same donors, so the law of the
+    sorted result does not depend on the order of v.
+
+    ABSOLUTE on ``[0, inf)`` folds first and sorts once: there the fold
+    of a violator, ``(0 - v) + 0``, is bit for bit ``|v|``.  ``np.abs``
+    would also turn an in-support -0.0 into 0.0, so this path is taken
+    only when the sign bits show no such zero; the sorted bytes are then
+    those of folding the sorted vector and sorting again.
+    """
+    n = v.size
+    lower, upper = support.float_bounds
+    if policy is AdjustPolicy.ABSOLUTE and lower == 0.0 and upper == math.inf:
+        count = int(np.count_nonzero(v < 0.0))
+        if count == np.count_nonzero(np.signbit(v)):
+            if count:
+                np.abs(v, out=v)
+            v.sort()
+            return count
+
+    v.sort()
+    lo = int(v.searchsorted(lower)) if lower != -math.inf else 0
+    hi = int(v.searchsorted(upper, "right")) if upper != math.inf else n
+    count = lo + n - hi
+    if policy is AdjustPolicy.NONE or count == 0:
+        return count
+
+    if policy is AdjustPolicy.CLAMP:
+        # Only violators change, so -0.0 and 0.0 keep their sign.
+        if lo:
+            v[:lo] = lower
+        if hi < n:
+            v[hi:] = upper
+        return count
+
+    if policy is AdjustPolicy.ABSOLUTE:
+        if lo:
+            _fold(v[:lo], lower, upper)
+        if hi < n:
+            _fold(v[hi:], lower, upper)
+        v.sort()
+        return count
+
+    size = hi - lo
+    if size == 0:
+        raise InfeasibleAdjustmentError(
+            f"policy {policy.value!r} needs at least one in-support value"
+        )
+
+    if policy is AdjustPolicy.RESAMPLE:
+        picks = v[lo:hi][_uniform_indices(rng, size, count)]
+        v[:lo], v[hi:] = picks[:lo], picks[lo:]
+        v.sort()
+        return count
+
+    # COPY_SMALLEST: the j-th violator below the support takes the j-th
+    # smallest in-support value and the j-th above it the j-th largest,
+    # cycling when the violators outnumber the in-support values.
+    if hi == n and lo <= size:
+        v[: 2 * lo] = v[lo : 2 * lo].repeat(2)
+        return count
+    above = n - hi
+    counts = np.full(size, 1 + lo // size + above // size)
+    counts[: lo % size] += 1
+    counts[size - above % size :] += 1
+    v[:] = v[lo:hi].repeat(counts)
+    return count

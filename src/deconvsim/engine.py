@@ -13,10 +13,12 @@ run is a random walk over those candidates.  An iterate holding both
 (they compare equal, and NumPy's sort may keep either of two equal
 values).
 
-A run has three phases, the parts of ``Chain``: prepare (equalize,
-reference fit, one-shot smoothing, reach check), chain (the step loop,
-writing iterates into a caller-owned buffer block by block) and summary
-(pooling).  ``run`` gives the chain the whole trace as one block;
+A run has three phases, the parts of ``Chain``: prepare
+(``equalize_lengths``, reference fit, one-shot ``smooth``, reach check),
+chain (the step loop, writing iterates into a caller-owned buffer block
+by block, with fresh ``smooth`` noise if asked) and summary (pooling).
+The step's kernels are ``core._sort_order`` and ``core._repair``, and
+every setting is a ``config`` type.  ``run`` gives the chain the whole trace as one block;
 ``deconvsim run`` under ``--pool none`` or ``average`` gives it a 2 MB
 block and writes each out, holding O(n) values instead of the trace.
 The permutations are drawn in blocks on the calling thread, with the
@@ -35,12 +37,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjusters import UNBOUNDED, AdjustPolicy, SupportConstraint, _repair
-from .config import DeconvConfig
-from .core import TieRule, _sort_order, _uniform_indices, as_sample, make_rng
+from .config import (
+    UNBOUNDED,
+    AdjustPolicy,
+    DeconvConfig,
+    EqualizeKind,
+    EqualizeStrategy,
+    PoolingKind,
+    SmoothingSpec,
+    SupportConstraint,
+    TieRule,
+)
+from .core import _repair, _sort_order, _uniform_indices, as_sample, make_rng
 from .errors import DegenerateReferenceError, InvalidInputError
 from .metrics import distance_index, reference_normal_line
-from .variations import PoolingKind, equalize_lengths, smooth
 
 # Elements per distance_index call when run computes d, and per block of
 # permutations or pool picks: bounds each temporary (512 KB) while keeping
@@ -170,6 +180,64 @@ def naive_random_difference(x, z, rng: np.random.Generator) -> np.ndarray:
     xp = x[rng.permutation(x.size)]
     zp = z[rng.permutation(z.size)]
     return np.sort(zp - xp)
+
+
+def equalize_lengths(
+    x, z, strategy: EqualizeStrategy, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return equal-length copies of x and z per the chosen strategy."""
+    x = as_sample(x)
+    z = as_sample(z)
+    kind = strategy.kind
+
+    if kind is EqualizeKind.BOOTSTRAP:
+        n = strategy.target
+        try:
+            return x[rng.integers(0, x.size, n)], z[rng.integers(0, z.size, n)]
+        except (MemoryError, ValueError):  # ValueError: beyond the largest array size
+            raise InvalidInputError(
+                f"a bootstrap sample of n = {n} values does not fit in memory"
+            ) from None
+
+    if x.size == z.size:
+        return x, z
+
+    if kind is EqualizeKind.SUBSAMPLE:
+        n = min(x.size, z.size)
+        if x.size > n:
+            return rng.choice(x, size=n, replace=False), z
+        return x, rng.choice(z, size=n, replace=False)
+
+    # TILE
+    if x.size < z.size:
+        return _tile_to(x, z.size, rng), z
+    return x, _tile_to(z, x.size, rng)
+
+
+def _tile_to(v: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    # n = k*m + r: repeat v k times, then adjoin r draws without replacement.
+    m = v.size
+    k, r = divmod(n, m)
+    parts = [v] * k
+    if r:
+        parts.append(rng.choice(v, size=r, replace=False))
+    return np.concatenate(parts)
+
+
+def smooth(
+    x: np.ndarray, z: np.ndarray, spec: SmoothingSpec, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """One draw of the smoothing noise: ``(sort(x + xi), eta, sort(z + zeta))``.
+
+    Draws xi, eta, zeta in that order and skips any whose sd is 0; x or z
+    is then returned as given and eta is None.
+    """
+    if spec.xi_sd > 0:
+        x = np.sort(x + rng.normal(0.0, spec.xi_sd, x.size))
+    eta = rng.normal(0.0, spec.eta_sd, x.size) if spec.eta_sd > 0 else None
+    if spec.zeta_sd > 0:
+        z = np.sort(z + rng.normal(0.0, spec.zeta_sd, z.size))
+    return x, eta, z
 
 
 def _check_reach(

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from deconvsim import AdjustPolicy, SupportConstraint, TieRule, adjusters
+from deconvsim import AdjustPolicy, SupportConstraint, TieRule, core
 from deconvsim.core import _sort_order, _uniform_indices
 from deconvsim.errors import InfeasibleAdjustmentError, InvalidInputError
 from deconvsim.smallcase import full_census
@@ -112,17 +112,17 @@ class EveryDraw:
 
 @contextlib.contextmanager
 def every_draw():
-    """An EveryDraw in place of ``_uniform_indices`` in ``adjusters._repair``
+    """An EveryDraw in place of ``_uniform_indices`` in ``core._repair``
     and in ``parent_repair``, for the with block."""
     draw = EveryDraw()
     with (
-        mock.patch.object(adjusters, "_uniform_indices", draw),
+        mock.patch.object(core, "_uniform_indices", draw),
         mock.patch.object(sys.modules[__name__], "_uniform_indices", draw),
     ):
         yield draw
 
 
-# `adjusters._repair` as it was before the one-sided masks and `_fold` as
+# `core._repair` as it was before the one-sided masks and `_fold` as
 # it was before it folded in place, copied verbatim (renamed; `_fold`
 # without its comment), except that the donors come from
 # `_uniform_indices`, as they do in the repair.  It repairs in position

@@ -28,7 +28,7 @@ from deconvsim import (
     make_rng,
     run,
 )
-from deconvsim.adjusters import _repair
+from deconvsim.core import _repair
 from deconvsim.cli import main
 from deconvsim.engine import _permutations, naive_random_difference, naive_sorted_difference, step
 from deconvsim.metrics import (

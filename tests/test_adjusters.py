@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from deconvsim import AdjustPolicy, SupportConstraint, make_rng
 from conftest import every_draw, parent_repair
-from deconvsim.adjusters import UNBOUNDED, _repair
+from deconvsim.config import UNBOUNDED
+from deconvsim.core import _repair
 from deconvsim.errors import ConfigError, InfeasibleAdjustmentError, InvalidInputError
 
 HALF_LINE = SupportConstraint(0.0, math.inf)

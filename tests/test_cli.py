@@ -26,7 +26,7 @@ from deconvsim import (
 from deconvsim.cli import main, parse_equalize, parse_support
 from deconvsim.errors import ConfigError, InfeasibleAdjustmentError, InvalidInputError
 from deconvsim.fileio import make_header, read_sample
-from deconvsim.variations import EqualizeKind
+from deconvsim.config import EqualizeKind
 
 from conftest import reference_trace_csv
 
@@ -421,6 +421,7 @@ def test_run_writes_through_every_hard_link(tmp_path, capsys):
     assert "needs at least one in-support value" in capsys.readouterr().err
     assert out.read_bytes() == other.read_bytes() == trace
     assert sorted(tmp_path.iterdir()) == before
+
 
 
 def test_run_memory_does_not_grow_with_the_iterations(tmp_path):

@@ -27,16 +27,16 @@ from deconvsim import (
     run,
 )
 from conftest import every_draw, parent_repair, ranks
-from deconvsim import engine, variations
-from deconvsim.adjusters import _repair
+from deconvsim import engine
 from deconvsim.cli import main
-from deconvsim.core import _uniform_indices
+from deconvsim.core import _repair, _uniform_indices
 from deconvsim.engine import (
     _D_CHUNK,
     IterationTrace,
     _check_reach,
     _permutations,
     _pool_picks,
+    equalize_lengths,
     naive_random_difference,
     naive_sorted_difference,
     step,
@@ -49,7 +49,6 @@ from deconvsim.errors import (
     InvalidInputError,
 )
 from deconvsim.metrics import distance_index, reference_normal_line
-from deconvsim.variations import equalize_lengths
 
 sample_lists = st.lists(
     st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=25
@@ -311,7 +310,7 @@ def _parent_run(x, z, config):
     eta_once = None
     if sm.active and not fresh:
         # One-shot noise is added at the unsorted equalized positions.
-        x_eq, eta_once, z_eq = variations.smooth(x_eq, z_eq, sm, rng)
+        x_eq, eta_once, z_eq = engine.smooth(x_eq, z_eq, sm, rng)
 
     sortx = np.sort(x_eq)
     sortz = np.sort(z_eq)
@@ -341,7 +340,7 @@ def _parent_run(x, z, config):
         rperm = rng.permutation(n)
 
         if fresh:
-            x_eff, w_noise, z_eff = variations.smooth(sortx, sortz, sm, draws)
+            x_eff, w_noise, z_eff = engine.smooth(sortx, sortz, sm, draws)
         else:
             x_eff, w_noise, z_eff = sortx, eta_once, sortz
 

@@ -8,7 +8,7 @@ import pytest
 
 from deconvsim import EqualizeStrategy, PoolingMode, SmoothingSpec, make_rng
 from deconvsim.errors import ConfigError, InvalidInputError
-from deconvsim.variations import equalize_lengths, smooth
+from deconvsim.engine import equalize_lengths, smooth
 
 
 @pytest.mark.parametrize("field", ["xi_sd", "eta_sd", "zeta_sd"])
@@ -38,7 +38,7 @@ def test_bootstrap_strategy_needs_a_target():
 
 
 def test_non_bootstrap_strategies_take_no_target():
-    from deconvsim.variations import EqualizeKind
+    from deconvsim.config import EqualizeKind
 
     with pytest.raises(InvalidInputError):
         EqualizeStrategy(EqualizeKind.TILE, target=5)
