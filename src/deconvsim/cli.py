@@ -163,19 +163,19 @@ def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
     trace = chain.trace
     header = make_header(ns.seed, argv)
     # Each block is written as the chain hands it over; the file takes
-    # the place of --out only once the run has succeeded.
+    # the place of --out only once the run, and the pooled file, succeeded.
     with replacing(ns.out) as fh:
         for start, block in chain.blocks():
             write_trace_block(fh, start, block, trace.d, trace.violations, header)
         pooled = chain.pooled()
+        if ns.pooled_out:
+            write_sample(ns.pooled_out, pooled, header)
     if trace.reference is None:
         if isinstance(trace.reference_error, InvalidInputError):
             reason = "a mean or variance overflows float64"
         else:
             reason = "var(z) <= var(x) or n < 2"
         warnings.warn(f"normal reference is degenerate ({reason}); d written as NA")
-    if ns.pooled_out:
-        write_sample(ns.pooled_out, pooled, header)
 
     mean_d = trace.mean_distance()
     final = block[-1]

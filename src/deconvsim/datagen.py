@@ -26,6 +26,14 @@ class DistKind(Enum):
     DELAY_LINK = "delay-link"
 
 
+def _float(what: str, value) -> float:
+    """value as a float; ConfigError naming what when it is beyond float64."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is beyond float64 range") from None
+
+
 @dataclass(frozen=True)
 class DistSpec:
     """A drawable distribution; build via the classmethod constructors."""
@@ -35,22 +43,24 @@ class DistSpec:
 
     @classmethod
     def normal(cls, mu: float = 0.0, sd: float = 1.0) -> "DistSpec":
+        mu, sd = _float("normal mu", mu), _float("normal sd", sd)
         if not math.isfinite(mu):
             raise ConfigError(f"normal mu must be finite, got {mu!r}")
         if not 0 < sd < math.inf:
             raise ConfigError(f"normal sd must be finite and > 0, got {sd!r}")
-        return cls(DistKind.NORMAL, (float(mu), float(sd)))
+        return cls(DistKind.NORMAL, (mu, sd))
 
     @classmethod
     def exponential(cls, mean: float = 1.0) -> "DistSpec":
         # Parameterized by mean, not rate.
+        mean = _float("exponential mean", mean)
         if not 0 < mean < math.inf:
             raise ConfigError(f"exponential mean must be finite and > 0, got {mean!r}")
-        return cls(DistKind.EXPONENTIAL, (float(mean),))
+        return cls(DistKind.EXPONENTIAL, (mean,))
 
     @classmethod
     def uniform(cls, lo: float = 0.0, hi: float = 1.0) -> "DistSpec":
-        lo, hi = float(lo), float(hi)
+        lo, hi = _float("uniform lo", lo), _float("uniform hi", hi)
         if not lo < hi:
             raise ConfigError("uniform requires lo < hi")
         # Generator.uniform draws lo + (hi - lo) * u, so the width must be finite.
@@ -62,14 +72,20 @@ class DistSpec:
     def contaminated_exponential(
         cls, n_main: int, main_mean: float, n_out: int, out_mean: float
     ) -> "DistSpec":
+        params = (
+            _float("contaminated n_main", n_main),
+            _float("contaminated main_mean", main_mean),
+            _float("contaminated n_out", n_out),
+            _float("contaminated out_mean", out_mean),
+        )
+        n_main, main_mean, n_out, out_mean = params
+        if not (n_main.is_integer() and n_out.is_integer()):
+            raise ConfigError("contaminated-exponential counts must be integers")
         if n_main < 0 or n_out < 0 or n_main + n_out < 1:
             raise ConfigError("contaminated component counts must be nonnegative, total >= 1")
         if not (0 < main_mean < math.inf and 0 < out_mean < math.inf):
             raise ConfigError("contaminated component means must be finite and > 0")
-        return cls(
-            DistKind.CONTAMINATED_EXPONENTIAL,
-            (float(n_main), float(main_mean), float(n_out), float(out_mean)),
-        )
+        return cls(DistKind.CONTAMINATED_EXPONENTIAL, params)
 
     @classmethod
     def delay_link(
@@ -77,15 +93,19 @@ class DistSpec:
     ) -> "DistSpec":
         """Demo-only network-delay model: constant base plus occasional
         exponential spikes.  Not part of any acceptance check."""
+        params = (
+            _float("delay base_ms", base_ms),
+            _float("delay spike_prob", spike_prob),
+            _float("delay spike_mean_ms", spike_mean_ms),
+        )
+        base_ms, spike_prob, spike_mean_ms = params
         if not 0 <= base_ms < math.inf:
             raise ConfigError(f"delay base must be finite and >= 0, got {base_ms!r}")
         if not 0.0 <= spike_prob <= 1.0:
             raise ConfigError("spike probability must be in [0, 1]")
         if not 0 < spike_mean_ms < math.inf:
             raise ConfigError(f"spike mean must be finite and > 0, got {spike_mean_ms!r}")
-        return cls(
-            DistKind.DELAY_LINK, (float(base_ms), float(spike_prob), float(spike_mean_ms))
-        )
+        return cls(DistKind.DELAY_LINK, params)
 
 
 def parse_dist_spec(text: str) -> DistSpec:
@@ -112,12 +132,7 @@ def parse_dist_spec(text: str) -> DistSpec:
         if name == "contaminated-exponential":
             if len(params) != 4:
                 raise ConfigError("contaminated-exponential takes exactly 4 parameters")
-            n_main, main_mean, n_out, out_mean = params
-            if n_main != int(n_main) or n_out != int(n_out):
-                raise ConfigError("contaminated-exponential counts must be integers")
-            return DistSpec.contaminated_exponential(
-                int(n_main), main_mean, int(n_out), out_mean
-            )
+            return DistSpec.contaminated_exponential(*params)
         if name == "delay-link":
             if len(params) != 3:
                 raise ConfigError("delay-link takes exactly 3 parameters")

@@ -418,7 +418,7 @@ def read_sample(path) -> np.ndarray:
 
 def write_sample(path, values, header: str) -> None:
     values = as_sample(values)
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(f"# {header}\n")
         for i in range(0, values.size, _BLOCK):
             fh.write(_repr_join(values[i : i + _BLOCK], "\n") + "\n")

@@ -423,6 +423,21 @@ def test_run_writes_through_every_hard_link(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_a_failed_pooled_write_leaves_out_as_it_was(tmp_path, capsys):
+    x_path, z_path, _ = _simulate(tmp_path)
+    out = tmp_path / "t.csv"
+    out.write_text("old\n")
+    before = sorted(tmp_path.iterdir())
+    code = main(
+        ["run", "--x", x_path, "--z", z_path, "--out", str(out), "--pool", "average",
+         "--pooled-out", str(tmp_path / "nodir" / "p.txt")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "nodir" in err
+    assert out.read_text() == "old\n"
+    assert sorted(tmp_path.iterdir()) == before  # no temporary file is left
+
 
 def test_run_memory_does_not_grow_with_the_iterations(tmp_path):
     # Both traces exceed the command's block (201 and 2001 rows of 16 KB);

@@ -1,5 +1,6 @@
 """Vector primitives: sample validation, sort orders, the rng family."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -175,6 +176,23 @@ def test_random_tie_rule_is_the_lexsort_by_value_then_key(n):
             order = _sort_order(v, TieRule.RANDOM, rng)
             assert np.array_equal(order, np.lexsort((oracle.random(v.size), v))), kind
             assert rng.bit_generator.state == oracle.bit_generator.state, kind
+
+
+@pytest.mark.parametrize("n", [4, 2000])
+def test_random_tie_rule_orders_three_tied_values_uniformly(n):
+    # Three tied values among distinct ones; from n = 1024 on the key and
+    # value sorts take the packed-key path.  Each of the 6 orders of the
+    # tied indices must come up equally often.
+    tied = [0, n // 2, n - 1]
+    v = np.arange(n, dtype=np.float64)
+    v[tied] = v[n // 2]
+    index = {order: i for i, order in enumerate(itertools.permutations(tied))}
+    rng = make_rng(0)
+    counts = np.zeros(len(index), dtype=np.int64)
+    for _ in range(6000):
+        order = _sort_order(v, TieRule.RANDOM, rng)
+        counts[index[tuple(order[np.isin(order, tied)])]] += 1
+    assert scipy.stats.chisquare(counts).pvalue > 1e-3
 
 
 @pytest.mark.parametrize(

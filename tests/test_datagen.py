@@ -29,6 +29,8 @@ def test_parse_dist_spec_names_and_defaults():
         "uniform:2,1",
         "contaminated-exponential:95,1,5",
         "contaminated-exponential:9.5,1,5,100",
+        "contaminated-exponential:inf,1,5,100",
+        "contaminated-exponential:95,1,nan,100",
         "delay-link:5,2,20",
     ],
 )
@@ -84,6 +86,39 @@ INF, NAN = float("inf"), float("nan")
 def test_constructors_reject_non_finite_parameters(make, message):
     with pytest.raises(ConfigError, match=message):
         make()
+
+
+HUGE = 10**400  # an int that no float64 holds
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: DistSpec.normal(HUGE, 1.0), "normal mu"),
+        (lambda: DistSpec.normal(0.0, HUGE), "normal sd"),
+        (lambda: DistSpec.exponential(HUGE), "exponential mean"),
+        (lambda: DistSpec.uniform(-HUGE, 0.0), "uniform lo"),
+        (lambda: DistSpec.uniform(0.0, HUGE), "uniform hi"),
+        (lambda: DistSpec.contaminated_exponential(HUGE, 1.0, 5, 1.0), "contaminated n_main"),
+        (lambda: DistSpec.contaminated_exponential(95, HUGE, 5, 1.0), "contaminated main_mean"),
+        (lambda: DistSpec.contaminated_exponential(95, 1.0, HUGE, 1.0), "contaminated n_out"),
+        (lambda: DistSpec.contaminated_exponential(95, 1.0, 5, HUGE), "contaminated out_mean"),
+        (lambda: DistSpec.delay_link(HUGE, 0.1, 20.0), "delay base_ms"),
+        (lambda: DistSpec.delay_link(5.0, HUGE, 20.0), "delay spike_prob"),
+        (lambda: DistSpec.delay_link(5.0, 0.1, HUGE), "delay spike_mean_ms"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_constructors_name_a_parameter_beyond_float64(make, name):
+    with pytest.raises(ConfigError, match=f"^{name} is beyond float64 range$"):
+        make()
+
+
+@pytest.mark.parametrize("n_main, n_out", [(9.5, 5), (95, 0.5), (INF, 5), (95, NAN)])
+def test_contaminated_rejects_counts_that_are_not_integers(n_main, n_out):
+    # Accepted, (9.5, 5) would make generate(spec, 14, rng) draw 9 main values.
+    with pytest.raises(ConfigError, match="counts must be integers"):
+        DistSpec.contaminated_exponential(n_main, 1.0, n_out, 100.0)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,8 @@
 every name a package module defines at module level is used somewhere,
 and every public package function is reached from the package itself.
 Only ``core._sort_order`` names ``argsort``, and no module ``lexsort``.
-No run loads ``concurrent.futures`` or ``logging``.
+Every setting type is defined in ``config`` and both step kernels in
+``core``.  No run loads ``concurrent.futures`` or ``logging``.
 
 No linter is part of the toolchain, so these AST scans stand in for one.
 ``__init__.py`` is skipped by the import scan: its imports are the
@@ -10,12 +11,17 @@ re-exported package API.
 """
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
+import typing
+from enum import Enum
 from pathlib import Path
 
 import pytest
+
+from deconvsim import config, core
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "deconvsim").glob("*.py"))
@@ -188,6 +194,30 @@ def test_one_ranking_kernel():
     # calls lexsort, and argsort appears only inside that function.
     trees = {path.stem: _parse(path) for path in PACKAGE}
     assert sort_kernel_calls(trees) == {"core._sort_order.argsort"}
+
+
+def setting_types(cls: type) -> set[type]:
+    """The enums and dataclasses that the field annotations of the
+    dataclass cls name, and those of their fields in turn."""
+    found, todo = set(), [cls]
+    while todo:
+        for hint in typing.get_type_hints(todo.pop()).values():
+            for t in typing.get_args(hint) or (hint,):
+                if t in found or not isinstance(t, type):
+                    continue
+                if dataclasses.is_dataclass(t):
+                    todo.append(t)
+                elif not issubclass(t, Enum):
+                    continue
+                found.add(t)
+    return found
+
+
+def test_every_setting_and_step_kernel_has_one_home():
+    settings = setting_types(config.DeconvConfig)
+    assert config.TieRule in settings and config.EqualizeKind in settings
+    assert sorted(t.__qualname__ for t in settings if t.__module__ != config.__name__) == []
+    assert {f.__module__ for f in (core._sort_order, core._repair)} == {core.__name__}
 
 
 # Imports the CLI, makes one run of n values and prints which of two
