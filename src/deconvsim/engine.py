@@ -18,12 +18,12 @@ A run has three phases, the parts of ``Chain``: prepare
 chain (the step loop, writing iterates into a caller-owned buffer block
 by block, with fresh ``smooth`` noise if asked) and summary (pooling).
 The step's kernels are ``core._sort_order`` and ``core._repair``, and
-every setting is a ``config`` type.  ``run`` gives the chain the whole trace as one block;
-``deconvsim run`` under ``--pool none`` or ``average`` gives it a 2 MB
-block and writes each out, holding O(n) values instead of the trace.
-The permutations are drawn in blocks on the calling thread, with the
-values and final generator state of one draw per step; a run starts no
-thread.
+every setting is a ``config`` type.  ``run`` gives the chain the whole
+trace as one block; ``deconvsim run`` under ``--pool none`` or
+``average`` gives it a 2 MB block and writes each out, holding O(n)
+values instead of the trace.  The permutations are drawn in blocks on
+the calling thread, with the values and final generator state of one
+draw per step; a run starts no thread.
 
 Two deliberately bad estimators are included for comparison: the sorted
 difference (far too little spread) and the fully random difference (far
