@@ -11,6 +11,7 @@ Each warning a command raises is printed to stderr at once as
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -33,10 +34,9 @@ from .engine import Chain
 from .errors import ConfigError, DeconvError, InvalidInputError
 from .fileio import (
     make_header,
+    outputs,
     read_sample,
-    replacing,
     shown,
-    summary_path_for,
     write_census_csv,
     write_census_summary,
     write_qq_csv,
@@ -155,21 +155,20 @@ _TRACE_BLOCK = 1 << 18
 
 def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
     config = _config_from(ns)
-    if ns.pooled_out and config.pool.kind is PoolingKind.NONE:
+    if ns.pooled_out is not None and config.pool.kind is PoolingKind.NONE:
         raise ConfigError("--pooled-out requires --pool other than none")
     x = read_sample(ns.x)
     z = read_sample(ns.z)
     chain = Chain(x, z, config, _TRACE_BLOCK)
     trace = chain.trace
-    header = make_header(ns.seed, argv)
-    # Each block is written as the chain hands it over; the file takes
-    # the place of --out only once the run, and the pooled file, succeeded.
-    with replacing(ns.out) as fh:
+    paths = [ns.out] + ([] if ns.pooled_out is None else [ns.pooled_out])
+    # Each block is written as the chain hands it over.
+    with outputs(make_header(ns.seed, argv), *paths) as (fh, *pooled_fh):
         for start, block in chain.blocks():
-            write_trace_block(fh, start, block, trace.d, trace.violations, header)
+            write_trace_block(fh, start, block, trace.d, trace.violations)
         pooled = chain.pooled()
-        if ns.pooled_out:
-            write_sample(ns.pooled_out, pooled, header)
+        if pooled_fh:
+            write_sample(pooled_fh[0], pooled)
     if trace.reference is None:
         if isinstance(trace.reference_error, InvalidInputError):
             reason = "a mean or variance overflows float64"
@@ -191,29 +190,24 @@ def cmd_run(ns: argparse.Namespace, argv: list[str]) -> int:
     print(f"mean d (iter > {burn_in}): " + ("NA" if mean_d is None else f"{mean_d:.6g}"))
     print(f"final estimate {moments}")
     print(f"pre-adjustment violations, total: {total_viol}")
-    print(f"trace: {shown(ns.out)}")
-    if ns.pooled_out:
-        print(f"pooled estimate: {shown(ns.pooled_out)}")
+    for label, path in zip(("trace", "pooled estimate"), paths):
+        print(f"{label}: {shown(path)}")
     return 0
 
 
 def cmd_simulate(ns: argparse.Namespace, argv: list[str]) -> int:
-    prefix = ns.out_prefix
-    header = make_header(ns.seed, argv)
     if ns.experiment is not None:
         if ns.n is not None and ns.n != EXPERIMENT_SIZE:
             raise ConfigError(f"named experiments are fixed at n = {EXPERIMENT_SIZE}")
-        x1, z0, truth = make_experiment(ns.experiment, ns.seed)
-        write_sample(f"{prefix}x1.txt", x1, header)
-        write_sample(f"{prefix}z0.txt", z0, header)
-        write_sample(f"{prefix}truth.txt", truth, header)
-        print(shown(f"wrote {prefix}x1.txt {prefix}z0.txt {prefix}truth.txt"))
-        return 0
-    spec = parse_dist_spec(ns.dist)
-    n = EXPERIMENT_SIZE if ns.n is None else ns.n
-    sample = generate(spec, n, make_rng(ns.seed))
-    write_sample(f"{prefix}sample.txt", sample, header)
-    print(shown(f"wrote {prefix}sample.txt"))
+        samples = dict(zip(("x1", "z0", "truth"), make_experiment(ns.experiment, ns.seed)))
+    else:
+        n = EXPERIMENT_SIZE if ns.n is None else ns.n
+        samples = {"sample": generate(parse_dist_spec(ns.dist), n, make_rng(ns.seed))}
+    paths = [f"{ns.out_prefix}{name}.txt" for name in samples]
+    with outputs(make_header(ns.seed, argv), *paths) as files:
+        for fh, values in zip(files, samples.values()):
+            write_sample(fh, values)
+    print(shown("wrote " + " ".join(paths)))
     return 0
 
 
@@ -225,10 +219,10 @@ def cmd_analyze3(ns: argparse.Namespace, argv: list[str]) -> int:
         if not xs:
             raise ConfigError("--x-values is empty")
     census = full_census(xs)
-    header = make_header("-", argv)
-    write_census_csv(ns.out, census, header)
-    summary_path = summary_path_for(ns.out)
-    write_census_summary(summary_path, census, header)
+    summary_path = os.path.splitext(ns.out)[0] + ".summary.txt"
+    with outputs(make_header("-", argv), ns.out, summary_path) as (csv_fh, summary_fh):
+        write_census_csv(csv_fh, census)
+        write_census_summary(summary_fh, census)
     print(f"regions: {census.total_regions}")
     print(f"distinct stationary distributions: {census.distinct_count}")
     print(f"distinct under relabeling: {census.distinct_unlabeled_count}")
@@ -245,7 +239,8 @@ def cmd_analyze3(ns: argparse.Namespace, argv: list[str]) -> int:
 
 def cmd_qq(ns: argparse.Namespace, argv: list[str]) -> int:
     qq = qq_data(read_sample(ns.infile), TheoreticalDist(ns.dist))
-    write_qq_csv(ns.out, qq, make_header("-", argv))
+    with outputs(make_header("-", argv), ns.out) as (fh,):
+        write_qq_csv(fh, qq)
     print(f"qq data: {shown(ns.out)}")
     return 0
 

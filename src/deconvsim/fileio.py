@@ -1,9 +1,9 @@
 """File formats: sample text files, trace CSV, census CSV, QQ CSV.
 
-Every writer emits a single '#' comment line first (version, seed, and
-the invoking flags) so outputs are self-describing, and formats floats
-as ``repr`` does, so values round-trip exactly.  Nothing time-dependent
-is written: identical inputs give byte-identical files.
+``outputs`` opens every output file and writes first a '#' comment line
+of the version, seed and invoking flags, so outputs describe themselves;
+writers format floats as ``repr`` does, so values round-trip exactly.
+Nothing time-dependent is written: same inputs give the same bytes.
 
 Floats are formatted in blocks by ``_repr_join``, whose text is
 ``sep.join(map(repr, values))`` byte for byte.  ``repr`` prints the
@@ -48,7 +48,7 @@ from __future__ import annotations
 import os
 import shutil
 import stat
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from fractions import Fraction
 from itertools import count, islice
 
@@ -56,7 +56,7 @@ import numpy as np
 
 from . import __version__
 from .core import as_sample
-from .errors import InvalidInputError
+from .errors import ConfigError, InvalidInputError
 from .metrics import QQData
 from .smallcase import RegionCensus, is_point_mass
 
@@ -416,27 +416,24 @@ def read_sample(path) -> np.ndarray:
     return values
 
 
-def write_sample(path, values, header: str) -> None:
+def write_sample(fh, values) -> None:
     values = as_sample(values)
-    with replacing(path) as fh:
-        fh.write(f"# {header}\n")
-        for i in range(0, values.size, _BLOCK):
-            fh.write(_repr_join(values[i : i + _BLOCK], "\n") + "\n")
+    for i in range(0, values.size, _BLOCK):
+        fh.write(_repr_join(values[i : i + _BLOCK], "\n") + "\n")
 
 
-def write_trace_block(fh, start: int, ys, d, violations, header: str) -> None:
+def write_trace_block(fh, start: int, ys, d, violations) -> None:
     """Write the rows of iterates start, start + 1, ... of a trace CSV to
     the text file fh: ys holds their estimates, one per row, and d and
     violations hold the distance index and violation count of every
     iterate of the run, from iterate 0; d is None when the normal
     reference is unavailable, and every d is then written as "NA".  At
-    start 0 the comment line (header) and the column row come first.
-    Rows are formatted whole per kernel call while they fit in _BLOCK
-    values, else one row in blocks of _BLOCK."""
+    start 0 the column row comes first.  Rows are formatted whole per
+    kernel call while they fit in _BLOCK values, else one row in blocks
+    of _BLOCK."""
     n = ys.shape[1]
     if start == 0:
         cols = ["iter", "d", "violations"] + [f"y_{i}" for i in range(1, n + 1)]
-        fh.write(f"# {header}\n")
         fh.write(",".join(cols) + "\n")
     stop = start + len(ys)
     ds = ["NA"] * len(ys) if d is None else _repr_join(d[start:stop]).split(",")
@@ -452,30 +449,33 @@ def write_trace_block(fh, start: int, ys, d, violations, header: str) -> None:
 
 
 @contextmanager
-def replacing(path):
-    """A new text file, open for writing, that becomes path only when the
-    with block ends without an exception.
-
-    It is written next to path (next to the file a symbolic link names),
-    with the permission bits that ``open(path, "w")`` leaves, and then
-    renamed over path; on an exception it is removed, and a file already
-    at path keeps its bytes.  A regular file with other hard links is
-    overwritten in place from the finished file instead, so every link
-    sees the new bytes, as with ``open(path, "w")``.  A path that exists
-    but is not a regular file (a device or a pipe) is written in place.
-    Opening fails as ``open(path, "w")`` would, naming path.
+def replacing(path, taken: dict):
+    """A new text file, open for writing next to path (next to the file a
+    symbolic link names) with the permission bits ``open(path, "w")``
+    leaves, that is renamed over path when the with block ends without an
+    exception; on one it is removed, and a file at path keeps its bytes.
+    A regular file with other hard links is overwritten in place from the
+    finished file instead, so every link sees the new bytes.  As with
+    ``open(path, "w")``, a device or a pipe is written in place, a path
+    naming no file ("" or "dir/") fails, and opening fails naming path.
+    taken maps the regular files the caller writes (by device and inode,
+    by real path if new) to their paths: path's file joins them, or raises
+    ConfigError if there.
     """
     try:
         with open(path, "r+b") as probe:  # as open(path, "w") checks, keeping the bytes
             st = os.fstat(probe.fileno())
-        mode, links = st.st_mode, st.st_nlink
     except FileNotFoundError:
-        mode = links = None
-    if mode is not None and not stat.S_ISREG(mode):
+        st = None
+    if not os.path.basename(path) or st is not None and not stat.S_ISREG(st.st_mode):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
     target = os.path.realpath(path)
+    key = target if st is None else (st.st_dev, st.st_ino)
+    if key in taken:
+        raise ConfigError(f"outputs {taken[key]} and {path} name one file")
+    taken[key] = path
     head, tail = os.path.split(target)
     for i in count():
         temp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
@@ -488,10 +488,10 @@ def replacing(path):
             raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
-            if mode is not None:
-                os.chmod(fh.fileno(), stat.S_IMODE(mode))
+            if st is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
             yield fh
-        if links is not None and links > 1:
+        if st is not None and st.st_nlink > 1:
             # A rename would give path a new inode and leave the other links
             # with the old bytes.
             shutil.copyfile(temp, target)
@@ -504,21 +504,34 @@ def replacing(path):
         raise
 
 
-def write_qq_csv(path, qq: QQData, header: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        fh.write("theoretical,sample\n")
-        pairs = np.column_stack((qq.theoretical, qq.sample)).reshape(-1)
-        for i in range(0, pairs.size, _BLOCK):
-            fh.write(_repr_join(pairs[i : i + _BLOCK], ",\n") + "\n")
+@contextmanager
+def outputs(header: str, *paths):
+    """The files of paths, each opened by ``replacing`` and begun with the
+    line ``# header``; all are flushed before any takes its path's place.
+    Two paths naming one regular file raise ConfigError."""
+    taken = {}
+    with ExitStack() as stack:
+        files = [stack.enter_context(replacing(path, taken)) for path in paths]
+        for fh in files:
+            fh.write(f"# {header}\n")
+        yield files
+        for fh in files:
+            fh.flush()
 
 
-def write_census_csv(path, census: RegionCensus, header: str) -> None:
+def write_qq_csv(fh, qq: QQData) -> None:
+    fh.write("theoretical,sample\n")
+    pairs = np.column_stack((qq.theoretical, qq.sample)).reshape(-1)
+    for i in range(0, pairs.size, _BLOCK):
+        fh.write(_repr_join(pairs[i : i + _BLOCK], ",\n") + "\n")
+
+
+def write_census_csv(fh, census: RegionCensus) -> None:
     """One row per region: exact x, representative (a, b), the 36 matrix
     entries and the 6 limiting probabilities, all as "p/q".  Each matrix
     and distribution that regions share is formatted once."""
     text: dict[int, str] = {}  # a shared matrix's or distribution's text, by identity
-    rows = [f"# {header}\n", "x_num,x_den,a_num,a_den,b_num,b_den,matrix,stationary\n"]
+    rows = ["x_num,x_den,a_num,a_den,b_num,b_den,matrix,stationary\n"]
     for e in census.entries:
         if id(e.matrix) not in text:
             text[id(e.matrix)] = ";".join(fmt_rational(v) for row in e.matrix for v in row)
@@ -528,31 +541,23 @@ def write_census_csv(path, census: RegionCensus, header: str) -> None:
             f"{e.x.numerator},{e.x.denominator},{e.a.numerator},{e.a.denominator},"
             f"{e.b.numerator},{e.b.denominator},{text[id(e.matrix)]},{text[id(e.stationary)]}\n"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(rows))
+    fh.write("".join(rows))
 
 
-def write_census_summary(path, census: RegionCensus, header: str) -> None:
+def write_census_summary(fh, census: RegionCensus) -> None:
     # The regions of one x share one Fraction: hash each object once.
     xs = sorted(set({id(e.x): e.x for e in census.entries}.values()))
     per_x = ";".join(f"{fmt_rational(x)}:{census.regions_for(x)}" for x in xs)
     top_dist, top_count = census.top_distribution()
     hist = census.histogram()
     hist_text = ";".join(f"{mult}:{count}" for mult, count in sorted(hist.items()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# {header}\n"
-            f"total_regions,{census.total_regions}\n"
-            f"regions_per_x,{per_x}\n"
-            f"distinct_stationary,{census.distinct_count}\n"
-            f"distinct_stationary_unlabeled,{census.distinct_unlabeled_count}\n"
-            f"top_multiplicity,{top_count}\n"
-            f"top_is_point_mass,{str(is_point_mass(top_dist)).lower()}\n"
-            f"singletons,{census.singleton_count()}\n"
-            f"multiplicity_histogram,{hist_text}\n"
-        )
-
-
-def summary_path_for(out_path) -> str:
-    root, _ = os.path.splitext(os.fspath(out_path))
-    return root + ".summary.txt"
+    fh.write(
+        f"total_regions,{census.total_regions}\n"
+        f"regions_per_x,{per_x}\n"
+        f"distinct_stationary,{census.distinct_count}\n"
+        f"distinct_stationary_unlabeled,{census.distinct_unlabeled_count}\n"
+        f"top_multiplicity,{top_count}\n"
+        f"top_is_point_mass,{str(is_point_mass(top_dist)).lower()}\n"
+        f"singletons,{census.singleton_count()}\n"
+        f"multiplicity_histogram,{hist_text}\n"
+    )

@@ -376,50 +376,114 @@ def test_run_failing_inside_a_chain_of_blocks_leaves_no_file(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_run_trace_file_has_the_mode_of_open_for_writing(tmp_path, capsys):
+# Every command opens its outputs through one opener, so the file rules
+# are checked on each command.
+COMMANDS = ["run", "simulate", "qq", "analyze3"]
+
+
+def _writing(command, out, x_path, z_path):
+    """argv of command with out as its first output.  simulate writes the
+    x1, z0 and truth files of an experiment, so out's name ends in x1.txt
+    and the rest of out is the prefix."""
+    out = str(out)
+    if command == "run":
+        return ["run", "--x", x_path, "--z", z_path, "--out", out, "--iters", "2"]
+    if command == "simulate":
+        assert out.endswith("x1.txt")
+        return ["simulate", "--experiment", "normal", "--out-prefix", out[: -len("x1.txt")]]
+    if command == "qq":
+        return ["qq", "--in", x_path, "--dist", "standard-normal", "--out", out]
+    return ["analyze3", "--out", out, "--x-values", "10/120"]
+
+
+def _failing(command, out, x_path):
+    """Flags to add to _writing's argv, after a fault set up beside out,
+    that make command exit 2 as late as it can, and a part of the error
+    it then prints: run fails at the first step, simulate and analyze3 at
+    opening their last output, which is made a directory, and qq on
+    reading its input.  The flags of simulate and analyze3 change what
+    they would write to out."""
+    if command == "run":
+        # No difference reaches 1e6, so copy-min fails at the first step.
+        flags = ["--adjust", "copy-min", "--support", "1e6:inf"]
+        return flags, "needs at least one in-support value"
+    if command == "qq":
+        Path(x_path).write_text("inf\n")
+        return [], "not a finite value"
+    if command == "simulate":
+        last, flags = Path(str(out)[: -len("x1.txt")] + "truth.txt"), ["--seed", "8"]
+    else:
+        last, flags = Path(os.path.splitext(out)[0] + ".summary.txt"), ["--x-values", "22/120"]
+    last.unlink()
+    last.mkdir()
+    return flags, f"Is a directory: '{last}'"
+
+
+def _body(path):
+    """The lines of a written file after its comment line."""
+    return Path(path).read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_run_trace_file_has_the_mode_of_open_for_writing(tmp_path, capsys, command):
     x_path, z_path, _ = _simulate(tmp_path)
     with open(tmp_path / "plain.txt", "w"):
         pass
-    out = tmp_path / "t.csv"
-    assert main(["run", "--x", x_path, "--z", z_path, "--out", str(out), "--iters", "2"]) == 0
+    out = tmp_path / "t-x1.txt"
+    argv = _writing(command, out, x_path, z_path)
+    assert main(argv) == 0
     assert out.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
     # A file already there keeps its own permission bits, as open() leaves them.
     out.chmod(0o600)
-    assert main(["run", "--x", x_path, "--z", z_path, "--out", str(out), "--iters", "2"]) == 0
+    assert main(argv) == 0
     capsys.readouterr()
     assert out.stat().st_mode & 0o777 == 0o600
 
 
-def test_run_writes_through_a_link_and_in_place_to_a_device(tmp_path, capsys):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_run_writes_through_a_link_and_in_place_to_a_device(tmp_path, capsys, command):
     x_path, z_path, _ = _simulate(tmp_path)
+    plain = tmp_path / "plain-x1.txt"
+    assert main(_writing(command, plain, x_path, z_path)) == 0
     target = tmp_path / "target.csv"
     target.write_text("old\n")
-    link = tmp_path / "link.csv"
+    link = tmp_path / "link-x1.txt"
     link.symlink_to(target)
-    assert main(["run", "--x", x_path, "--z", z_path, "--out", str(link), "--iters", "2"]) == 0
-    assert link.is_symlink() and target.read_text().count("\n") == 5
-    assert main(["run", "--x", x_path, "--z", z_path, "--out", os.devnull, "--iters", "2"]) == 0
+    assert main(_writing(command, link, x_path, z_path)) == 0
+    assert link.is_symlink() and _body(target) == _body(plain)
+    if command == "run":
+        assert len(_body(target)) == 4  # the column row and 3 iterates
+    device = tmp_path / "null-x1.txt"
+    device.symlink_to(os.devnull)
+    assert main(_writing(command, device, x_path, z_path)) == 0
+    assert device.is_symlink() and Path(os.devnull).is_char_device()
     capsys.readouterr()
 
 
-def test_run_writes_through_every_hard_link(tmp_path, capsys):
-    # open(path, "w") writes to the inode, so every hard link of --out
-    # reads the new trace; a failed run leaves the old bytes in all of them.
+@pytest.mark.parametrize("command", COMMANDS)
+def test_run_writes_through_every_hard_link(tmp_path, capsys, command):
+    # open(path, "w") writes to the inode, so every hard link of the
+    # output reads the new bytes; a failed command leaves the old bytes
+    # in all of them.
     x_path, z_path, _ = _simulate(tmp_path)
-    out, other = tmp_path / "t.csv", tmp_path / "t2.csv"
+    plain = tmp_path / "plain-x1.txt"
+    assert main(_writing(command, plain, x_path, z_path)) == 0
+    out, other = tmp_path / "t-x1.txt", tmp_path / "t2.csv"
     out.write_text("old\n")
     os.link(out, other)
     inode = out.stat().st_ino
-    argv = ["run", "--x", x_path, "--z", z_path, "--out", str(out), "--iters", "2"]
+    argv = _writing(command, out, x_path, z_path)
     assert main(argv) == 0
     assert out.stat().st_ino == inode and out.stat().st_nlink == 2
-    assert other.read_text() == out.read_text() and out.read_text().count("\n") == 5
-    trace = out.read_bytes()
+    assert other.read_text() == out.read_text() and _body(out) == _body(plain)
+    written = out.read_bytes()
+    flags, message = _failing(command, out, x_path)
     before = sorted(tmp_path.iterdir())
-    # No difference reaches 1e6, so copy-min fails at the first step.
-    assert main(argv + ["--adjust", "copy-min", "--support", "1e6:inf"]) == 2
-    assert "needs at least one in-support value" in capsys.readouterr().err
-    assert out.read_bytes() == other.read_bytes() == trace
+    capsys.readouterr()
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert out.read_bytes() == other.read_bytes() == written
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -437,6 +501,76 @@ def test_a_failed_pooled_write_leaves_out_as_it_was(tmp_path, capsys):
     assert err.startswith("error: ") and "nodir" in err
     assert out.read_text() == "old\n"
     assert sorted(tmp_path.iterdir()) == before  # no temporary file is left
+
+
+def test_analyze3_with_a_directory_at_the_summary_path_leaves_out_as_it_was(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    out.write_text("an earlier census\n")
+    (tmp_path / "c.summary.txt").mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert main(["analyze3", "--out", str(out), "--x-values", "10/120"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "c.summary.txt" in captured.err
+    assert captured.out == ""
+    assert out.read_bytes() == b"an earlier census\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_simulate_with_a_directory_at_one_output_writes_none(tmp_path, capsys):
+    prefix = tmp_path / "s-"
+    x1 = tmp_path / "s-x1.txt"
+    x1.write_text("an earlier sample\n")
+    (tmp_path / "s-z0.txt").mkdir()
+    before = sorted(tmp_path.iterdir())
+    code = main(["simulate", "--experiment", "normal", "--out-prefix", str(prefix)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "s-z0.txt" in captured.err
+    assert captured.out == ""
+    assert x1.read_bytes() == b"an earlier sample\n"
+    assert sorted(tmp_path.iterdir()) == before  # no truth file, no temporary file
+
+
+@pytest.mark.parametrize(
+    "spelling, existing",
+    [(s, e) for s in ("same", "dot-slash", "symlink", "hard-link") for e in (True, False)
+     if e or s != "hard-link"],  # a hard link needs an existing file
+    ids=lambda v: {True: "existing", False: "new"}.get(v, v),
+)
+def test_run_rejects_a_pooled_out_that_names_out(
+    tmp_path, monkeypatch, capsys, spelling, existing
+):
+    x_path, z_path, _ = _simulate(tmp_path)
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        Path("t.csv").write_text("an earlier trace\n")
+    pooled = {"same": "t.csv", "dot-slash": "./t.csv", "symlink": "p.csv", "hard-link": "p.csv"}
+    if spelling == "symlink":
+        os.symlink("t.csv", "p.csv")  # dangling when t.csv is new
+    elif spelling == "hard-link":
+        os.link("t.csv", "p.csv")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    listing = sorted(tmp_path.iterdir())
+    code = main(
+        ["run", "--x", x_path, "--z", z_path, "--out", "t.csv", "--pool", "average",
+         "--pooled-out", pooled[spelling]]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: outputs t.csv and {pooled[spelling]} name one file\n"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    assert sorted(tmp_path.iterdir()) == listing
+
+
+def test_run_writes_out_and_pooled_out_in_place_to_one_device(tmp_path, capsys):
+    # A device is written in place, so naming it twice is no clash.
+    x_path, z_path, _ = _simulate(tmp_path)
+    argv = ["run", "--x", x_path, "--z", z_path, "--out", os.devnull, "--pool", "average",
+            "--pooled-out", os.devnull, "--iters", "2", "--burn-in", "0"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith(f"trace: {os.devnull}\npooled estimate: {os.devnull}\n")
 
 
 def test_run_memory_does_not_grow_with_the_iterations(tmp_path):
@@ -558,9 +692,9 @@ def _flags(options):
     return st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in options.items()})
 
 
-# run, the command with the most flags and the file rules, is drawn twice
-# as often as each other command.
-_run_calls = st.tuples(st.just("run"), _flags(_RUN_FLAGS), st.booleans(), st.booleans())
+# run, the command with the most flags, is drawn twice as often as each
+# other command.
+_run_calls = st.tuples(st.just("run"), _flags(_RUN_FLAGS), st.booleans())
 _cli_calls = st.one_of(
     _run_calls,
     _run_calls,
@@ -582,23 +716,26 @@ _cli_calls = st.one_of(
     _cli_calls,
     st.lists(st.sampled_from(_SAMPLE_LINES), min_size=1, max_size=7),
     st.lists(st.sampled_from(_SAMPLE_LINES), min_size=1, max_size=7),
+    st.booleans(),
 )
 # A run that succeeds over a hard-linked --out, and a streamed run that
 # fails after writing every block: 5 iterates near 4e307 overflow the
 # pooled average.
-@example(("run", {"--iters": "9"}, True, False), ["0", "1", "2.5"], ["1", "7", "-3"])
+@example(("run", {"--iters": "9"}, False), ["0", "1", "2.5"], ["1", "7", "-3"], True)
 @example(
-    ("run", {"--iters": "9", "--pool": "average"}, True, True),
+    ("run", {"--iters": "9", "--pool": "average"}, True),
     ["0", "1", "2"],
     ["3e307", "4e307", "5e307"],
+    True,
 )
-def test_fuzzed_commands_exit_0_or_2_with_an_error_line(call, x_lines, z_lines):
+def test_fuzzed_commands_exit_0_or_2_with_an_error_line(call, x_lines, z_lines, existing):
     # Every call exits 0 or 2, and every exit 2 prints an error line, the
     # command's own or argparse's usage error.  A run writes its trace in
-    # blocks of 8 values, so most traces span several blocks; --out may
-    # hold an earlier trace with a second hard link.  A run that fails
-    # leaves --out as it was (or absent), and one that succeeds writes it
-    # in place, so both links read the new trace.
+    # blocks of 8 values, so most traces span several blocks.  The first
+    # output of a command may hold an earlier file with a second hard
+    # link.  A command that fails leaves each of its outputs as it was (or
+    # absent), and one that succeeds writes the first in place, so both
+    # links read the new bytes; neither leaves a temporary file.
     command, *args = call
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -607,27 +744,32 @@ def test_fuzzed_commands_exit_0_or_2_with_an_error_line(call, x_lines, z_lines):
         x_path.write_text("\n".join(x_lines) + "\n")
         z_path.write_text("\n".join(z_lines) + "\n")
         out, linked = tmp / "out.csv", tmp / "linked.csv"
-        argv = [command]
+        argv, outputs = [command], [out]
         if command == "run":
-            flags, existing, pooled_out = args
+            flags, pooled_out = args
             argv += ["--x", str(x_path), "--z", str(z_path), "--out", str(out)]
             argv += [f"{flag}={value}" for flag, value in flags.items()]
             if pooled_out and flags.get("--pool", "none") != "none":
                 argv += ["--pooled-out", str(tmp / "p.txt")]
-            if existing:
-                out.write_text("an earlier trace\n")
-                os.link(out, linked)
+                outputs.append(tmp / "p.txt")
         elif command == "simulate":
             source, flags = args
             argv += source + [f"{flag}={value}" for flag, value in flags.items()]
             argv += ["--out-prefix", str(tmp / "s-")]
+            names = ["x1", "z0", "truth"] if "--experiment" in source else ["sample"]
+            outputs = [tmp / f"s-{name}.txt" for name in names]
         elif command == "qq":
             argv += ["--in", str(x_path), "--dist", args[0], "--out", str(out)]
         else:
             argv += ["--out", str(out)]
             if args[0] is not None:
                 argv += ["--x-values", args[0]]
-        before = out.stat() if out.exists() else None
+            outputs.append(tmp / "out.summary.txt")
+        if existing:
+            outputs[0].write_text("an earlier file\n")
+            os.link(outputs[0], linked)
+        before = {path: path.read_bytes() for path in outputs if path.exists()}
+        inode = outputs[0].stat().st_ino if existing else None
         err = io.StringIO()
         with mock.patch.object(cli, "_TRACE_BLOCK", 8), contextlib.redirect_stdout(
             io.StringIO()
@@ -637,15 +779,11 @@ def test_fuzzed_commands_exit_0_or_2_with_an_error_line(call, x_lines, z_lines):
         if code == 2:
             prefixes = ("error: ", f"deconvsim {command}: error: ")
             assert any(line.startswith(prefixes) for line in err.getvalue().splitlines()), argv
-        if command != "run":
-            return
-        if code == 2 and before is None:
-            assert not out.exists(), argv
-        elif code == 2:
-            assert out.read_bytes() == linked.read_bytes() == b"an earlier trace\n", argv
-        elif before is not None:
-            assert out.stat().st_ino == before.st_ino, argv
-            assert linked.read_bytes() == out.read_bytes() != b"an earlier trace\n", argv
+            assert {path: path.read_bytes() for path in outputs if path.exists()} == before, argv
+        elif existing:
+            assert outputs[0].stat().st_ino == inode, argv
+            assert linked.read_bytes() == outputs[0].read_bytes() != b"an earlier file\n", argv
+        assert not [p.name for p in tmp.iterdir() if p.name.endswith(".tmp")], argv
 
 
 def test_run_overflowing_moments_print_na(tmp_path, capsys):
@@ -696,6 +834,33 @@ def test_run_unwritable_output_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["run", "run-pooled", "qq", "analyze3"])
+@pytest.mark.parametrize(
+    "out, error",
+    [("", "[Errno 2] No such file or directory: ''"),
+     ("new/", "[Errno 21] Is a directory: 'new/'")],
+    ids=["empty", "trailing-slash"],
+)
+def test_an_output_path_naming_no_file_fails_as_open_does(
+    tmp_path, monkeypatch, capsys, command, out, error
+):
+    # The real path of "" is the working directory and that of "new/" is
+    # new: no temporary file may be made beside either, nor a file new.
+    x_path, z_path, _ = _simulate(tmp_path)
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    if command == "run-pooled":
+        argv = _writing("run", "t.csv", x_path, z_path)
+        argv += ["--pool", "average", "--burn-in", "0", "--pooled-out", out]
+    else:
+        argv = _writing(command, out, x_path, z_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_run_rejects_unknown_adjust_choice(tmp_path, capsys):
     x_path, z_path, _ = _simulate(tmp_path)
     code = main(
@@ -715,6 +880,18 @@ def test_analyze3_single_x(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 2 + 154
     summary = tmp_path / "census.summary.txt"
     assert "total_regions,154" in summary.read_text()
+
+
+@pytest.mark.parametrize(
+    "out, summary", [("out/census.csv", "out/census.summary.txt"), ("plain", "plain.summary.txt")]
+)
+def test_analyze3_writes_the_summary_beside_out(tmp_path, monkeypatch, capsys, out, summary):
+    # The summary's path is --out with its extension replaced.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    assert main(["analyze3", "--out", out, "--x-values", "10/120"]) == 0
+    assert capsys.readouterr().out.endswith(f"census: {out}\nsummary: {summary}\n")
+    assert (tmp_path / summary).read_text().splitlines()[1].startswith("total_regions,")
 
 
 def test_analyze3_is_byte_deterministic(tmp_path, capsys):

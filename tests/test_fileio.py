@@ -33,8 +33,8 @@ from deconvsim.fileio import (
     _repr_join,
     fmt_rational,
     make_header,
+    outputs,
     read_sample,
-    summary_path_for,
     write_census_csv,
     write_census_summary,
     write_qq_csv,
@@ -46,16 +46,21 @@ from deconvsim.smallcase import full_census
 from conftest import reference_trace_csv
 
 
+def _write(path, writer, *args, header="hdr"):
+    """Write path with writer, opened by outputs with the comment line header."""
+    with outputs(header, path) as (fh,):
+        writer(fh, *args)
+
+
 def _write_trace(path, trace):
     """The trace CSV of a whole trace, written as one block, header "hdr"."""
-    with open(path, "w", encoding="utf-8") as fh:
-        write_trace_block(fh, 0, trace.ys, trace.d, trace.violations, "hdr")
+    _write(path, write_trace_block, 0, trace.ys, trace.d, trace.violations)
 
 
 def test_sample_round_trip(tmp_path):
     path = tmp_path / "sample.txt"
     values = np.array([0.1, -3.5, 1e-17, 12345.678901234567, -0.0, 1e-300, 2.0 / 3.0])
-    write_sample(path, values, header="demo seed=1")
+    _write(path, write_sample, values, header="demo seed=1")
     back = read_sample(path)
     assert back.tobytes() == values.tobytes()  # exact, and -0.0 keeps its sign
     text = path.read_text()
@@ -66,7 +71,7 @@ def test_fmt_float_round_trips_exactly(tmp_path):
     # Writers print each value as repr of a Python float: shortest exact text.
     values = [0.1, -0.0, 1e-300, 2.0 / 3.0, 12345.678901234567]
     path = tmp_path / "floats.txt"
-    write_sample(path, np.array(values), header="hdr")
+    _write(path, write_sample, np.array(values))
     lines = path.read_text().splitlines()
     assert lines == ["# hdr"] + [repr(v) for v in values]
     assert np.array([float(s) for s in lines[1:]]).tobytes() == np.array(values).tobytes()
@@ -331,7 +336,7 @@ def test_trace_csv_writes_na_for_missing_d(tmp_path):
 def test_qq_csv_layout(tmp_path):
     qq = qq_data(np.array([1.0, 2.0]), TheoreticalDist.STANDARD_NORMAL)
     path = tmp_path / "qq.csv"
-    write_qq_csv(path, qq, header="hdr")
+    _write(path, write_qq_csv, qq)
     lines = path.read_text().splitlines()
     assert lines[0] == "# hdr"
     assert lines[1] == "theoretical,sample"
@@ -344,7 +349,7 @@ def test_qq_csv_layout(tmp_path):
 def test_census_csv_and_summary(tmp_path):
     census = full_census([Fraction(10, 120)])
     csv_path = tmp_path / "census.csv"
-    write_census_csv(csv_path, census, header="hdr")
+    _write(csv_path, write_census_csv, census)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "# hdr"
     assert lines[1] == "x_num,x_den,a_num,a_den,b_num,b_den,matrix,stationary"
@@ -358,17 +363,12 @@ def test_census_csv_and_summary(tmp_path):
     assert sum(Fraction(cell) for cell in stationary) == 1
 
     summary_path = tmp_path / "census.summary.txt"
-    write_census_summary(summary_path, census, header="hdr")
+    _write(summary_path, write_census_summary, census)
     text = summary_path.read_text()
     assert "total_regions,154" in text
     assert "regions_per_x,1/12:154" in text
     assert "top_is_point_mass," in text
     assert "multiplicity_histogram," in text
-
-
-def test_summary_path_for():
-    assert summary_path_for("out/census.csv") == "out/census.summary.txt"
-    assert summary_path_for("plain") == "plain.summary.txt"
 
 
 # The float kernel: _repr_join must give the bytes of repr, value by value.
@@ -518,13 +518,13 @@ def test_trace_csv_matches_one_repr_per_float(tmp_path, n, rows, with_d):
 def test_sample_and_qq_writers_match_repr_across_blocks(tmp_path):
     values = _mixed_trace(2 * _BLOCK + 1, 1).ys[0]
     path = tmp_path / "sample.txt"
-    write_sample(path, values, header="hdr")
+    _write(path, write_sample, values)
     want = "# hdr\n" + "".join(repr(v) + "\n" for v in values.tolist())
     assert _first_difference(path.read_text(), want) is None
 
     qq = qq_data(np.sort(values[: _BLOCK + 1]), TheoreticalDist.STANDARD_NORMAL)
     path = tmp_path / "qq.csv"
-    write_qq_csv(path, qq, header="hdr")
+    _write(path, write_qq_csv, qq)
     pairs = zip(qq.theoretical.tolist(), qq.sample.tolist())
     want = "# hdr\ntheoretical,sample\n" + "".join(f"{t!r},{s!r}\n" for t, s in pairs)
     assert _first_difference(path.read_text(), want) is None

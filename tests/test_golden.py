@@ -61,7 +61,7 @@ RUN_CASES = {
     ),
     # Re-pinned when the per-step draws moved to a child stream: the
     # donors come from the run generator's first child, indexed in
-    # ascending order (the law is unchanged; see tests/test_adjusters.py).
+    # ascending order (the law is unchanged; see tests/test_repair.py).
     # Re-pinned again when the donor indices became floor(u * count) of
     # one Generator.random call instead of a Generator.integers call,
     # whose argument handling cost more than the rest of the repair; each

@@ -3,7 +3,8 @@ every name a package module defines at module level is used somewhere,
 and every public package function is reached from the package itself.
 Only ``core._sort_order`` names ``argsort``, and no module ``lexsort``.
 Every setting type is defined in ``config`` and both step kernels in
-``core``.  No run loads ``concurrent.futures`` or ``logging``.
+``core``.  Only ``fileio.replacing`` opens a file for writing, and only
+``fileio`` names it.  No run loads ``concurrent.futures`` or ``logging``.
 
 No linter is part of the toolchain, so these AST scans stand in for one.
 ``__init__.py`` is skipped by the import scan: its imports are the
@@ -107,8 +108,8 @@ def src_references(trees: dict[str, ast.Module]) -> set[str]:
     """``module.name`` for every reference src code makes to a module-level
     name: a bare name in its own module (outside its own definition), a
     ``from .module import name``, or ``module.name`` on an imported module.
-    Attribute names in general do not count: ``config.adjust`` is not a
-    reference to a function ``adjusters.adjust``."""
+    Attribute names in general do not count: ``config.adjust`` would not
+    be a reference to a function ``core.adjust``."""
     refs = set()
     for stem, tree in trees.items():
         modules = {}
@@ -194,6 +195,49 @@ def test_one_ranking_kernel():
     # calls lexsort, and argsort appears only inside that function.
     trees = {path.stem: _parse(path) for path in PACKAGE}
     assert sort_kernel_calls(trees) == {"core._sort_order.argsort"}
+
+
+def _may_write(call: ast.Call) -> bool:
+    """Whether a call of ``open`` may open for writing: a mode (its second
+    argument, ``mode=`` or ``flags=``) that is not a constant string free
+    of w, a, x and +.  A call without one reads."""
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg in ("mode", "flags")]
+    return any(
+        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+        or bool(set(mode.value) & set("wax+"))
+        for mode in modes
+    )
+
+
+def write_opens(trees: dict[str, ast.Module]) -> set[str]:
+    """``module.function`` (or ``module`` at module level) for every call
+    of ``open``, by name or as an attribute (``os.open``, ``Path.open``),
+    that may open for writing."""
+    calls = set()
+    for stem, tree in trees.items():
+        for top in tree.body:
+            scope = f"{stem}.{top.name}" if isinstance(top, ast.FunctionDef) else stem
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _may_write(node):
+                    if getattr(node.func, "attr", getattr(node.func, "id", None)) == "open":
+                        calls.add(scope)
+    return calls
+
+
+def test_one_opener_of_output_files():
+    # Every output file is opened by fileio.outputs through
+    # fileio.replacing, so a command writes all of its files or none.  A
+    # write-mode open anywhere else would be a second way to write one.
+    trees = {path.stem: _parse(path) for path in PACKAGE}
+    assert write_opens(trees) == {"fileio.replacing"}
+    naming = {
+        stem
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if "replacing"
+        in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    }
+    assert naming == {"fileio"}
 
 
 def setting_types(cls: type) -> set[type]:

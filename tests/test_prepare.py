@@ -1,4 +1,5 @@
-"""Length equalization, smoothing, bootstrap, and pooling."""
+"""Preparing the samples for the chain (``engine.equalize_lengths``,
+``engine.smooth`` and their settings) and the pooling settings."""
 
 import math
 from collections import Counter

@@ -1,4 +1,5 @@
-"""Boundary policies: violation counting and in-support guarantees."""
+"""The boundary repair ``core._repair``: each adjust policy's violation
+count and in-support guarantee."""
 
 import math
 from collections import Counter
