@@ -108,6 +108,26 @@ class DistSpec:
         return cls(DistKind.DELAY_LINK, params)
 
 
+_CONSTRUCTORS = {
+    DistKind.NORMAL: DistSpec.normal,
+    DistKind.EXPONENTIAL: DistSpec.exponential,
+    DistKind.UNIFORM: DistSpec.uniform,
+    DistKind.CONTAMINATED_EXPONENTIAL: DistSpec.contaminated_exponential,
+    DistKind.DELAY_LINK: DistSpec.delay_link,
+}
+
+
+def _checked(kind, params) -> DistSpec:
+    """DistSpec(kind, params) as kind's constructor builds it; ConfigError
+    naming the kind, the parameter count or the parameter it rejects."""
+    if not isinstance(kind, DistKind):
+        raise ConfigError(f"unknown distribution kind {kind!r}")
+    try:
+        return _CONSTRUCTORS[kind](*params)
+    except TypeError:
+        raise ConfigError(f"{kind.value} does not take {len(params)} parameters") from None
+
+
 def parse_dist_spec(text: str) -> DistSpec:
     """Parse "name" or "name:p1,p2,..." into a DistSpec.
 
@@ -122,32 +142,20 @@ def parse_dist_spec(text: str) -> DistSpec:
         params = [float(p) for p in rest.split(",")] if rest.strip() else []
     except ValueError:
         raise ConfigError(f"malformed distribution parameters in {text!r}") from None
-    try:
-        if name == "normal":
-            return DistSpec.normal(*params)
-        if name == "exponential":
-            return DistSpec.exponential(*params)
-        if name == "uniform":
-            return DistSpec.uniform(*params)
-        if name == "contaminated-exponential":
-            if len(params) != 4:
-                raise ConfigError("contaminated-exponential takes exactly 4 parameters")
-            return DistSpec.contaminated_exponential(*params)
-        if name == "delay-link":
-            if len(params) != 3:
-                raise ConfigError("delay-link takes exactly 3 parameters")
-            return DistSpec.delay_link(*params)
-    except TypeError:
-        raise ConfigError(f"wrong parameter count in {text!r}") from None
-    raise ConfigError(f"unknown distribution {name!r}")
+    if name not in {kind.value for kind in DistKind}:
+        raise ConfigError(f"unknown distribution {name!r}")
+    return _checked(DistKind(name), params)
 
 
 def generate(spec: DistSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from spec; deterministic per rng state.  Raises
-    InvalidInputError when a draw overflows float64."""
+    ConfigError when spec's constructor would reject it, and
+    InvalidInputError when n values do not fit in memory or a draw
+    overflows float64."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    p = spec.params
+    # Checked first, so that NumPy's ValueError below can only refuse n.
+    p = _checked(spec.kind, spec.params).params
     if spec.kind is DistKind.CONTAMINATED_EXPONENTIAL:
         n_main, n_out = int(p[0]), int(p[2])
         if n != n_main + n_out:
@@ -166,13 +174,11 @@ def generate(spec: DistSpec, n: int, rng: np.random.Generator) -> np.ndarray:
                 [rng.exponential(p[1], n_main), rng.exponential(p[3], n_out)]
             )
             sample = pooled[rng.permutation(n)]
-        elif spec.kind is DistKind.DELAY_LINK:
+        else:
             base, prob, spike_mean = p
             spikes = np.where(rng.random(n) < prob, rng.exponential(spike_mean, n), 0.0)
             with np.errstate(over="ignore"):  # an overflow is raised below
                 sample = base + spikes
-        else:
-            raise ConfigError(f"unhandled distribution kind {spec.kind}")
     except (MemoryError, ValueError):  # ValueError: beyond the largest array size
         raise InvalidInputError(f"a sample of n = {n} values does not fit in memory") from None
     if not np.isfinite(sample).all():

@@ -45,6 +45,7 @@ of the computed distances (below 1e-14), so no rounding decides a case.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import stat
@@ -341,75 +342,53 @@ def fmt_rational(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _data_lines(lines, start: int):
-    """(line number, stripped text) of each of lines, the file's lines
-    after its first start, that is neither blank nor a '#' comment."""
-    for lineno, line in enumerate(lines, start=start + 1):
-        text = line.strip()
-        if text and text[0] != "#":
-            yield lineno, text
-
-
-def _bad_decimal(lines, start: int = 0):
-    """(line number, text) of the first data line of lines, the file's
-    lines after its first start, that float() rejects; None if none."""
-    for lineno, text in _data_lines(lines, start):
+def _first_fault(lines, block: int) -> str:
+    """'line number: what is wrong' for the first line that read_sample
+    rejects in lines, the file's block number block; lines hold one."""
+    for lineno, line in enumerate(lines, start=block * _BLOCK + 1):
         try:
-            float(text)
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            return f"{lineno}: not UTF-8 text"
+        text = line.strip()
+        if not text or text[0] == "#":
+            continue
+        try:
+            value = float(text)
         except ValueError:
-            return lineno, text
-    return None
+            return f"{lineno}: not a decimal value: {text!r}"
+        if not math.isfinite(value):
+            return f"{lineno}: not a finite value: {text!r}"
 
 
 def read_sample(path) -> np.ndarray:
     """Read newline-delimited decimals; '#' comment lines and blank
     lines are ignored, and so is a UTF-8 byte-order mark.
 
-    The file is read _BLOCK lines at a time, and each block's data lines
-    go through one ``map(float, ...)``; a block is scanned again line by
-    line only to name the line that failed.  Of several faults, the one
-    named is the one a line-by-line read meets first: the first line that
-    is not a decimal or the first bytes that are not UTF-8, whichever
-    comes first in the file, and only then the first value that float()
-    reads as inf or nan.
+    The first line, in file order, that holds bytes that are not UTF-8 or
+    is a data line that float() rejects or reads as inf or nan fails the
+    read, named as ``path:line: <what is wrong>``.  The file is opened
+    once, its bad bytes kept on their own line as lone surrogates, and
+    read _BLOCK lines at a time: one ``map(float, ...)`` parses a block's
+    data lines and one UTF-8 encode checks its text, and only a block that
+    fails either or holds inf or nan is scanned again, to name the line.
     """
-    blocks = []
-    bad = None  # (line number, text) of the first line float() rejects
-    non_finite = None  # (line number, text) of the first inf or nan
-    start = 0  # lines before the current block
+    blocks = []  # every block but the last holds _BLOCK lines
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             while lines := list(islice(fh, _BLOCK)):
                 data = [t for t in map(str.strip, lines) if t and t[0] != "#"]
                 try:
                     block = np.fromiter(map(float, data), np.float64, len(data))
-                except ValueError:
-                    bad = _bad_decimal(lines, start)
-                    break
-                finite = np.isfinite(block)
-                if non_finite is None and not finite.all():
-                    first = int(finite.argmin())
-                    non_finite = next(islice(_data_lines(lines, start), first, None))
+                    "".join(lines).encode("utf-8")  # fails on a lone surrogate
+                    fault = not np.isfinite(block).all()
+                except ValueError:  # UnicodeEncodeError is one
+                    fault = True
+                if fault:
+                    raise InvalidInputError(f"{path}:{_first_fault(lines, len(blocks))}")
                 blocks.append(block)
-                start += len(lines)
-    except UnicodeDecodeError as exc:
-        # The block that failed to decode may hold a bad line before the
-        # bad bytes, and a line-by-line read would name that line.
-        try:
-            with open(path, encoding="utf-8-sig") as fh:
-                bad = _bad_decimal(fh)
-        except (OSError, UnicodeDecodeError):
-            pass
-        if bad is None:
-            raise InvalidInputError(f"cannot read {path}: {exc}") from None
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
-    if bad is not None:
-        lineno, text = bad
-        raise InvalidInputError(f"{path}:{lineno}: not a decimal value: {text!r}")
-    if non_finite is not None:
-        lineno, text = non_finite
-        raise InvalidInputError(f"{path}:{lineno}: not a finite value: {text!r}")
     values = np.concatenate(blocks) if blocks else np.empty(0)
     if not values.size:
         raise InvalidInputError(f"{path}: no data lines")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deconvsim import DistSpec, generate, make_experiment, make_rng
-from deconvsim.datagen import EXPERIMENT_SIZE, parse_dist_spec
+from deconvsim.datagen import EXPERIMENT_SIZE, DistKind, parse_dist_spec
 from deconvsim.errors import ConfigError, InvalidInputError
 
 
@@ -31,6 +31,8 @@ def test_parse_dist_spec_names_and_defaults():
         "contaminated-exponential:9.5,1,5,100",
         "contaminated-exponential:inf,1,5,100",
         "contaminated-exponential:95,1,nan,100",
+        "contaminated-exponential:-1,1,5,100",
+        "contaminated-exponential:0,1,0,100",
         "delay-link:5,2,20",
     ],
 )
@@ -182,6 +184,22 @@ def test_generate_rejects_a_sample_beyond_the_address_space(spec, n):
     # big" at 2**62, "Maximum allowed dimension exceeded" at 10**19.
     with pytest.raises(InvalidInputError, match=f"n = {n} .*memory"):
         generate(spec, n, make_rng(0))
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (DistSpec(DistKind.NORMAL, (0.0, -1.0)), "normal sd must be finite and > 0, got -1.0"),
+        (DistSpec("normal", (0.0, 1.0)), "unknown distribution kind 'normal'"),
+        (DistSpec(DistKind.UNIFORM, (0.0, 1.0, 2.0)), "uniform does not take 3 parameters"),
+    ],
+    ids=["negative-sd", "kind-as-text", "extra-parameter"],
+)
+def test_generate_names_the_kind_or_parameter_it_rejects(spec, message):
+    # Not a memory error: n = 3 fits.
+    with pytest.raises(ConfigError) as caught:
+        generate(spec, 3, make_rng(0))
+    assert str(caught.value) == message
 
 
 def test_make_experiment_wiring():

@@ -1,11 +1,14 @@
 """Reading and writing: sample files, trace/QQ/census CSVs, headers."""
 
 import builtins
+import codecs
+import math
+import os
 import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,6 @@ from deconvsim import (
     run,
 )
 from deconvsim import fileio
-from deconvsim.core import as_sample
 from deconvsim.engine import IterationTrace
 from deconvsim.errors import InvalidInputError
 from deconvsim.fileio import (
@@ -108,9 +110,7 @@ def test_read_sample_names_a_non_finite_line_after_a_byte_order_mark(tmp_path):
 def test_read_sample_still_rejects_text_that_is_not_utf8(tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"1.0\n\xff2.0\n")
-    message = "cannot read .*latin1.txt: 'utf-8' codec can't decode"
-    with pytest.raises(InvalidInputError, match=message):
-        read_sample(path)
+    assert read_outcome(read_sample, path) == f"{path}:2: not UTF-8 text"
 
 
 def test_read_sample_errors(tmp_path):
@@ -122,47 +122,37 @@ def test_read_sample_errors(tmp_path):
         read_sample(empty)
 
 
-# The reader before it parsed in blocks, kept verbatim (names prefixed
-# with "line_by_line") as the oracle the block reader must keep matching:
-# one float() per line, and the finiteness check after the whole file.
-
-
-def line_by_line_data_lines(fh):
-    """(line number, stripped text) of each line that is neither blank
-    nor a '#' comment."""
-    for lineno, line in enumerate(fh, start=1):
-        text = line.strip()
-        if text and not text.startswith("#"):
-            yield lineno, text
+# The reader's rule, stated line by line, as the oracle the block reader
+# must match: the file is split into lines at LF, CRLF or CR, its UTF-8
+# byte-order mark dropped, and its lines are taken in order; a line that
+# does not decode as UTF-8, or a data line that float() rejects or reads
+# as inf or nan, fails the read, naming that line.
 
 
 def line_by_line_read_sample(path) -> np.ndarray:
     """Read newline-delimited decimals; '#' comment lines and blank
     lines are ignored, and so is a UTF-8 byte-order mark."""
-    values = []
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, text in line_by_line_data_lines(fh):
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise InvalidInputError(
-                        f"{path}:{lineno}: not a decimal value: {text!r}"
-                    ) from None
-    except (OSError, UnicodeDecodeError) as exc:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
+    values = []
+    for lineno, line in enumerate(raw.removeprefix(codecs.BOM_UTF8).splitlines(), start=1):
+        try:
+            text = line.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise InvalidInputError(f"{path}:{lineno}: not UTF-8 text") from None
+        if not text or text.startswith("#"):
+            continue
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise InvalidInputError(f"{path}:{lineno}: not a decimal value: {text!r}") from None
+        if not math.isfinite(values[-1]):
+            raise InvalidInputError(f"{path}:{lineno}: not a finite value: {text!r}")
     if not values:
         raise InvalidInputError(f"{path}: no data lines")
-    try:
-        return as_sample(values)
-    except InvalidInputError:
-        # float() reads inf, nan and 1e999, the one failure left here.
-        # Name the first such line; the file is read again only on
-        # failure, so success costs no more.
-        first = int(np.isfinite(values).argmin())
-        with open(path, encoding="utf-8-sig") as fh:
-            lineno, text = next(islice(line_by_line_data_lines(fh), first, None))
-        raise InvalidInputError(f"{path}:{lineno}: not a finite value: {text!r}") from None
+    return np.array(values)
 
 
 def read_outcome(reader, path):
@@ -211,39 +201,41 @@ def test_read_sample_names_the_true_line_in_any_block(tmp_path, index, text, mes
     assert read_outcome(line_by_line_read_sample, path) == expected
 
 
-def test_read_sample_names_a_bad_decimal_before_an_earlier_non_finite_value(tmp_path):
-    # As when the whole file was parsed before the finiteness check.
+def test_read_sample_names_a_non_finite_value_before_a_later_bad_decimal(tmp_path):
+    # The first faulty line in file order, whatever its fault.
     lines = messy_lines(3 * _BLOCK, seed=5)
     lines[10] = "inf"
     lines[2 * _BLOCK + 5] = "1,5"
     path = tmp_path / "sample.txt"
     write_lines(path, lines)
-    expected = f"{path}:{2 * _BLOCK + 6}: not a decimal value: '1,5'"
+    expected = f"{path}:11: not a finite value: 'inf'"
     assert read_outcome(read_sample, path) == expected
     assert read_outcome(line_by_line_read_sample, path) == expected
 
 
 @pytest.mark.parametrize(
-    "faults",
+    "faults, fault",
     [
-        {1: b"abc", 5000: b"\xff"},
-        {2: b"\xff", 5000: b"abc"},
-        {5000: b"abc", 20_000: b"\xff"},
-        {3: b"inf", 9000: b"\xfe2.5"},
-        {_BLOCK + 7: b"1\xc3"},
+        ({1: b"abc", 5000: b"\xff"}, "2: not a decimal value: 'abc'"),
+        ({2: b"\xff", 5000: b"abc"}, "3: not UTF-8 text"),
+        ({5000: b"abc", 20_000: b"\xff"}, "5001: not a decimal value: 'abc'"),
+        ({3: b"inf", 9000: b"\xfe2.5"}, "4: not a finite value: 'inf'"),
+        ({_BLOCK + 7: b"1\xc3"}, f"{_BLOCK + 8}: not UTF-8 text"),
+        ({0: b"# caf\xe9"}, "1: not UTF-8 text"),
     ],
     ids=["bad-line-then-bad-byte", "bad-byte-then-bad-line", "bad-byte-in-a-later-block",
-         "inf-then-bad-byte", "bad-byte-past-the-first-block"],
+         "inf-then-bad-byte", "bad-byte-past-the-first-block", "latin1-comment"],
 )
-def test_read_sample_names_the_fault_a_line_by_line_read_meets_first(tmp_path, faults):
-    # A block is decoded before any of its lines is parsed, so a bad line
-    # and bytes that are not UTF-8 can sit in one block.
+def test_read_sample_names_the_fault_a_line_by_line_read_meets_first(tmp_path, faults, fault):
+    # A block is encoded and parsed whole, so a bad line and bytes that are
+    # not UTF-8 can sit in one block; the earlier of the two is named.
     lines = [b"%d.5" % i for i in range(2 * _BLOCK)]
     for index, text in faults.items():
         lines[index] = text
     path = tmp_path / "sample.txt"
     path.write_bytes(b"\n".join(lines) + b"\n")
-    assert read_outcome(read_sample, path) == read_outcome(line_by_line_read_sample, path)
+    assert read_outcome(read_sample, path) == f"{path}:{fault}"
+    assert read_outcome(line_by_line_read_sample, path) == f"{path}:{fault}"
 
 
 @pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
@@ -292,6 +284,17 @@ def test_read_sample_holds_one_block_of_lines(tmp_path):
         tracemalloc.stop()
     assert peak <= 3 * block_lines + 3 * 8 * count
     assert 3 * block_lines + 3 * 8 * count < all_lines
+
+
+def test_outputs_steps_past_a_temporary_name_that_is_taken(tmp_path):
+    # Another file at the first temporary name is left as it is.
+    path = tmp_path / "t.csv"
+    taken = Path(os.path.realpath(tmp_path)) / f".t.csv.{os.getpid()}-0.tmp"
+    taken.write_bytes(b"another writer's bytes\n")
+    _write(path, write_sample, np.array([1.5]))
+    assert path.read_text() == "# hdr\n1.5\n"
+    assert taken.read_bytes() == b"another writer's bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "t.csv"]
 
 
 def test_fmt_rational_always_shows_the_denominator():

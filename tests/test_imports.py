@@ -4,7 +4,8 @@ and every public package function is reached from the package itself.
 Only ``core._sort_order`` names ``argsort``, and no module ``lexsort``.
 Every setting type is defined in ``config`` and both step kernels in
 ``core``.  Only ``fileio.replacing`` opens a file for writing, and only
-``fileio`` names it.  No run loads ``concurrent.futures`` or ``logging``.
+``fileio`` names it; only ``fileio.read_sample`` opens one for reading,
+once.  No run loads ``concurrent.futures`` or ``logging``.
 
 No linter is part of the toolchain, so these AST scans stand in for one.
 ``__init__.py`` is skipped by the import scan: its imports are the
@@ -209,18 +210,18 @@ def _may_write(call: ast.Call) -> bool:
     )
 
 
-def write_opens(trees: dict[str, ast.Module]) -> set[str]:
-    """``module.function`` (or ``module`` at module level) for every call
-    of ``open``, by name or as an attribute (``os.open``, ``Path.open``),
-    that may open for writing."""
-    calls = set()
+def open_calls(trees: dict[str, ast.Module]) -> list[tuple[str, bool]]:
+    """(``module.function`` or ``module`` at module level, whether it may
+    write) for every call of ``open``, by name or as an attribute
+    (``os.open``, ``Path.open``)."""
+    calls = []
     for stem, tree in trees.items():
         for top in tree.body:
             scope = f"{stem}.{top.name}" if isinstance(top, ast.FunctionDef) else stem
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and _may_write(node):
+                if isinstance(node, ast.Call):
                     if getattr(node.func, "attr", getattr(node.func, "id", None)) == "open":
-                        calls.add(scope)
+                        calls.append((scope, _may_write(node)))
     return calls
 
 
@@ -229,7 +230,7 @@ def test_one_opener_of_output_files():
     # fileio.replacing, so a command writes all of its files or none.  A
     # write-mode open anywhere else would be a second way to write one.
     trees = {path.stem: _parse(path) for path in PACKAGE}
-    assert write_opens(trees) == {"fileio.replacing"}
+    assert {scope for scope, writes in open_calls(trees) if writes} == {"fileio.replacing"}
     naming = {
         stem
         for stem, tree in trees.items()
@@ -238,6 +239,14 @@ def test_one_opener_of_output_files():
         in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
     }
     assert naming == {"fileio"}
+
+
+def test_one_read_of_each_sample_file():
+    # fileio.read_sample opens its file once and names the faulty line from
+    # the block it holds; a second read-mode open would be a second pass
+    # over the file.
+    trees = {path.stem: _parse(path) for path in PACKAGE}
+    assert [scope for scope, writes in open_calls(trees) if not writes] == ["fileio.read_sample"]
 
 
 def setting_types(cls: type) -> set[type]:
